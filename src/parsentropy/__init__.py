@@ -19,6 +19,7 @@ from .errors import (
     OutOfSupportError,
     OverlapViolationError,
     ParsentropyError,
+    PreconditionError,
     TrimTooLargeError,
     WindowEmptyError,
 )
@@ -74,7 +75,6 @@ from .parsing import (
     parse_growing,
     parse_lz78,
     parse_random_sublinear,
-    parse_randomized_budget,
     perturb_subblocks,
     perturb_superblocks,
     sublinearity_series,

@@ -33,12 +33,9 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    BudgetNotSubextensiveError,
     ConfigError,
-    GapTooSmallError,
     ModelFormatError,
     ParsentropyError,
-    WindowEmptyError,
 )
 from .measures import (
     ProcessModel,
@@ -70,6 +67,8 @@ from .parsing import (
     validate_perturbed,
 )
 from .estimator import (
+    BirkhoffSeries,
+    CounterexampleReport,
     convergence_experiment,
     counterexample_experiment,
     perturbation_experiment,
@@ -254,6 +253,14 @@ def parse_config(path) -> ExperimentConfig:
                   {"K", "epsilon_schedule"})
     pert = _section("perturbation", {"plan"}, {"plan"})
     bk = _section("birkhoff", {"observable", "index_family", "depth"}, set())
+    try:  # typed here, so that a non-numeric value is a config error
+        if cx is not None:
+            cx = {"K": int(cx["K"]), "epsilon_schedule": [float(e) for e in cx["epsilon_schedule"]],
+                  "min_gap": float(cx.get("min_gap", 1e-3))}
+        if bk is not None:
+            bk = {**bk, "depth": int(bk.get("depth", 8))}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: counterexample and birkhoff parameters must be numbers") from exc
 
     workers = raw.get("workers")
     if workers is not None and (not isinstance(workers, int) or workers < 1):
@@ -302,6 +309,75 @@ def resolve_workers(flag: Optional[int], config_workers: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
+def _run_experiment(config: ExperimentConfig, model: ProcessModel, map_fn=map):
+    """Run the configured experiment; ``map_fn`` spreads convergence seeds over workers."""
+    if config.experiment == "convergence":
+        return convergence_experiment(
+            model, config.parser_spec, config.n_grid, config.seeds,
+            target_mode=config.mode, tol=config.tolerance, map_fn=map_fn)
+    if config.experiment == "perturbation":
+        return perturbation_experiment(
+            model, config.parser_spec, config.perturbation["plan"],
+            config.n_grid, config.seeds[0], tol=config.tolerance)
+    if config.experiment == "counterexample":
+        cx = config.counterexample
+        return counterexample_experiment(model, cx["K"], cx["epsilon_schedule"], config.n_grid,
+                                         config.seeds[0], min_gap=cx["min_gap"])
+    bk = config.birkhoff
+    return sublinear_birkhoff_check(
+        model, observable=bk.get("observable", "abs_log_z_d"),
+        index_family=bk.get("index_family", "prefix_sqrt"),
+        N_grid=config.n_grid, seed=config.seeds[0], depth=bk["depth"], tol=config.tolerance)
+
+
+def _verdict(ok) -> str:
+    return "pass" if ok else "fail"
+
+
+def _summary_sections(config: ExperimentConfig, report) -> dict:
+    """The report-specific sections of summary.json."""
+    if isinstance(report, BirkhoffSeries):
+        return {"birkhoff": {
+            "observable": report.observable,
+            "index_family": report.index_family,
+            "depth": report.depth,
+            "rows": [[n, _round12(v)] for n, v in report.rows],
+            "final_value": _round12(report.final_value),
+            "verdict": _verdict(report.verdict),
+        }}
+    if isinstance(report, CounterexampleReport):
+        return {
+            "oracle": {
+                "limit_even": _round12(report.limit_even),
+                "limit_odd": _target_dict(report.limit_odd),
+                "gap": _round12(report.gap),
+                "h_bracket_width": _round12(report.h_bracket.width),
+            },
+            "results": {
+                "even_tail_avg": _round12(report.even_tail_avg),
+                "odd_tail_avg": _round12(report.odd_tail_avg),
+                "parity_gap": _round12(report.parity_gap),
+                "even": _verdict(report.even_ok),
+                "odd": _verdict(report.odd_ok),
+                "gap": _verdict(report.gap_ok),
+                "verdict": _verdict(report.verdict),
+            },
+        }
+    parser = {"family": config.parser_spec.family, "params": config.parser_spec.params}
+    if config.perturbation is not None:
+        parser["plan"] = config.perturbation["plan"]
+    return {
+        "parser": parser,
+        "oracle": {"target": _target_dict(report.target)},
+        "results": {
+            "tail_deviation": _round12(report.tail_deviation),
+            "l1_deviation": _round12(report.l1_deviation),
+            "effective_tolerance": _round12(report.effective_tol),
+            "verdict": _verdict(report.verdict),
+        },
+    }
+
+
 def cmd_simulate(config_path: str, workers: Optional[int] = None,
                  out_dir: Optional[str] = None) -> int:
     try:
@@ -316,112 +392,38 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
     out.mkdir(parents=True, exist_ok=True)
 
     wall: dict = {}
-    summary: dict = {
+    try:
+        t0 = time.perf_counter()
+        if config.experiment == "convergence" and config.mode == "l1" and n_workers > 1:
+            with ProcessPoolExecutor(max_workers=n_workers) as pool:
+                report = _run_experiment(config, model, pool.map)
+        else:
+            report = _run_experiment(config, model)
+        wall["estimation"] = time.perf_counter() - t0
+    except ParsentropyError as exc:
+        print(f"precondition failure: {exc}", file=sys.stderr)
+        return 3
+
+    summary = {
         "experiment": config.experiment,
         "model_id": model_id(model),
         "mode": config.mode,
         "tolerance": _round12(config.tolerance),
         "units": "nats",
+        **_summary_sections(config, report),
     }
-    try:
-        t0 = time.perf_counter()
-        if config.experiment == "convergence":
-            if config.mode == "l1" and n_workers > 1:
-                with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                    report = convergence_experiment(
-                        model, config.parser_spec, config.n_grid, config.seeds,
-                        target_mode=config.mode, tol=config.tolerance, map_fn=pool.map)
-            else:
-                report = convergence_experiment(
-                    model, config.parser_spec, config.n_grid, config.seeds,
-                    target_mode=config.mode, tol=config.tolerance)
-            records = report.series
-            summary["parser"] = {"family": config.parser_spec.family,
-                                 "params": config.parser_spec.params}
-            summary["oracle"] = {"target": _target_dict(report.target)}
-            summary["results"] = {
-                "tail_deviation": _round12(report.tail_deviation),
-                "l1_deviation": _round12(report.l1_deviation),
-                "effective_tolerance": _round12(report.effective_tol),
-                "verdict": "pass" if report.verdict else "fail",
-            }
-            verdicts = {"convergence": report.verdict}
-        elif config.experiment == "perturbation":
-            report = perturbation_experiment(
-                model, config.parser_spec, config.perturbation["plan"],
-                config.n_grid, config.seeds[0], tol=config.tolerance)
-            records = report.series
-            summary["parser"] = {"family": config.parser_spec.family,
-                                 "params": config.parser_spec.params,
-                                 "plan": config.perturbation["plan"]}
-            summary["oracle"] = {"target": _target_dict(report.target)}
-            summary["results"] = {
-                "tail_deviation": _round12(report.tail_deviation),
-                "l1_deviation": _round12(report.l1_deviation),
-                "effective_tolerance": _round12(report.effective_tol),
-                "verdict": "pass" if report.verdict else "fail",
-            }
-            verdicts = {"perturbation": report.verdict}
-        elif config.experiment == "counterexample":
-            cx = config.counterexample
-            report = counterexample_experiment(
-                model, int(cx["K"]), [float(e) for e in cx["epsilon_schedule"]],
-                config.n_grid, config.seeds[0],
-                min_gap=float(cx.get("min_gap", 1e-3)))
-            records = report.series
-            summary["oracle"] = {
-                "limit_even": _round12(report.limit_even),
-                "limit_odd": _target_dict(report.limit_odd),
-                "gap": _round12(report.gap),
-                "h_bracket_width": _round12(report.h_bracket.width),
-            }
-            summary["results"] = {
-                "even_tail_avg": _round12(report.even_tail_avg),
-                "odd_tail_avg": _round12(report.odd_tail_avg),
-                "parity_gap": _round12(report.parity_gap),
-                "even": "pass" if report.even_ok else "fail",
-                "odd": "pass" if report.odd_ok else "fail",
-                "gap": "pass" if report.gap_ok else "fail",
-                "verdict": "pass" if report.verdict else "fail",
-            }
-            verdicts = {"counterexample": report.verdict}
-        else:  # birkhoff
-            bk = config.birkhoff or {}
-            series = sublinear_birkhoff_check(
-                model,
-                observable=bk.get("observable", "abs_log_z_d"),
-                index_family=bk.get("index_family", "prefix_sqrt"),
-                N_grid=config.n_grid, seed=config.seeds[0],
-                depth=int(bk.get("depth", 8)), tol=config.tolerance)
-            records = None
-            summary["birkhoff"] = {
-                "observable": series.observable,
-                "index_family": series.index_family,
-                "depth": series.depth,
-                "rows": [[n, _round12(v)] for n, v in series.rows],
-                "final_value": _round12(series.final_value),
-                "verdict": "pass" if series.passed else "fail",
-            }
-            verdicts = {"birkhoff": bool(series.passed)}
-        wall["estimation"] = time.perf_counter() - t0
-    except (GapTooSmallError, BudgetNotSubextensiveError, WindowEmptyError, ValueError) as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return 3
-    except ParsentropyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
+    verdict = _verdict(report.verdict)
     t0 = time.perf_counter()
-    if records is not None:
-        _records_to_csv(records, out / "results.csv")
-    else:
+    if isinstance(report, BirkhoffSeries):
         with open(out / "results.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["N", "seed", "observable", "index_family", "depth",
                              "value:estimate"])
-            for n, v in series.rows:
-                writer.writerow([n, config.seeds[0], series.observable,
-                                 series.index_family, series.depth, _fmt(v)])
+            for n, v in report.rows:
+                writer.writerow([n, config.seeds[0], report.observable,
+                                 report.index_family, report.depth, _fmt(v)])
+    else:
+        _records_to_csv(report.series, out / "results.csv")
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -433,7 +435,7 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
         "model_id": model_id(model),
         "seed_algorithm": SEED_ALGORITHM,
         "oracle_values": summary.get("oracle", summary.get("birkhoff")),
-        "verdicts": {k: ("pass" if v else "fail") for k, v in verdicts.items()},
+        "verdicts": {config.experiment: verdict},
         "wall_clock_s": {k: round(v, 3) for k, v in wall.items()},
         "workers": n_workers,
         "emitted": ["results.csv", "summary.json"],
@@ -442,8 +444,7 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"run complete: {out}")
-    for key, value in verdicts.items():
-        print(f"  {key}: {'pass' if value else 'fail'}")
+    print(f"  {config.experiment}: {verdict}")
     return 0
 
 

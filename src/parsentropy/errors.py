@@ -41,5 +41,9 @@ class ModelFormatError(ParsentropyError):
     """A model file is malformed; the message carries the offending path."""
 
 
+class PreconditionError(ParsentropyError, ValueError):
+    """An input violates a documented precondition of an experiment or generator."""
+
+
 class ConfigError(ParsentropyError):
     """An experiment configuration is malformed or violates the schema."""

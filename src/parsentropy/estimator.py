@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
     BudgetNotSubextensiveError,
     GapTooSmallError,
     OutOfSupportError,
+    PreconditionError,
 )
 from .measures import (
     DEFAULT_ENUM_CAP,
@@ -131,6 +133,8 @@ class BirkhoffSeries:
     def passed(self) -> Optional[bool]:
         return None if self.tol is None else self.final_value < self.tol
 
+    verdict = passed
+
 
 # ---------------------------------------------------------------------------
 # Pointwise estimators
@@ -151,7 +155,7 @@ def blockwise_info(model: ProcessModel, traj: Trajectory,
     """
     starts, ends, n, _ = _blocks_of(parsing)
     if n > len(traj):
-        raise ValueError("parsing covers more symbols than the trajectory has")
+        raise PreconditionError("parsing covers more symbols than the trajectory has")
     logs = block_log_probs(model, traj.symbols, starts, ends)
     if not np.all(np.isfinite(logs)):
         raise OutOfSupportError("a block has probability zero under the model")
@@ -161,7 +165,7 @@ def blockwise_info(model: ProcessModel, traj: Trajectory,
 def smb_info(model: ProcessModel, traj: Trajectory, N: int) -> float:
     """Plain per-symbol information content -log P([x_1^N]) / N, in nats."""
     if not 1 <= N <= len(traj):
-        raise ValueError(f"need 1 <= N <= trajectory length, got N={N}")
+        raise PreconditionError(f"need 1 <= N <= trajectory length, got N={N}")
     lp = prefix_log_probs(model, traj.symbols[:N])[-1]
     if not np.isfinite(lp):
         raise OutOfSupportError("prefix has probability zero under the model")
@@ -189,28 +193,28 @@ def _rate_target(model: ProcessModel, rate_tol: float, n_cap: int, cap: int) -> 
     return OracleTarget(br.lower, br.upper)
 
 
-def _tail_parsing_target(model: ProcessModel, K: int, rate_tol: float, n_cap: int,
-                         cap: int) -> OracleTarget:
-    h_half = marginal_entropy(model, K // 2, cap)
-    br = entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap)
-    return OracleTarget(0.5 * (2.0 * h_half / K + br.lower),
-                        0.5 * (2.0 * h_half / K + br.upper))
+def _tail_limit(h_half: float, K: int, bracket: EntropyBracket) -> OracleTarget:
+    """Tail-parsing limit (2 H(P_{K/2})/K + h)/2 over the rate bracket of h."""
+    short = 2.0 * h_half / K
+    return OracleTarget(0.5 * (short + bracket.lower), 0.5 * (short + bracket.upper))
 
 
 def oracle_target(model: ProcessModel, spec: ParserSpec, rate_tol: float = 1e-5,
                   n_cap: int = 22, cap: int = DEFAULT_ENUM_CAP) -> OracleTarget:
     """The limit the blockwise estimate must approach for this (model, spec)."""
-    fam = spec.family
-    if fam in ("fixed", "counterexample_u"):
+    if spec.is_fixed:
         k = spec.params["K"]
         h_k = marginal_entropy(model, k, cap)
         return OracleTarget(h_k / k, h_k / k)
-    if fam == "counterexample_v":
+    if spec.family == "counterexample_v":
         if isinstance(model, MixtureModel):
-            raise ValueError("tail-selecting parsings need an ergodic model")
-        return _tail_parsing_target(model, spec.params["K"], rate_tol, n_cap, cap)
-    if fam == "counterexample_w":
-        raise ValueError("the alternating family has two limits; run counterexample_experiment")
+            raise PreconditionError("tail-selecting parsings need an ergodic model")
+        k = spec.params["K"]
+        return _tail_limit(marginal_entropy(model, k // 2, cap), k,
+                           entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap))
+    if spec.family == "counterexample_w":
+        raise PreconditionError(
+            "the alternating family has two limits; run counterexample_experiment")
     return _rate_target(model, rate_tol, n_cap, cap)
 
 
@@ -222,48 +226,86 @@ def oracle_target(model: ProcessModel, spec: ParserSpec, rate_tol: float = 1e-5,
 def _check_grid(N_grid) -> list:
     grid = [int(n) for n in N_grid]
     if not grid:
-        raise ValueError("N_grid must be non-empty")
+        raise PreconditionError("N_grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("N_grid must be strictly increasing")
+        raise PreconditionError("N_grid must be strictly increasing")
     return grid
 
 
-def _tail_window(count: int) -> int:
-    """Number of trailing grid points forming the 'last quartile' window."""
-    return max(1, math.ceil(count / 4))
-
-
-def _record(model, traj, parsing, spec_family, spec_params, n, seed, target,
-            prefix_logs) -> EstimatorRecord:
-    starts, ends, n_norm, c = _blocks_of(parsing)
-    logs = block_log_probs(model, traj.symbols, starts, ends)
-    if not np.all(np.isfinite(logs)):
-        raise OutOfSupportError("a block has probability zero under the model")
-    blockwise = -float(np.sum(logs)) / n_norm
-    smb = -float(prefix_logs[n]) / n
-    return EstimatorRecord(
-        N=n, seed=traj.seed, parser_family=spec_family, parser_params=spec_params,
-        blockwise_info=blockwise, smb_info=smb, residual=blockwise - smb,
-        c_over_N=c / n, target=target, deviation=target.deviation(blockwise),
-    )
-
-
-def _component_targets(model: MixtureModel, rate_tol: float, n_cap: int, cap: int):
-    return tuple(_rate_target(comp, rate_tol, n_cap, cap) for comp in model.components)
+def _perturb(plan: Callable, parsings, grid) -> list:
+    """Apply the plan to each parsing; refuse it unless it is subextensive."""
+    perturbed = [plan(p) for p in parsings]
+    ratios = [p.modification / n for n, p in zip(grid, perturbed)]
+    if ratios[-1] >= 0.01 or any(b > a + 1e-12 for a, b in zip(ratios, ratios[1:])):
+        raise BudgetNotSubextensiveError(
+            f"modification ratios along the grid are {['%.3g' % r for r in ratios]}; "
+            "they must decrease and end below 0.01"
+        )
+    return perturbed
 
 
 def _seed_cell(args) -> list:
-    """All records of one seed; self-contained so cells can run in workers."""
-    model, spec, grid, seed, headline, per_component, h_for_tail = args
+    """All records of one seed; the only place a trajectory is sampled and scored.
+
+    ``args`` is (model, seed, cells, h_ref, plan).  Each cell is
+    (N, spec, params, target) with N increasing; a tuple target holds one
+    target per mixture component and is indexed by the sampled component.
+    A perturbation plan, if given, is applied to every parsing and checked
+    for subextensivity before any block is scored.  Module-level and
+    self-contained, so cells can run in pool workers.
+    """
+    model, seed, cells, h_ref, plan = args
+    grid = [cell[0] for cell in cells]
     traj = sample_trajectory(model, grid[-1], seed)
-    target = headline if per_component is None else per_component[traj.component]
     prefix_logs = prefix_log_probs(model, traj.symbols)
-    out = []
-    for n in grid:
-        parsing = make_parsing(spec, n, model=model, traj=traj, h_ref=h_for_tail)
-        out.append(_record(model, traj, parsing, spec.family, spec.describe(),
-                           n, seed, target, prefix_logs))
-    return out
+    parsings = (make_parsing(spec, n, model=model, traj=traj, h_ref=h_ref)
+                for n, spec, _, _ in cells)
+    if plan is not None:
+        parsings = _perturb(plan, parsings, grid)
+    records = []
+    for (n, spec, params, target), parsing in zip(cells, parsings):
+        if isinstance(target, tuple):
+            target = target[traj.component]
+        blockwise = blockwise_info(model, traj, parsing)
+        smb = -float(prefix_logs[n]) / n
+        records.append(EstimatorRecord(
+            N=n, seed=traj.seed, parser_family=spec.family, parser_params=params,
+            blockwise_info=blockwise, smb_info=smb, residual=blockwise - smb,
+            c_over_N=parsing.c / n, target=target, deviation=target.deviation(blockwise),
+        ))
+    return records
+
+
+def _converge(model, spec, grid, seeds, mode, tol, params, plan, rate_tol, n_cap, cap,
+              map_fn) -> ConvergenceReport:
+    """Score every seed against the oracle limit of (model, spec); as or l1 verdict."""
+    headline = oracle_target(model, spec, rate_tol, n_cap, cap)
+    target = headline
+    if isinstance(model, MixtureModel) and not spec.is_fixed:
+        target = tuple(_rate_target(comp, rate_tol, n_cap, cap) for comp in model.components)
+    # Tail selection compares suffix information rates against the entropy
+    # rate itself, not against the experiment's limit value.
+    h_ref = None
+    if spec.family == "counterexample_v":
+        h_ref = entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap).mid
+
+    cells = tuple((n, spec, params, target) for n in grid)
+    tasks = [(model, seed, cells, h_ref, plan) for seed in seeds]
+    records = sorted((rec for cell in map_fn(_seed_cell, tasks) for rec in cell),
+                     key=lambda r: (r.N, r.seed))
+
+    tail = set(grid[-max(1, math.ceil(len(grid) / 4)):])   # the last quartile of the grid
+    tail_dev = max(r.deviation for r in records if r.N in tail)
+    at_max = [r for r in records if r.N == grid[-1]]
+    l1_dev = float(np.mean([r.deviation for r in at_max]))
+    effective_tol = tol
+    if mode == "l1":
+        spread = float(np.std([r.blockwise_info for r in at_max], ddof=1)) if len(at_max) > 1 else 0.0
+        effective_tol = max(tol, 3.0 * spread / math.sqrt(len(at_max)))
+    verdict = (l1_dev if mode == "l1" else tail_dev) <= effective_tol
+    return ConvergenceReport(series=tuple(records), target=headline, mode=mode,
+                             tol=tol, effective_tol=effective_tol,
+                             tail_deviation=tail_dev, l1_deviation=l1_dev, verdict=verdict)
 
 
 def convergence_experiment(model: ProcessModel, spec: ParserSpec, N_grid,
@@ -285,43 +327,16 @@ def convergence_experiment(model: ProcessModel, spec: ParserSpec, N_grid,
     seeds = [int(s) for s in seeds]
     if target_mode == "as":
         if len(seeds) != 1:
-            raise ValueError("almost-sure mode follows one trajectory: pass exactly one seed")
+            raise PreconditionError("almost-sure mode follows one trajectory: pass exactly one seed")
     elif target_mode == "l1":
         if len(seeds) < 20:
-            raise ValueError("L1 mode needs at least 20 seeds")
+            raise PreconditionError("L1 mode needs at least 20 seeds")
         if len(set(seeds)) != len(seeds):
-            raise ValueError("seeds must be distinct")
+            raise PreconditionError("seeds must be distinct")
     else:
-        raise ValueError("target_mode must be 'as' or 'l1'")
-
-    headline = oracle_target(model, spec, rate_tol, n_cap, cap)
-    per_component = None
-    if isinstance(model, MixtureModel) and spec.family not in ("fixed", "counterexample_u"):
-        per_component = _component_targets(model, rate_tol, n_cap, cap)
-    # Tail selection compares suffix information rates against the entropy
-    # rate itself, not against the experiment's limit value.
-    h_for_tail = None
-    if spec.family == "counterexample_v":
-        h_for_tail = entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap).mid
-
-    tasks = [(model, spec, grid, seed, headline, per_component, h_for_tail) for seed in seeds]
-    records = [rec for cell in map_fn(_seed_cell, tasks) for rec in cell]
-    records.sort(key=lambda r: (r.N, r.seed))
-
-    window = {grid[i] for i in range(len(grid) - _tail_window(len(grid)), len(grid))}
-    tail_dev = max(r.deviation for r in records if r.N in window)
-    at_max = [r for r in records if r.N == grid[-1]]
-    l1_dev = float(np.mean([r.deviation for r in at_max]))
-    if target_mode == "l1":
-        spread = float(np.std([r.blockwise_info for r in at_max], ddof=1)) if len(at_max) > 1 else 0.0
-        effective_tol = max(tol, 3.0 * spread / math.sqrt(len(at_max)))
-        verdict = l1_dev <= effective_tol
-    else:
-        effective_tol = tol
-        verdict = tail_dev <= effective_tol
-    return ConvergenceReport(series=tuple(records), target=headline, mode=target_mode,
-                             tol=tol, effective_tol=effective_tol,
-                             tail_deviation=tail_dev, l1_deviation=l1_dev, verdict=verdict)
+        raise PreconditionError("target_mode must be 'as' or 'l1'")
+    return _converge(model, spec, grid, seeds, target_mode, tol, spec.describe(), None,
+                     rate_tol, n_cap, cap, map_fn)
 
 
 def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Sequence[float],
@@ -337,16 +352,15 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
     refinement of the tail-selection window.
     """
     if isinstance(model, MixtureModel):
-        raise ValueError("the two-limit construction needs an ergodic model; mixtures are not")
+        raise PreconditionError("the two-limit construction needs an ergodic model; mixtures are not")
     grid = _check_grid(N_grid)
     eps = [float(e) for e in epsilon_schedule]
     if not eps or any(b > a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilon_schedule must be non-increasing and non-empty")
+        raise PreconditionError("epsilon_schedule must be non-increasing and non-empty")
     if any(not 0.0 < e < 0.25 for e in eps):
-        raise ValueError("epsilon values must lie in (0, 1/4)")
-    parities = {n % 2 for n in grid}
-    if parities != {0, 1}:
-        raise ValueError("N_grid must contain both even and odd lengths")
+        raise PreconditionError("epsilon values must lie in (0, 1/4)")
+    if {n % 2 for n in grid} != {0, 1}:
+        raise PreconditionError("N_grid must contain both even and odd lengths")
 
     gap_info = discrepancy_gap(model, K, cap=cap, rate_tol=rate_tol, n_cap=n_cap)
     if gap_info.gap <= min_gap:
@@ -354,35 +368,24 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
             f"fixed-block and tail-parsing limits are {gap_info.gap:.3e} nats apart "
             f"(resolution {min_gap:.1e}); the two-limit experiment cannot resolve them"
         )
-    h_k = marginal_entropy(model, K, cap)
-    limit_even = h_k / K
-    limit_odd = _tail_parsing_target(model, K, rate_tol, n_cap, cap)
+    limit_even = gap_info.h_k / K
+    limit_odd = _tail_limit(gap_info.h_half, K, gap_info.h_bracket)
     even_target = OracleTarget(limit_even, limit_even)
 
-    traj = sample_trajectory(model, grid[-1], seed)
-    prefix_logs = prefix_log_probs(model, traj.symbols)
-    h_mid = gap_info.h_bracket.mid
-    records = []
+    cells = []
     for i, n in enumerate(grid):
         e = eps[min(i * len(eps) // len(grid), len(eps) - 1)]
-        parsing = make_parsing(ParserSpec("counterexample_w", {"K": K, "epsilon": e}),
-                               n, model=model, traj=traj, h_ref=h_mid)
-        target = even_target if n % 2 == 0 else limit_odd
-        params = json.dumps({"K": K, "epsilon": e}, sort_keys=True, separators=(",", ":"))
-        records.append(_record(model, traj, parsing, "counterexample_w", params,
-                               n, seed, target, prefix_logs))
+        spec = ParserSpec("counterexample_w", {"K": K, "epsilon": e})
+        cells.append((n, spec, spec.describe(), even_target if n % 2 == 0 else limit_odd))
+    records = _seed_cell((model, seed, tuple(cells), gap_info.h_bracket.mid, None))
 
+    # the last quartile of the grid, at least four points, widened until it holds both parities
     window = max(4, math.ceil(len(grid) / 4))
-    while window < len(grid):
-        tail = grid[-window:]
-        if {n % 2 for n in tail} == {0, 1}:
-            break
+    while window < len(grid) and {n % 2 for n in grid[-window:]} != {0, 1}:
         window += 1
-    tail_set = set(grid[-window:])
-    even_vals = [r.blockwise_info for r in records if r.N in tail_set and r.N % 2 == 0]
-    odd_vals = [r.blockwise_info for r in records if r.N in tail_set and r.N % 2 == 1]
-    even_avg = float(np.mean(even_vals))
-    odd_avg = float(np.mean(odd_vals))
+    tail = set(grid[-window:])
+    even_avg = float(np.mean([r.blockwise_info for r in records if r.N in tail and r.N % 2 == 0]))
+    odd_avg = float(np.mean([r.blockwise_info for r in records if r.N in tail and r.N % 2 == 1]))
     parity_gap = even_avg - odd_avg
     tol_even = tol_rel * limit_even
     tol_odd = tol_rel * limit_odd.mid
@@ -407,45 +410,19 @@ def perturbation_experiment(model: ProcessModel, spec: ParserSpec,
     The plan (a name from the built-in plans or a callable mapping a parsing
     to a perturbed one) must be subextensive: the modification ratio has to
     decrease along the grid and drop below 1% at the largest N, otherwise
-    BudgetNotSubextensiveError is raised before any estimation.
+    BudgetNotSubextensiveError is raised before any estimation.  Mixture
+    seeds are scored against their sampled component, as in
+    ``convergence_experiment``.
     """
     grid = _check_grid(N_grid)
     if isinstance(plan, str):
-        plan_name = plan
-        apply_plan = lambda parsing: apply_perturbation_plan(parsing, plan_name)  # noqa: E731
+        plan_name, plan = plan, partial(apply_perturbation_plan, plan_name=plan)
     else:
         plan_name = getattr(plan, "__name__", "custom")
-        apply_plan = plan
-    target = oracle_target(model, spec, rate_tol, n_cap, cap)
-    h_for_tail = None
-    if spec.family in ("counterexample_v", "counterexample_w"):
-        h_for_tail = entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap).mid
-
-    traj = sample_trajectory(model, grid[-1], seed)
-    prefix_logs = prefix_log_probs(model, traj.symbols)
-    cells = []
-    for n in grid:
-        base = make_parsing(spec, n, model=model, traj=traj, h_ref=h_for_tail)
-        cells.append((n, apply_plan(base)))
-    ratios = [p.modification / n for n, p in cells]
-    if ratios[-1] >= 0.01 or any(b > a + 1e-12 for a, b in zip(ratios, ratios[1:])):
-        raise BudgetNotSubextensiveError(
-            f"modification ratios along the grid are {['%.3g' % r for r in ratios]}; "
-            "they must decrease and end below 0.01"
-        )
-
     params = json.dumps({**spec.params, "plan": plan_name}, sort_keys=True,
                         separators=(",", ":"))
-    records = [
-        _record(model, traj, perturbed, spec.family, params, n, seed, target, prefix_logs)
-        for n, perturbed in cells
-    ]
-    window = {grid[i] for i in range(len(grid) - _tail_window(len(grid)), len(grid))}
-    tail_dev = max(r.deviation for r in records if r.N in window)
-    l1_dev = float(np.mean([r.deviation for r in records if r.N == grid[-1]]))
-    return ConvergenceReport(series=tuple(records), target=target, mode="as", tol=tol,
-                             effective_tol=tol, tail_deviation=tail_dev,
-                             l1_deviation=l1_dev, verdict=tail_dev <= tol)
+    return _converge(model, spec, grid, [int(seed)], "as", tol, params, plan,
+                     rate_tol, n_cap, cap, map)
 
 
 _BIRKHOFF_OBSERVABLES = ("log_zmax_to_depth_d", "abs_log_z_d")
@@ -465,9 +442,12 @@ def sublinear_birkhoff_check(model: ProcessModel, observable: str = "abs_log_z_d
     sqrt(10) per decade of N.
     """
     if observable not in _BIRKHOFF_OBSERVABLES:
-        raise ValueError(f"observable must be one of {_BIRKHOFF_OBSERVABLES}")
+        raise PreconditionError(f"observable must be one of {_BIRKHOFF_OBSERVABLES}")
     if index_family not in _INDEX_FAMILIES:
-        raise ValueError(f"index_family must be one of {_INDEX_FAMILIES}")
+        raise PreconditionError(f"index_family must be one of {_INDEX_FAMILIES}")
+    min_depth = 2 if observable == "abs_log_z_d" else 1
+    if depth < min_depth:
+        raise PreconditionError(f"{observable} needs depth >= {min_depth}, got {depth}")
     grid = _check_grid(N_grid)
     traj = sample_trajectory(model, grid[-1] + depth, seed)
     x = traj.symbols

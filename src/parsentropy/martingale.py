@@ -121,13 +121,13 @@ def z_trace(model: ProcessModel, traj: Trajectory, n: int, base: int = 0) -> Mar
                            base_index=base)
 
 
-def _three_levels(model: ProcessModel, n: int, cap: int):
-    """Return (P_{n-1}, P_n, P_{n+1}) as rank-indexed arrays, with P_0 = [1]."""
+def _levels(model: ProcessModel, lo: int, hi: int, cap: int) -> list:
+    """[P_lo, ..., P_hi] as rank-indexed arrays, with P_0 = [1]."""
     levels = {0: np.ones(1)}
-    for k, level in level_probs(model, n + 1, cap):
-        if k >= n - 1:
+    for k, level in level_probs(model, hi, cap):
+        if k >= lo:
             levels[k] = level
-    return levels[n - 1], levels[n], levels[n + 1]
+    return [levels[k] for k in range(lo, hi + 1)]
 
 
 def verify_martingale_property(model: ProcessModel, n: int, cap: int = DEFAULT_ENUM_CAP) -> float:
@@ -140,7 +140,7 @@ def verify_martingale_property(model: ProcessModel, n: int, cap: int = DEFAULT_E
     if n < 1:
         raise ValueError("n must be >= 1")
     a = model.alphabet_size
-    p_prev, p_n, p_next = _three_levels(model, n, cap)
+    p_prev, p_n, p_next = _levels(model, n - 1, n + 1, cap)
     shift_rank = np.arange(p_n.shape[0], dtype=np.int64) % p_prev.shape[0]
     ext = p_next.reshape(-1, a)                      # P([u a])
     shifted_ext = p_n[shift_rank[:, None] * a + np.arange(a, dtype=np.int64)[None, :]]
@@ -156,11 +156,7 @@ def expected_logz_check(model: ProcessModel, n: int, cap: int = DEFAULT_ENUM_CAP
     """|E[log Z_n] - (H(P_n) - H(P_{n-1}))| with both sides exactly enumerated."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    levels = {0: np.ones(1)}
-    for k, level in level_probs(model, n, cap):
-        if k >= n - 1:
-            levels[k] = level
-    p_prev, p_n = levels[n - 1], levels[n]
+    p_prev, p_n = _levels(model, n - 1, n, cap)
     shift_rank = np.arange(p_n.shape[0], dtype=np.int64) % p_prev.shape[0]
     mask = p_n > 0
     z_log = _safe_log(p_prev[shift_rank[mask]]) - _safe_log(p_n[mask])

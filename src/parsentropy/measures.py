@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapExceededError, ModelFormatError
+from .errors import CapExceededError, ModelFormatError, PreconditionError
 
 DEFAULT_ENUM_CAP = 1 << 22
 
@@ -280,17 +280,26 @@ def validate_model(model: ProcessModel, prefix: str = "") -> ModelValidationRepo
     return ModelValidationReport(checks=tuple(checks))
 
 
-def stationary_distribution(transition, tol: float = 1e-14, max_iter: int = 200_000) -> np.ndarray:
-    """Stationary row vector of a row-stochastic matrix, by power iteration."""
+def stationary_distribution(transition, tol: float = 1e-14) -> np.ndarray:
+    """Stationary row vector of a row-stochastic matrix, solved directly.
+
+    Least squares on pi (T - I) = 0 with sum(pi) = 1.  Raises
+    PreconditionError when the stationary law is not unique (the system has
+    rank below k) or when the solution leaves a residual above ``tol``.
+    """
     t = np.asarray(transition, dtype=float)
     k = t.shape[0]
-    pi = np.full(k, 1.0 / k)
-    for _ in range(max_iter):
-        nxt = pi @ t
-        nxt /= nxt.sum()
-        if float(np.abs(nxt - pi).sum()) < tol:
-            return nxt
-        pi = nxt
+    system = np.vstack((t.T - np.eye(k), np.ones((1, k))))
+    rhs = np.zeros(k + 1)
+    rhs[-1] = 1.0
+    pi, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
+    if rank < k:
+        raise PreconditionError(f"the stationary law is not unique (rank {rank} < {k})")
+    pi = np.maximum(pi, 0.0)   # round-off can leave -1e-17 on transient states
+    pi /= pi.sum()
+    residual = float(np.abs(pi @ t - pi).max())
+    if residual > tol:
+        raise PreconditionError(f"stationary solve left residual {residual:.3e} > tol {tol:.1e}")
     return pi
 
 
@@ -495,6 +504,20 @@ def _hmm_block_table(model: HiddenMarkovModel, length: int) -> np.ndarray:
 _HMM_TABLE_CACHE = weakref.WeakKeyDictionary()
 
 
+def _window_sums(logs: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Sums of ``logs[s[i]:e[i]]``, exactly -inf where a window holds a zero factor.
+
+    The finite parts and the zero factors are cumulated separately, so a
+    zero factor outside a window cannot turn its sum into inf - inf.
+    """
+    zero = np.isneginf(logs)
+    cs = np.concatenate(([0.0], np.where(zero, 0.0, logs).cumsum()))
+    cz = np.concatenate(([0], zero.cumsum()))
+    out = cs[e] - cs[s]
+    out[cz[e] > cz[s]] = -np.inf
+    return out
+
+
 def block_log_probs(model: ProcessModel, symbols, starts, ends) -> np.ndarray:
     """Log-probabilities of the sub-words ``symbols[starts[i]:ends[i]]``.
 
@@ -511,15 +534,20 @@ def block_log_probs(model: ProcessModel, symbols, starts, ends) -> np.ndarray:
     if (e <= s).any() or s.min() < 0 or e.max() > x.shape[0]:
         raise ValueError("blocks must be non-empty and inside the symbol array")
     if isinstance(model, IIDModel):
-        cs = np.concatenate(([0.0], _safe_log(model.p)[x].cumsum()))
-        with np.errstate(invalid="ignore"):
-            return cs[e] - cs[s]
+        log_p = _safe_log(model.p)
+        if np.isneginf(log_p).any():
+            return _window_sums(log_p[x], s, e)
+        cs = np.concatenate(([0.0], log_p[x].cumsum()))
+        return cs[e] - cs[s]
     if isinstance(model, MarkovModel):
+        log_t = _safe_log(model.transition)
+        log_start = _safe_log(model.initial)[x[s]]
+        if np.isneginf(log_t).any():
+            return log_start + _window_sums(log_t[x[:-1], x[1:]], s, e - 1)
         ct = np.zeros(x.shape[0])
         if x.shape[0] > 1:
-            ct[1:] = _safe_log(model.transition)[x[:-1], x[1:]].cumsum()
-        with np.errstate(invalid="ignore"):
-            return _safe_log(model.initial)[x[s]] + ct[e - 1] - ct[s]
+            ct[1:] = log_t[x[:-1], x[1:]].cumsum()
+        return log_start + ct[e - 1] - ct[s]
     if isinstance(model, HiddenMarkovModel):
         out = np.empty(s.shape[0])
         lengths = e - s
@@ -762,21 +790,18 @@ def entropy_rate(model: ProcessModel, tol: float = 1e-5, n_cap: int = 22,
     return EntropyBracket(lower, upper, n_used=n_used, converged=False)
 
 
+@dataclass(frozen=True)
 class DiscrepancyGap:
-    """Result of ``discrepancy_gap``: the gap and the rate-bracket width used."""
+    """Result of ``discrepancy_gap``: the gap and the enumerated quantities behind it."""
 
-    __slots__ = ("gap", "h_bracket")
-
-    def __init__(self, gap: float, h_bracket: EntropyBracket):
-        self.gap = gap
-        self.h_bracket = h_bracket
+    gap: float
+    h_bracket: EntropyBracket
+    h_k: float                   # H(P_K)
+    h_half: float                # H(P_{K/2})
 
     @property
     def bracket_width(self) -> float:
         return self.h_bracket.width
-
-    def __repr__(self):
-        return f"DiscrepancyGap(gap={self.gap!r}, bracket_width={self.bracket_width!r})"
 
 
 def discrepancy_gap(model: ProcessModel, K: int, cap: int = DEFAULT_ENUM_CAP,
@@ -787,12 +812,12 @@ def discrepancy_gap(model: ProcessModel, K: int, cap: int = DEFAULT_ENUM_CAP,
     of order <= K; strictly positive otherwise.
     """
     if K % 2 != 0 or K < 2:
-        raise ValueError("K must be a positive even integer")
+        raise PreconditionError("K must be a positive even integer")
     h_k = marginal_entropy(model, K, cap)
     h_half = marginal_entropy(model, K // 2, cap)
     bracket = entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap)
     gap = h_k / K - 0.5 * (2.0 * h_half / K + bracket.mid)
-    return DiscrepancyGap(gap=gap, h_bracket=bracket)
+    return DiscrepancyGap(gap=gap, h_bracket=bracket, h_k=h_k, h_half=h_half)
 
 
 # ---------------------------------------------------------------------------

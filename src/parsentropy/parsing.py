@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     OverlapViolationError,
+    PreconditionError,
     TrimTooLargeError,
     WindowEmptyError,
 )
@@ -187,7 +188,7 @@ def validate_perturbed(perturbed: PerturbedParsing) -> ParsingValidation:
 def parse_fixed(N: int, K: int) -> Parsing:
     """Blocks of length K; the final block is shorter when K does not divide N."""
     if not 1 <= K <= N:
-        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
+        raise PreconditionError(f"need 1 <= K <= N, got K={K}, N={N}")
     bounds = np.arange(K, N + 1, K, dtype=np.int64)
     if bounds.shape[0] == 0 or bounds[-1] != N:
         bounds = np.concatenate((bounds, [N]))
@@ -206,7 +207,7 @@ def growing_block_length(N: int, schedule: str) -> int:
 def parse_growing(N: int, schedule: str) -> Parsing:
     """Fixed blocks of N-dependent length (ceil sqrt(N) or ceil log2(N))."""
     if N < 2:
-        raise ValueError("N must be >= 2")
+        raise PreconditionError("N must be >= 2")
     return parse_fixed(N, growing_block_length(N, schedule))
 
 
@@ -218,7 +219,7 @@ def parse_lz78(traj: Trajectory, N: int) -> Parsing:
     O(N / log N) for any source, hence sublinear.
     """
     if not 1 <= N <= len(traj):
-        raise ValueError(f"need 1 <= N <= trajectory length, got N={N}")
+        raise PreconditionError(f"need 1 <= N <= trajectory length, got N={N}")
     symbols = traj.symbols[:N].tolist()
     children: dict = {}
     bounds = []
@@ -240,7 +241,7 @@ def parse_lz78(traj: Trajectory, N: int) -> Parsing:
 def parse_random_sublinear(N: int, budget: int, seed: int) -> Parsing:
     """Exactly ``budget`` blocks with interior boundaries drawn uniformly."""
     if not 1 <= budget <= N:
-        raise ValueError(f"need 1 <= budget <= N, got budget={budget}, N={N}")
+        raise PreconditionError(f"need 1 <= budget <= N, got budget={budget}, N={N}")
     rng = np.random.default_rng(seed)
     interior = rng.choice(N - 1, size=budget - 1, replace=False) + 1 if budget > 1 else []
     bounds = np.concatenate((np.sort(np.asarray(interior, dtype=np.int64)), [N]))
@@ -273,9 +274,9 @@ def parse_adversarial(model: ProcessModel, traj: Trajectory, N: int, budget: int
     Deterministic in all inputs.
     """
     if not 1 <= budget <= N:
-        raise ValueError(f"need 1 <= budget <= N, got budget={budget}, N={N}")
+        raise PreconditionError(f"need 1 <= budget <= N, got budget={budget}, N={N}")
     if N > len(traj):
-        raise ValueError("trajectory shorter than requested prefix")
+        raise PreconditionError("trajectory shorter than requested prefix")
     x = traj.symbols[:N]
     heap = []
     first = _block_split_entry(model, x, 0, N)
@@ -302,11 +303,11 @@ def parse_counterexample_v(model: ProcessModel, traj: Trajectory, N: int, K: int
     before the tail.  The block count lands in [N(1-2 eps)/K - 1, N/K + 1].
     """
     if K < 2 or K % 2 != 0:
-        raise ValueError("K must be an even integer >= 2")
+        raise PreconditionError("K must be an even integer >= 2")
     if not 0.0 < epsilon < 0.25:
-        raise ValueError("epsilon must lie in (0, 1/4)")
+        raise PreconditionError("epsilon must lie in (0, 1/4)")
     if N > len(traj):
-        raise ValueError("trajectory shorter than requested prefix")
+        raise PreconditionError("trajectory shorter than requested prefix")
     if N < 2 * K:
         raise WindowEmptyError(f"N = {N} too small for tail selection with K = {K}")
     lo = max(1, math.ceil((0.5 - epsilon) * N))
@@ -335,23 +336,6 @@ def parse_counterexample_w(model: ProcessModel, traj: Trajectory, N: int, K: int
     if N % 2 == 0:
         return parse_fixed(N, K)
     return parse_counterexample_v(model, traj, N, K, h_ref, epsilon)
-
-
-def parse_randomized_budget(N: int, K: int, seed: int) -> Parsing:
-    """Exploratory: block count sublinear in probability but not almost surely.
-
-    Independently across N, with probability 1/log2(N) the prefix is parsed
-    into fixed-K blocks (linear count), otherwise into sqrt-schedule blocks.
-    The head probabilities are not summable-complement, so linear parsings
-    recur almost surely along N even though c_N/N -> 0 in probability.  No
-    convergence claim is attached to this family.
-    """
-    if N < 4:
-        raise ValueError("N must be >= 4")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, N]))
-    if rng.random() < 1.0 / math.log2(N):
-        return parse_fixed(N, K)
-    return parse_growing(N, "sqrt")
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +431,7 @@ PERTURBATION_PLANS: dict = {
 
 def apply_perturbation_plan(parsing: Parsing, plan_name: str) -> PerturbedParsing:
     if plan_name not in PERTURBATION_PLANS:
-        raise ValueError(f"unknown perturbation plan {plan_name!r}")
+        raise PreconditionError(f"unknown perturbation plan {plan_name!r}")
     kind, builder = PERTURBATION_PLANS[plan_name]
     plan = builder(parsing)
     if kind == "sub":
@@ -511,6 +495,11 @@ class ParserSpec:
             return self.params["budget"] in ("sqrt", "log2")
         return False
 
+    @property
+    def is_fixed(self) -> bool:
+        """Fixed-length blocks of K symbols; ``counterexample_u`` is an alias of ``fixed``."""
+        return self.family in ("fixed", "counterexample_u")
+
     def describe(self) -> str:
         return json.dumps(self.params, sort_keys=True, separators=(",", ":"))
 
@@ -532,12 +521,10 @@ def make_parsing(spec: ParserSpec, N: int, model: Optional[ProcessModel] = None,
     tail selection) for the counterexample v/w families.
     """
     fam = spec.family
-    if fam == "fixed":
+    if spec.is_fixed:
         return parse_fixed(N, spec.params["K"])
     if fam == "growing":
         return parse_growing(N, spec.params["schedule"])
-    if fam == "counterexample_u":
-        return parse_fixed(N, spec.params["K"])
     if fam == "random_sublinear":
         budget = resolve_budget(spec.params["budget"], N)
         derived = int(np.random.SeedSequence([spec.params["seed"], N]).generate_state(1)[0])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from parsentropy import ConfigError, model_to_dict, reference_model, save_model
+from parsentropy import ConfigError, estimator, model_to_dict, reference_model, save_model
 from parsentropy.cli import (
     cmd_report,
     cmd_simulate,
@@ -160,6 +160,90 @@ def test_simulate_perturbation_and_birkhoff(tmp_path, m1_file):
     b = tmp_path / "b.json"
     b.write_text(json.dumps(config))
     assert cmd_simulate(str(b), workers=1, out_dir=str(tmp_path / "bout")) == 0
+
+
+TOP_KEYS = {"experiment", "model_id", "mode", "tolerance", "units"}
+
+
+def _run_summary(path, out):
+    assert cmd_simulate(str(path), workers=1, out_dir=str(out)) == 0
+    run_dir = next(out.iterdir())
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    return json.loads((run_dir / "summary.json").read_text()), manifest
+
+
+def test_summary_sections_perturbation(tmp_path, m1_file):
+    path = _write_config(tmp_path, experiment="perturbation",
+                         perturbation={"plan": "trim1"}, n_grid=[10_000, 100_000])
+    summary, manifest = _run_summary(path, tmp_path / "o")
+    assert set(summary) == TOP_KEYS | {"parser", "oracle", "results"}
+    assert summary["parser"] == {"family": "growing", "params": {"schedule": "sqrt"},
+                                 "plan": "trim1"}
+    assert set(summary["oracle"]) == {"target"}
+    assert set(summary["oracle"]["target"]) == {"lower", "upper", "mid"}
+    assert set(summary["results"]) == {"tail_deviation", "l1_deviation",
+                                       "effective_tolerance", "verdict"}
+    assert manifest["verdicts"] == {"perturbation": summary["results"]["verdict"]}
+    assert manifest["oracle_values"] == summary["oracle"]
+
+
+def test_summary_sections_counterexample(tmp_path):
+    save_model(reference_model("h1"), tmp_path / "h1.json")
+    config = json.loads(_write_config(tmp_path).read_text())
+    del config["parser"]
+    config.update(experiment="counterexample", model="h1.json",
+                  n_grid=[1000, 1001, 2000, 2001],
+                  counterexample={"K": 4, "epsilon_schedule": [0.1]})
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(config))
+    summary, manifest = _run_summary(path, tmp_path / "o")
+    assert set(summary) == TOP_KEYS | {"oracle", "results"}
+    assert set(summary["oracle"]) == {"limit_even", "limit_odd", "gap", "h_bracket_width"}
+    assert set(summary["results"]) == {"even_tail_avg", "odd_tail_avg", "parity_gap",
+                                       "even", "odd", "gap", "verdict"}
+    assert manifest["verdicts"] == {"counterexample": summary["results"]["verdict"]}
+    assert manifest["oracle_values"] == summary["oracle"]
+
+
+def test_summary_sections_birkhoff(tmp_path, m1_file):
+    config = json.loads(_write_config(tmp_path).read_text())
+    del config["parser"]
+    config.update(experiment="birkhoff", n_grid=[1000, 10_000], tolerance=0.01,
+                  birkhoff={"observable": "abs_log_z_d", "depth": 8})
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(config))
+    summary, manifest = _run_summary(path, tmp_path / "o")
+    assert set(summary) == TOP_KEYS | {"birkhoff"}
+    assert set(summary["birkhoff"]) == {"observable", "index_family", "depth", "rows",
+                                        "final_value", "verdict"}
+    assert [row[0] for row in summary["birkhoff"]["rows"]] == [1000, 10_000]
+    assert manifest["verdicts"] == {"birkhoff": summary["birkhoff"]["verdict"]}
+    assert manifest["oracle_values"] == summary["birkhoff"]
+
+
+def test_simulate_block_longer_than_prefix_exit_code(tmp_path, m1_file):
+    path = _write_config(tmp_path, parser={"family": "fixed", "K": 8}, n_grid=[4, 100])
+    assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 3
+
+
+def test_simulate_non_numeric_section_value_is_a_config_error(tmp_path, m1_file):
+    config = json.loads(_write_config(tmp_path).read_text())
+    del config["parser"]
+    config.update(experiment="birkhoff", birkhoff={"depth": "eight"})
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(config))
+    assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 4
+
+
+def test_simulate_does_not_remap_untyped_errors(tmp_path, m1_file, monkeypatch):
+    # only typed preconditions exit 3; a plain ValueError is a fault and surfaces
+    def broken(*args, **kwargs):
+        raise ValueError("fault inside block evaluation")
+
+    monkeypatch.setattr(estimator, "block_log_probs", broken)
+    path = _write_config(tmp_path)
+    with pytest.raises(ValueError, match="fault inside block evaluation"):
+        cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o"))
 
 
 # ---------------------------------------------------------------------------

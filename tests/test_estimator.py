@@ -16,6 +16,7 @@ from parsentropy import (
     blockwise_info,
     convergence_experiment,
     counterexample_experiment,
+    entropy_rate,
     factorization_residual,
     marginal_entropy,
     oracle_target,
@@ -257,6 +258,23 @@ def test_perturbation_extend1_small(m1):
         m1, ParserSpec("growing", {"schedule": "sqrt"}), "extend1",
         N_grid=[10_000, 100_000], seed=7, tol=0.02)
     assert report.verdict
+
+
+@pytest.mark.parametrize("seed", [2, 7])   # seed 2 samples m1, seed 7 the fair coin
+def test_perturbation_mixture_scores_the_sampled_component(mixture, seed):
+    spec = ParserSpec("growing", {"schedule": "sqrt"})
+    grid = [10_000, 100_000]
+    report = perturbation_experiment(mixture, spec, "trim1", N_grid=grid, seed=seed, tol=0.01)
+    component = sample_trajectory(mixture, grid[-1], seed).component
+    rate = entropy_rate(mixture.components[component]).mid
+    assert rate == pytest.approx((H_M1, LN2)[component], abs=1e-12)
+    for r in report.series:
+        assert r.target.lower == r.target.upper == rate
+    assert report.verdict
+    # the report target stays the hull of the component rates
+    assert (report.target.lower, report.target.upper) == pytest.approx((H_M1, LN2), abs=1e-9)
+    plain = convergence_experiment(mixture, spec, grid, [seed], "as", tol=0.01)
+    assert [r.target for r in plain.series] == [r.target for r in report.series]
 
 
 def test_birkhoff_uniform_prefix_is_exact(iid2):

@@ -13,6 +13,7 @@ from parsentropy import (
     MarkovModel,
     MixtureModel,
     ModelFormatError,
+    PreconditionError,
     beta_sequence,
     block_log_probs,
     discrepancy_gap,
@@ -95,6 +96,20 @@ def test_stationary_distribution_power_iteration(m1):
     assert np.abs(pi - np.array([0.4, 0.6])).max() < 1e-12
 
 
+def test_stationary_distribution_periodic_chain():
+    # period 2: the chain alternates between state 1 and the states {0, 2}
+    t = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    pi = stationary_distribution(t)
+    assert np.abs(pi - np.array([0.25, 0.5, 0.25])).max() < 1e-14
+    assert np.abs(pi @ t - pi).max() < 1e-14
+
+
+def test_stationary_distribution_reducible_chain_raises():
+    # every distribution is stationary under the identity
+    with pytest.raises(PreconditionError, match="not unique"):
+        stationary_distribution(np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # Cylinder probabilities
 # ---------------------------------------------------------------------------
@@ -116,6 +131,20 @@ def test_log_cylinder_hmm_symmetric_single_symbol(h1):
 def test_log_cylinder_out_of_support_is_minus_inf():
     model = IIDModel(p=[1.0, 0.0])
     assert log_cylinder_prob(model, [0, 1, 0]) == -math.inf
+
+
+def test_block_in_support_after_earlier_zero_factor():
+    # the transition 1 -> 0 at position 1 has probability zero; blocks past
+    # it are still in support and must not come out as nan
+    model = MarkovModel(transition=[[0.5, 0.5], [0.0, 1.0]], initial=[0.0, 1.0])
+    x = np.array([1, 0, 1, 1, 1])
+    logs = block_log_probs(model, x, [2, 0, 1, 3], [5, 5, 3, 4])
+    assert logs[0] == log_cylinder_prob(model, [1, 1, 1]) == 0.0
+    assert logs[1] == logs[2] == -math.inf
+    assert logs[3] == 0.0
+    iid = IIDModel(p=[1.0, 0.0])
+    y = np.array([0, 1, 0, 0])
+    assert list(block_log_probs(iid, y, [2, 0], [4, 2])) == [0.0, -math.inf]
 
 
 @pytest.mark.parametrize("name", ["iid_uniform", "m1", "h1", "mixture"])

@@ -23,7 +23,6 @@ from parsentropy import (
     parse_growing,
     parse_lz78,
     parse_random_sublinear,
-    parse_randomized_budget,
     perturb_subblocks,
     perturb_superblocks,
     sample_trajectory,
@@ -233,13 +232,6 @@ def test_counterexample_w_parity_dispatch(h1):
     odd = parse_counterexample_w(h1, traj, 1_001, 4, h_mid, 0.1)
     direct = parse_counterexample_v(h1, traj, 1_001, 4, h_mid, 0.1)
     assert odd.to_text() == direct.to_text()
-
-
-def test_parse_randomized_budget_is_deterministic():
-    a = parse_randomized_budget(10_000, 4, seed=3)
-    b = parse_randomized_budget(10_000, 4, seed=3)
-    assert a.to_text() == b.to_text()
-    assert validate_parsing(a, 10_000).passed
 
 
 # ---------------------------------------------------------------------------
