@@ -171,19 +171,23 @@ def derive_seeds(master_seed: int, count: int) -> tuple:
 
 def _expand_seeds(spec, where: str) -> tuple:
     if isinstance(spec, list):
-        try:
-            seeds = tuple(int(s) for s in spec)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: seeds must be integers") from exc
+        if any(type(s) is not int for s in spec):
+            raise ConfigError(f"{where}: seeds must be integers")
+        seeds = tuple(spec)
     elif isinstance(spec, dict):
         unknown = set(spec) - {"count", "master_seed"}
         if unknown:
             raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
         if "count" not in spec or "master_seed" not in spec:
             raise ConfigError(f"{where}: need 'count' and 'master_seed'")
-        seeds = derive_seeds(spec["master_seed"], spec["count"])
+        count, master_seed = spec["count"], spec["master_seed"]
+        if not (type(count) is int and type(master_seed) is int and count >= 1 and master_seed >= 0):
+            raise ConfigError(f"{where}: need an integer 'count' >= 1 and 'master_seed' >= 0")
+        seeds = derive_seeds(master_seed, count)
     else:
         raise ConfigError(f"{where}: expected a list or a count/master_seed object")
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"{where}: need at least one seed, and seeds must be non-negative")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{where}: seeds must be distinct")
     return seeds

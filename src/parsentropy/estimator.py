@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
@@ -53,10 +53,14 @@ from .parsing import (
 
 @dataclass(frozen=True)
 class OracleTarget:
-    """A point or bracket limit computed before any estimation runs."""
+    """A point or bracket limit computed before any estimation runs.
+
+    ``rate`` is the entropy-rate bracket the limit was built from, if any.
+    """
 
     lower: float
     upper: float
+    rate: Optional[EntropyBracket] = field(default=None, compare=False, repr=False)
 
     @property
     def mid(self) -> float:
@@ -188,15 +192,10 @@ def factorization_residual(model: ProcessModel, traj: Trajectory,
 # ---------------------------------------------------------------------------
 
 
-def _rate_target(model: ProcessModel, rate_tol: float, n_cap: int, cap: int) -> OracleTarget:
-    br = entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap)
-    return OracleTarget(br.lower, br.upper)
-
-
 def _tail_limit(h_half: float, K: int, bracket: EntropyBracket) -> OracleTarget:
     """Tail-parsing limit (2 H(P_{K/2})/K + h)/2 over the rate bracket of h."""
     short = 2.0 * h_half / K
-    return OracleTarget(0.5 * (short + bracket.lower), 0.5 * (short + bracket.upper))
+    return OracleTarget(0.5 * (short + bracket.lower), 0.5 * (short + bracket.upper), rate=bracket)
 
 
 def oracle_target(model: ProcessModel, spec: ParserSpec, rate_tol: float = 1e-5,
@@ -206,16 +205,16 @@ def oracle_target(model: ProcessModel, spec: ParserSpec, rate_tol: float = 1e-5,
         k = spec.params["K"]
         h_k = marginal_entropy(model, k, cap)
         return OracleTarget(h_k / k, h_k / k)
-    if spec.family == "counterexample_v":
-        if isinstance(model, MixtureModel):
-            raise PreconditionError("tail-selecting parsings need an ergodic model")
-        k = spec.params["K"]
-        return _tail_limit(marginal_entropy(model, k // 2, cap), k,
-                           entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap))
     if spec.family == "counterexample_w":
         raise PreconditionError(
             "the alternating family has two limits; run counterexample_experiment")
-    return _rate_target(model, rate_tol, n_cap, cap)
+    if spec.family == "counterexample_v" and isinstance(model, MixtureModel):
+        raise PreconditionError("tail-selecting parsings need an ergodic model")
+    rate = entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap)
+    if spec.family == "counterexample_v":
+        k = spec.params["K"]
+        return _tail_limit(marginal_entropy(model, k // 2, cap), k, rate)
+    return OracleTarget(rate.lower, rate.upper, rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +281,10 @@ def _converge(model, spec, grid, seeds, mode, tol, params, plan, rate_tol, n_cap
     headline = oracle_target(model, spec, rate_tol, n_cap, cap)
     target = headline
     if isinstance(model, MixtureModel) and not spec.is_fixed:
-        target = tuple(_rate_target(comp, rate_tol, n_cap, cap) for comp in model.components)
+        target = tuple(oracle_target(comp, spec, rate_tol, n_cap, cap) for comp in model.components)
     # Tail selection compares suffix information rates against the entropy
     # rate itself, not against the experiment's limit value.
-    h_ref = None
-    if spec.family == "counterexample_v":
-        h_ref = entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap).mid
+    h_ref = headline.rate.mid if spec.family == "counterexample_v" else None
 
     cells = tuple((n, spec, params, target) for n in grid)
     tasks = [(model, seed, cells, h_ref, plan) for seed in seeds]

@@ -1,8 +1,8 @@
 """Stationary finite-alphabet source models and exact log-domain probabilities.
 
 This module defines the four source variants (i.i.d., first-order Markov,
-hidden Markov, two-component mixture), their validation, seeded sampling,
-and the probability engines used everywhere else in the package:
+hidden Markov, two-component mixture); each class carries its validation,
+sampling and probability engines, which the public functions call:
 
 - ``log_cylinder_prob`` evaluates a single word exactly in log domain,
 - ``prefix_log_probs`` / ``suffix_log_probs`` / ``block_log_probs`` are the
@@ -25,7 +25,8 @@ import hashlib
 import json
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partialmethod
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -54,104 +55,10 @@ def _safe_log(arr: np.ndarray) -> np.ndarray:
         return np.log(arr)
 
 
-# ---------------------------------------------------------------------------
-# Model types
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class IIDModel:
-    """Product measure with symbol distribution ``p`` (length = alphabet size)."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = _frozen_array(self.p)
-        if p.ndim != 1 or p.shape[0] < 1:
-            raise ValueError("p must be a 1-d distribution over the alphabet")
-        object.__setattr__(self, "p", p)
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.p.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class MarkovModel:
-    """First-order chain: row-stochastic ``transition`` and stationary ``initial``."""
-
-    transition: np.ndarray
-    initial: np.ndarray
-
-    def __post_init__(self):
-        t = _frozen_array(self.transition)
-        pi = _frozen_array(self.initial)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("transition must be a square matrix")
-        if pi.shape != (t.shape[0],):
-            raise ValueError("initial must be a distribution over the alphabet")
-        object.__setattr__(self, "transition", t)
-        object.__setattr__(self, "initial", pi)
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.transition.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class HiddenMarkovModel:
-    """Hidden chain with stationary start, emitting one symbol per step."""
-
-    hidden_transition: np.ndarray
-    hidden_initial: np.ndarray
-    emission: np.ndarray
-
-    def __post_init__(self):
-        q = _frozen_array(self.hidden_transition)
-        rho = _frozen_array(self.hidden_initial)
-        b = _frozen_array(self.emission)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("hidden_transition must be a square matrix")
-        if b.ndim != 2 or b.shape[0] != q.shape[0]:
-            raise ValueError("emission must have one row per hidden state")
-        if rho.shape != (q.shape[0],):
-            raise ValueError("hidden_initial must be a distribution over hidden states")
-        object.__setattr__(self, "hidden_transition", q)
-        object.__setattr__(self, "hidden_initial", rho)
-        object.__setattr__(self, "emission", b)
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.emission.shape[1]
-
-    @property
-    def hidden_states(self) -> int:
-        return self.emission.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class MixtureModel:
-    """Convex combination of two stationary components over the same alphabet.
-
-    The canonical non-ergodic example: sampling draws one component per
-    trajectory, so the per-realization information rate is a non-constant
-    function of the realization.
-    """
-
-    weight: float
-    first: "ProcessModel"
-    second: "ProcessModel"
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.first.alphabet_size
-
-    @property
-    def components(self):
-        return (self.first, self.second)
-
-
-ProcessModel = Union[IIDModel, MarkovModel, HiddenMarkovModel, MixtureModel]
+def _entropy_of(level: np.ndarray) -> float:
+    mask = level > 0
+    p = level[mask]
+    return float(-(p * np.log(p)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,11 +106,6 @@ class EntropyBracket:
         )
 
 
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class ValidationCheck:
     name: str
@@ -245,39 +147,524 @@ def _matrix_checks(name: str, m: np.ndarray) -> list:
     ]
 
 
+def _stationarity_check(prefix: str, initial: np.ndarray, transition: np.ndarray) -> ValidationCheck:
+    return _check(prefix + "stationarity",
+                  float(np.abs(initial @ transition - initial).max()), _STATIONARY_TOL)
+
+
+def _alphabet_check(prefix: str, model: "ProcessModel") -> ValidationCheck:
+    return _check(prefix + "alphabet_size", 0.0 if model.alphabet_size >= 2 else 1.0, 0.0)
+
+
+def _window_sums(logs: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Sums of ``logs[s[i]:e[i]]``, exactly -inf where a window holds a zero factor.
+
+    The finite parts and the zero factors are cumulated separately, so a
+    zero factor outside a window cannot turn its sum into inf - inf.
+    """
+    zero = np.isneginf(logs)
+    cs = np.concatenate(([0.0], np.where(zero, 0.0, logs).cumsum()))
+    cz = np.concatenate(([0], zero.cumsum()))
+    out = cs[e] - cs[s]
+    out[cz[e] > cz[s]] = -np.inf
+    return out
+
+
+def _inverse_cdf(cum: Sequence[float], u: float) -> int:
+    for i, c in enumerate(cum):
+        if u < c:
+            return i
+    return len(cum) - 1
+
+
+def _walk_chain(initial: np.ndarray, transition: np.ndarray, u: np.ndarray) -> list:
+    """States of a chain by inverse CDF, one uniform each; row -1 (``initial``) draws the start."""
+    rows = np.cumsum(np.vstack((transition, initial)), axis=1).tolist()
+    path, state = [], -1
+    for uk in u.tolist():
+        state = _inverse_cdf(rows[state], uk)
+        path.append(state)
+    return path
+
+
+# ---------------------------------------------------------------------------
+# Model types
+# ---------------------------------------------------------------------------
+
+
+class _Model:
+    """What every model type provides; the public functions below call it once.
+
+    A subclass declares ``_VARIANT`` and the ``_KEYS`` of its dict form (the
+    defaults below read the attributes of those names and rebuild a model
+    from its dataclass fields) and implements ``_checks(prefix)``,
+    ``_prefix(x)``, ``_suffix(x)``, ``_block(x, s, e)``, ``_sample(n, rng)``,
+    ``_levels(n_max, hidden_start)`` and ``_rate(tol, n_cap, cap)``.
+    Constructors check shapes only, so that ``validate_model`` can report on
+    a model that is not stochastic.
+    """
+
+    def _params(self) -> dict:
+        return {key: np.asarray(getattr(self, key)).tolist() for key in self._KEYS}
+
+    @classmethod
+    def _from_params(cls, d: dict, path: str):
+        return cls(**{field.name: d[field.name] for field in fields(cls)})
+
+
+@dataclass(frozen=True, eq=False)
+class IIDModel(_Model):
+    """Product measure with symbol distribution ``p`` (length = alphabet size)."""
+
+    p: np.ndarray
+
+    _VARIANT = "iid"
+    _KEYS = ("p",)
+
+    def __post_init__(self):
+        p = _frozen_array(self.p)
+        if p.ndim != 1 or p.shape[0] < 1:
+            raise ValueError("p must be a 1-d distribution over the alphabet")
+        object.__setattr__(self, "p", p)
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.p.shape[0]
+
+    def _checks(self, prefix: str) -> list:
+        return _distribution_checks(prefix + "p", self.p) + [_alphabet_check(prefix, self)]
+
+    def _prefix(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(x.shape[0] + 1)
+        np.cumsum(_safe_log(self.p)[x], out=out[1:])
+        return out
+
+    def _suffix(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(x.shape[0] + 1)
+        out[:-1] = _safe_log(self.p)[x][::-1].cumsum()[::-1]
+        return out
+
+    def _block(self, x: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+        log_p = _safe_log(self.p)
+        if np.isneginf(log_p).any():
+            return _window_sums(log_p[x], s, e)
+        cs = np.concatenate(([0.0], log_p[x].cumsum()))
+        return cs[e] - cs[s]
+
+    def _sample(self, n: int, rng: np.random.Generator):
+        drawn = np.searchsorted(np.cumsum(self.p), rng.random(n), side="right")
+        return np.minimum(drawn, self.alphabet_size - 1).astype(np.int64), None
+
+    def _levels(self, n_max: int, hidden_start) -> Iterator:
+        level = self.p.copy()
+        yield 1, level
+        for n in range(2, n_max + 1):
+            level = np.kron(level, self.p)
+            yield n, level
+
+    def _rate(self, tol: float, n_cap: int, cap: int) -> EntropyBracket:
+        h = _entropy_of(self.p)
+        return EntropyBracket(h, h, n_used=1)
+
+
+@dataclass(frozen=True, eq=False)
+class MarkovModel(_Model):
+    """First-order chain: row-stochastic ``transition`` and stationary ``initial``."""
+
+    transition: np.ndarray
+    initial: np.ndarray
+
+    _VARIANT = "markov"
+    _KEYS = ("transition", "initial")
+
+    def __post_init__(self):
+        t = _frozen_array(self.transition)
+        pi = _frozen_array(self.initial)
+        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+            raise ValueError("transition must be a square matrix")
+        if pi.shape != (t.shape[0],):
+            raise ValueError("initial must be a distribution over the alphabet")
+        object.__setattr__(self, "transition", t)
+        object.__setattr__(self, "initial", pi)
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.transition.shape[0]
+
+    def _checks(self, prefix: str) -> list:
+        return (_matrix_checks(prefix + "transition", self.transition)
+                + _distribution_checks(prefix + "initial", self.initial)
+                + [_stationarity_check(prefix, self.initial, self.transition),
+                   _alphabet_check(prefix, self)])
+
+    def _prefix(self, x: np.ndarray) -> np.ndarray:
+        n = x.shape[0]
+        out = np.zeros(n + 1)
+        out[1] = _safe_log(self.initial)[x[0]]
+        if n > 1:
+            steps = _safe_log(self.transition)[x[:-1], x[1:]]
+            np.cumsum(steps, out=out[2:])
+            out[2:] += out[1]
+        return out
+
+    def _suffix(self, x: np.ndarray) -> np.ndarray:
+        n = x.shape[0]
+        out = np.zeros(n + 1)
+        start = _safe_log(self.initial)[x]
+        if n > 1:
+            steps = _safe_log(self.transition)[x[:-1], x[1:]]
+            tail = np.zeros(n)
+            tail[:-1] = steps[::-1].cumsum()[::-1]
+            out[:n] = start + tail
+        else:
+            out[0] = start[0]
+        return out
+
+    def _block(self, x: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+        log_t = _safe_log(self.transition)
+        log_start = _safe_log(self.initial)[x[s]]
+        if np.isneginf(log_t).any():
+            return log_start + _window_sums(log_t[x[:-1], x[1:]], s, e - 1)
+        ct = np.zeros(x.shape[0])
+        if x.shape[0] > 1:
+            ct[1:] = log_t[x[:-1], x[1:]].cumsum()
+        return log_start + ct[e - 1] - ct[s]
+
+    def _sample(self, n: int, rng: np.random.Generator):
+        path = _walk_chain(self.initial, self.transition, rng.random(n))
+        return np.asarray(path, dtype=np.int64), None
+
+    def _levels(self, n_max: int, hidden_start) -> Iterator:
+        a = self.alphabet_size
+        level = self.initial.copy()
+        yield 1, level
+        for n in range(2, n_max + 1):
+            last = np.arange(level.shape[0], dtype=np.int64) % a
+            level = (level[:, None] * self.transition[last, :]).ravel()
+            yield n, level
+
+    def _rate(self, tol: float, n_cap: int, cap: int) -> EntropyBracket:
+        rows = self.transition
+        mask = rows > 0
+        contrib = np.where(mask, -rows * _safe_log(np.where(mask, rows, 1.0)), 0.0)
+        h = float(self.initial @ contrib.sum(axis=1))
+        return EntropyBracket(h, h, n_used=2)
+
+
+@dataclass(frozen=True, eq=False)
+class HiddenMarkovModel(_Model):
+    """Hidden chain with stationary start, emitting one symbol per step."""
+
+    hidden_transition: np.ndarray
+    hidden_initial: np.ndarray
+    emission: np.ndarray
+
+    _VARIANT = "hidden_markov"
+    _KEYS = ("hidden_states", "hidden_transition", "hidden_initial", "emission")
+
+    def __post_init__(self):
+        q = _frozen_array(self.hidden_transition)
+        rho = _frozen_array(self.hidden_initial)
+        b = _frozen_array(self.emission)
+        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+            raise ValueError("hidden_transition must be a square matrix")
+        if b.ndim != 2 or b.shape[0] != q.shape[0]:
+            raise ValueError("emission must have one row per hidden state")
+        if rho.shape != (q.shape[0],):
+            raise ValueError("hidden_initial must be a distribution over hidden states")
+        object.__setattr__(self, "hidden_transition", q)
+        object.__setattr__(self, "hidden_initial", rho)
+        object.__setattr__(self, "emission", b)
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.emission.shape[1]
+
+    @property
+    def hidden_states(self) -> int:
+        return self.emission.shape[0]
+
+    def _checks(self, prefix: str) -> list:
+        return (_matrix_checks(prefix + "hidden_transition", self.hidden_transition)
+                + _matrix_checks(prefix + "emission", self.emission)
+                + _distribution_checks(prefix + "hidden_initial", self.hidden_initial)
+                + [_stationarity_check(prefix, self.hidden_initial, self.hidden_transition),
+                   _alphabet_check(prefix, self)])
+
+    def _scan_two_state(self, x: np.ndarray, forward: bool) -> np.ndarray:
+        """Unrolled two-hidden-state scan; ~4x the generic loop on long inputs."""
+        n = x.shape[0]
+        (q00, q01), (q10, q11) = self.hidden_transition.tolist()
+        b = self.emission.tolist()
+        r0, r1 = self.hidden_initial.tolist()
+        obs = x.tolist()
+        out = np.zeros(n + 1)
+        if forward:
+            o = obs[0]
+            v0, v1 = r0 * b[0][o], r1 * b[1][o]
+            logc = 0.0
+            for j in range(n):
+                if j > 0:
+                    o = obs[j]
+                    v0, v1 = (v0 * q00 + v1 * q10) * b[0][o], (v0 * q01 + v1 * q11) * b[1][o]
+                c = v0 + v1
+                if c <= 0.0:
+                    out[j + 1:] = -math.inf
+                    return out
+                logc += math.log(c)
+                v0 /= c
+                v1 /= c
+                out[j + 1] = logc
+            return out
+        o = obs[n - 1]
+        v0, v1 = b[0][o], b[1][o]
+        logc = 0.0
+        for j in range(n - 1, -1, -1):
+            if j < n - 1:
+                o = obs[j]
+                v0, v1 = b[0][o] * (q00 * v0 + q01 * v1), b[1][o] * (q10 * v0 + q11 * v1)
+            c = v0 + v1
+            if c <= 0.0:
+                out[: j + 1] = -math.inf
+                return out
+            logc += math.log(c)
+            v0 /= c
+            v1 /= c
+            total = r0 * v0 + r1 * v1
+            out[j] = (logc + math.log(total)) if total > 0.0 else -math.inf
+        return out
+
+    def _scan(self, x: np.ndarray, forward: bool) -> np.ndarray:
+        """Scaled sequential pass over all prefixes (forward) or suffixes (backward).
+
+        Plain-float inner loop: at trajectory lengths of 10^6 this is several
+        times faster than per-step numpy dispatch.
+        """
+        n = x.shape[0]
+        if n == 0:
+            return np.zeros(1)
+        if self.hidden_states == 2 and n > 2:
+            return self._scan_two_state(x, forward)
+        S = self.hidden_states
+        q = self.hidden_transition.tolist()
+        b = self.emission.tolist()
+        rho = self.hidden_initial.tolist()
+        out = np.zeros(n + 1)
+        obs = x.tolist()
+        states = range(S)
+        if forward:
+            vec = [rho[s] * b[s][obs[0]] for s in states]
+            logc = 0.0
+            for j in range(n):
+                if j > 0:
+                    o = obs[j]
+                    vec = [sum(vec[s] * q[s][t] for s in states) * b[t][o] for t in states]
+                c = sum(vec)
+                if c <= 0.0:
+                    out[j + 1:] = -math.inf
+                    return out
+                logc += math.log(c)
+                vec = [v / c for v in vec]
+                out[j + 1] = logc
+            return out
+        vec = [b[s][obs[n - 1]] for s in states]
+        logc = 0.0
+        for j in range(n - 1, -1, -1):
+            if j < n - 1:
+                o = obs[j]
+                vec = [b[s][o] * sum(q[s][t] * vec[t] for t in states) for s in states]
+            c = sum(vec)
+            if c <= 0.0:
+                out[: j + 1] = -math.inf
+                return out
+            logc += math.log(c)
+            vec = [v / c for v in vec]
+            total = sum(rho[s] * vec[s] for s in states)
+            out[j] = (logc + math.log(total)) if total > 0.0 else -math.inf
+        return out
+
+    _prefix = partialmethod(_scan, forward=True)
+    _suffix = partialmethod(_scan, forward=False)
+
+    def _block_table(self, length: int) -> np.ndarray:
+        """Log-probabilities of every word of the given length, indexed by rank."""
+        cache = _HMM_TABLE_CACHE.setdefault(self, {})
+        if length not in cache:
+            for n, level in level_probs(self, length, cap=DEFAULT_ENUM_CAP):
+                if n == length:
+                    cache[length] = _safe_log(level)
+        return cache[length]
+
+    def _block(self, x: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+        out = np.empty(s.shape[0])
+        lengths = e - s
+        for ell in np.unique(lengths):
+            mask = lengths == ell
+            if ell <= _HMM_TABLE_MAX_LEN:
+                table = self._block_table(int(ell))
+                powers = self.alphabet_size ** np.arange(ell - 1, -1, -1, dtype=np.int64)
+                windows = x[s[mask][:, None] + np.arange(ell)[None, :]]
+                out[mask] = table[windows @ powers]
+            else:
+                out[mask] = [self._scan(x[a:b], forward=True)[-1]
+                             for a, b in zip(s[mask], e[mask])]
+        return out
+
+    def _sample(self, n: int, rng: np.random.Generator):
+        path = _walk_chain(self.hidden_initial, self.hidden_transition, rng.random(n))
+        cum_emit = np.cumsum(self.emission, axis=1)
+        ue = rng.random(n)
+        symbols = (ue[:, None] >= cum_emit[np.asarray(path)]).sum(axis=1)
+        return symbols.astype(np.int64), None
+
+    def _levels(self, n_max: int, hidden_start) -> Iterator:
+        rho = self.hidden_initial if hidden_start is None else np.asarray(hidden_start, dtype=float)
+        fwd = rho[None, :] * self.emission.T  # (A words, S): rho(s) B(s, a)
+        yield 1, fwd.sum(axis=1)
+        for n in range(2, n_max + 1):
+            g = fwd @ self.hidden_transition
+            fwd = (g[:, None, :] * self.emission.T[None, :, :]).reshape(-1, self.hidden_states)
+            yield n, fwd.sum(axis=1)
+
+    def _rate(self, tol: float, n_cap: int, cap: int) -> EntropyBracket:
+        a, S = self.alphabet_size, self.hidden_states
+        n_max, atoms = 0, 1
+        while n_max < n_cap and atoms * a <= cap:
+            atoms *= a
+            n_max += 1
+        if n_max < 1:
+            raise CapExceededError(f"cannot enumerate even one level of {a} atoms under cap {cap}")
+        sweeps = [level_probs(self, n_max, cap)]
+        for s in range(S):
+            start = np.zeros(S)
+            start[s] = 1.0
+            sweeps.append(level_probs(self, n_max, cap, hidden_start=start))
+        rho = self.hidden_initial
+        prev_upper_h = 0.0
+        prev_lower_h = np.zeros(S)
+        lower, upper, n_used = 0.0, float(np.log(a)), 0
+        for n in range(1, n_max + 1):
+            levels = [next(sweep) for sweep in sweeps]
+            upper_h = _entropy_of(levels[0][1])
+            lower_h = np.array([_entropy_of(levels[1 + s][1]) for s in range(S)])
+            upper_n = upper_h - prev_upper_h
+            lower_n = float(rho @ (lower_h - prev_lower_h))
+            prev_upper_h, prev_lower_h = upper_h, lower_h
+            lower, upper = min(lower_n, upper_n), max(lower_n, upper_n)
+            n_used = n
+            if upper - lower <= tol:
+                return EntropyBracket(lower, upper, n_used=n_used)
+        return EntropyBracket(lower, upper, n_used=n_used, converged=False)
+
+    @classmethod
+    def _from_params(cls, d: dict, path: str) -> "HiddenMarkovModel":
+        model = super()._from_params(d, path)
+        if model.hidden_states != d["hidden_states"]:
+            raise ModelFormatError(f"{path}.hidden_states: inconsistent with emission shape")
+        return model
+
+
+_HMM_TABLE_CACHE = weakref.WeakKeyDictionary()
+
+
+@dataclass(frozen=True, eq=False)
+class MixtureModel(_Model):
+    """Convex combination of two stationary components over the same alphabet.
+
+    The canonical non-ergodic example: sampling draws one component per
+    trajectory, so the per-realization information rate is a non-constant
+    function of the realization.
+    """
+
+    weight: float
+    first: "ProcessModel"
+    second: "ProcessModel"
+
+    _VARIANT = "mixture"
+    _KEYS = ("weight", "components")
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.first.alphabet_size
+
+    @property
+    def components(self):
+        return (self.first, self.second)
+
+    def _checks(self, prefix: str) -> list:
+        w_ok = 0.0 < self.weight < 1.0
+        same = self.first.alphabet_size == self.second.alphabet_size
+        return ([_check(prefix + "weight_in_open_unit_interval", 0.0 if w_ok else 1.0, 0.0),
+                 _check(prefix + "components_share_alphabet", 0.0 if same else 1.0, 0.0)]
+                + self.first._checks(prefix + "first.")
+                + self.second._checks(prefix + "second."))
+
+    def _mix(self, engine: str, *args) -> np.ndarray:
+        """log(w P_first + (1 - w) P_second) from the components' log engine."""
+        la, lb = math.log(self.weight), math.log1p(-self.weight)
+        return np.logaddexp(la + getattr(self.first, engine)(*args),
+                            lb + getattr(self.second, engine)(*args))
+
+    _prefix = partialmethod(_mix, "_prefix")
+    _suffix = partialmethod(_mix, "_suffix")
+    _block = partialmethod(_mix, "_block")
+
+    def _sample(self, n: int, rng: np.random.Generator):
+        comp = 0 if rng.random() < self.weight else 1
+        symbols, _ = self.components[comp]._sample(n, rng)
+        return symbols, comp
+
+    def _levels(self, n_max: int, hidden_start) -> Iterator:
+        if hidden_start is not None:
+            raise ValueError("hidden_start applies to hidden-Markov models only")
+        w = self.weight
+        for (n, p1), (_, p2) in zip(self.first._levels(n_max, None),
+                                    self.second._levels(n_max, None)):
+            yield n, w * p1 + (1.0 - w) * p2
+
+    def _rate(self, tol: float, n_cap: int, cap: int) -> EntropyBracket:
+        return self.first._rate(tol, n_cap, cap).hull(self.second._rate(tol, n_cap, cap))
+
+    def _params(self) -> dict:
+        return {"weight": self.weight,
+                "components": [model_to_dict(self.first), model_to_dict(self.second)]}
+
+    @classmethod
+    def _from_params(cls, d: dict, path: str) -> "MixtureModel":
+        comps = d["components"]
+        if not isinstance(comps, list) or len(comps) != 2:
+            raise ModelFormatError(f"{path}.components: expected a list of exactly 2 models")
+        return cls(weight=float(d["weight"]),
+                   first=model_from_dict(comps[0], path=f"{path}.components[0]"),
+                   second=model_from_dict(comps[1], path=f"{path}.components[1]"))
+
+
+ProcessModel = Union[IIDModel, MarkovModel, HiddenMarkovModel, MixtureModel]
+
+_VARIANTS = {cls._VARIANT: cls for cls in (IIDModel, MarkovModel, HiddenMarkovModel, MixtureModel)}
+
+
+# ---------------------------------------------------------------------------
+# Validation
+# ---------------------------------------------------------------------------
+
+
 def validate_model(model: ProcessModel, prefix: str = "") -> ModelValidationReport:
     """Check stochasticity and stationarity invariants, with numeric residuals.
 
     Failures do not raise; the report carries one row per invariant, e.g.
     the sup-norm of ``initial @ transition - initial`` for Markov models.
     """
-    checks: list = []
-    if isinstance(model, IIDModel):
-        checks += _distribution_checks(prefix + "p", model.p)
-        checks.append(_check(prefix + "alphabet_size", 0.0 if model.alphabet_size >= 2 else 1.0, 0.0))
-    elif isinstance(model, MarkovModel):
-        checks += _matrix_checks(prefix + "transition", model.transition)
-        checks += _distribution_checks(prefix + "initial", model.initial)
-        resid = float(np.abs(model.initial @ model.transition - model.initial).max())
-        checks.append(_check(prefix + "stationarity", resid, _STATIONARY_TOL))
-        checks.append(_check(prefix + "alphabet_size", 0.0 if model.alphabet_size >= 2 else 1.0, 0.0))
-    elif isinstance(model, HiddenMarkovModel):
-        checks += _matrix_checks(prefix + "hidden_transition", model.hidden_transition)
-        checks += _matrix_checks(prefix + "emission", model.emission)
-        checks += _distribution_checks(prefix + "hidden_initial", model.hidden_initial)
-        resid = float(np.abs(model.hidden_initial @ model.hidden_transition - model.hidden_initial).max())
-        checks.append(_check(prefix + "stationarity", resid, _STATIONARY_TOL))
-        checks.append(_check(prefix + "alphabet_size", 0.0 if model.alphabet_size >= 2 else 1.0, 0.0))
-    elif isinstance(model, MixtureModel):
-        w_ok = 0.0 < model.weight < 1.0
-        checks.append(_check(prefix + "weight_in_open_unit_interval", 0.0 if w_ok else 1.0, 0.0))
-        same = model.first.alphabet_size == model.second.alphabet_size
-        checks.append(_check(prefix + "components_share_alphabet", 0.0 if same else 1.0, 0.0))
-        checks += validate_model(model.first, prefix=prefix + "first.").checks
-        checks += validate_model(model.second, prefix=prefix + "second.").checks
-    else:
-        raise TypeError(f"unknown model type: {type(model)!r}")
-    return ModelValidationReport(checks=tuple(checks))
+    return ModelValidationReport(checks=tuple(model._checks(prefix)))
+
+
+def _require_valid(model: ProcessModel, where: str) -> None:
+    """Raise ModelFormatError naming every invariant ``model`` violates."""
+    report = validate_model(model)
+    if not report.passed:
+        rows = "; ".join(f"{c.name} (residual {c.residual:.3g}, bound {c.bound:.3g})"
+                         for c in report.failures)
+        raise ModelFormatError(f"{where}: model invariants violated: {rows}")
 
 
 def stationary_distribution(transition, tol: float = 1e-14) -> np.ndarray:
@@ -308,18 +695,13 @@ def stationary_distribution(transition, tol: float = 1e-14) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _as_word(model: ProcessModel, word) -> np.ndarray:
+def log_cylinder_prob(model: ProcessModel, word) -> float:
+    """Exact log-probability of the cylinder of ``word``; -inf off support."""
     w = np.asarray(word, dtype=np.int64)
     if w.ndim != 1 or w.shape[0] == 0:
         raise ValueError("word must be a non-empty 1-d sequence of symbols")
     if w.min() < 0 or w.max() >= model.alphabet_size:
         raise ValueError("word contains symbols outside the alphabet")
-    return w
-
-
-def log_cylinder_prob(model: ProcessModel, word) -> float:
-    """Exact log-probability of the cylinder of ``word``; -inf off support."""
-    w = _as_word(model, word)
     return float(prefix_log_probs(model, w)[-1])
 
 
@@ -329,29 +711,9 @@ def prefix_log_probs(model: ProcessModel, symbols) -> np.ndarray:
     ``L[0] = 0`` (empty word).  A single pass serves every nested prefix of a
     long trajectory.
     """
-    x = np.asarray(symbols, dtype=np.int64)
-    n = x.shape[0]
-    if isinstance(model, IIDModel):
-        out = np.empty(n + 1)
-        out[0] = 0.0
-        np.cumsum(_safe_log(model.p)[x], out=out[1:])
-        return out
-    if isinstance(model, MarkovModel):
-        out = np.empty(n + 1)
-        out[0] = 0.0
-        out[1] = _safe_log(model.initial)[x[0]]
-        if n > 1:
-            steps = _safe_log(model.transition)[x[:-1], x[1:]]
-            np.cumsum(steps, out=out[2:])
-            out[2:] += out[1]
-        return out
-    if isinstance(model, HiddenMarkovModel):
-        return _hmm_scan_log_probs(model, x, forward=True)
-    if isinstance(model, MixtureModel):
-        la, lb = math.log(model.weight), math.log1p(-model.weight)
-        return np.logaddexp(la + prefix_log_probs(model.first, x),
-                            lb + prefix_log_probs(model.second, x))
-    raise TypeError(f"unknown model type: {type(model)!r}")
+    out = model._prefix(np.asarray(symbols, dtype=np.int64))
+    out[0] = 0.0   # exactly: a mixture's logaddexp(log w, log(1 - w)) need not round to 0
+    return out
 
 
 def suffix_log_probs(model: ProcessModel, symbols) -> np.ndarray:
@@ -360,161 +722,8 @@ def suffix_log_probs(model: ProcessModel, symbols) -> np.ndarray:
     ``S[n] = 0``.  By stationarity this is the cylinder probability of the
     suffix word; the hidden-Markov case runs one scaled backward recursion.
     """
-    x = np.asarray(symbols, dtype=np.int64)
-    n = x.shape[0]
-    if isinstance(model, IIDModel):
-        out = np.zeros(n + 1)
-        out[:n] = _safe_log(model.p)[x][::-1].cumsum()[::-1]
-        return out
-    if isinstance(model, MarkovModel):
-        out = np.zeros(n + 1)
-        start = _safe_log(model.initial)[x]
-        if n > 1:
-            steps = _safe_log(model.transition)[x[:-1], x[1:]]
-            tail = np.zeros(n)
-            tail[:-1] = steps[::-1].cumsum()[::-1]
-            out[:n] = start + tail
-        else:
-            out[0] = start[0]
-        return out
-    if isinstance(model, HiddenMarkovModel):
-        return _hmm_scan_log_probs(model, x, forward=False)
-    if isinstance(model, MixtureModel):
-        la, lb = math.log(model.weight), math.log1p(-model.weight)
-        return np.logaddexp(la + suffix_log_probs(model.first, x),
-                            lb + suffix_log_probs(model.second, x))
-    raise TypeError(f"unknown model type: {type(model)!r}")
-
-
-def _hmm_scan_two_state(model: HiddenMarkovModel, x: np.ndarray, forward: bool) -> np.ndarray:
-    """Unrolled two-hidden-state scan; ~4x the generic loop on long inputs."""
-    n = x.shape[0]
-    (q00, q01), (q10, q11) = model.hidden_transition.tolist()
-    b = model.emission.tolist()
-    r0, r1 = model.hidden_initial.tolist()
-    obs = x.tolist()
-    out = np.empty(n + 1)
-    if forward:
-        out[0] = 0.0
-        o = obs[0]
-        v0, v1 = r0 * b[0][o], r1 * b[1][o]
-        logc = 0.0
-        for j in range(n):
-            if j > 0:
-                o = obs[j]
-                v0, v1 = (v0 * q00 + v1 * q10) * b[0][o], (v0 * q01 + v1 * q11) * b[1][o]
-            c = v0 + v1
-            if c <= 0.0:
-                out[j + 1:] = -math.inf
-                return out
-            logc += math.log(c)
-            v0 /= c
-            v1 /= c
-            out[j + 1] = logc
-        return out
-    out[n] = 0.0
-    o = obs[n - 1]
-    v0, v1 = b[0][o], b[1][o]
-    logc = 0.0
-    for j in range(n - 1, -1, -1):
-        if j < n - 1:
-            o = obs[j]
-            v0, v1 = b[0][o] * (q00 * v0 + q01 * v1), b[1][o] * (q10 * v0 + q11 * v1)
-        c = v0 + v1
-        if c <= 0.0:
-            out[: j + 1] = -math.inf
-            return out
-        logc += math.log(c)
-        v0 /= c
-        v1 /= c
-        total = r0 * v0 + r1 * v1
-        out[j] = (logc + math.log(total)) if total > 0.0 else -math.inf
-    return out
-
-
-def _hmm_scan_log_probs(model: HiddenMarkovModel, x: np.ndarray, forward: bool) -> np.ndarray:
-    """Scaled sequential pass over all prefixes (forward) or suffixes (backward).
-
-    Plain-float inner loop: at trajectory lengths of 10^6 this is several
-    times faster than per-step numpy dispatch.
-    """
-    n = x.shape[0]
-    if n == 0:
-        return np.zeros(1)
-    if model.hidden_states == 2 and n > 2:
-        return _hmm_scan_two_state(model, x, forward)
-    S = model.hidden_states
-    q = model.hidden_transition.tolist()
-    b = model.emission.tolist()
-    rho = model.hidden_initial.tolist()
-    out = np.empty(n + 1)
-    obs = x.tolist()
-    states = range(S)
-    if forward:
-        out[0] = 0.0
-        vec = [rho[s] * b[s][obs[0]] for s in states]
-        logc = 0.0
-        for j in range(n):
-            if j > 0:
-                o = obs[j]
-                vec = [sum(vec[s] * q[s][t] for s in states) * b[t][o] for t in states]
-            c = sum(vec)
-            if c <= 0.0:
-                out[j + 1:] = -math.inf
-                return out
-            logc += math.log(c)
-            vec = [v / c for v in vec]
-            out[j + 1] = logc
-        return out
-    out[n] = 0.0
-    vec = [b[s][obs[n - 1]] for s in states]
-    logc = 0.0
-    for j in range(n - 1, -1, -1):
-        if j < n - 1:
-            o = obs[j]
-            vec = [b[s][o] * sum(q[s][t] * vec[t] for t in states) for s in states]
-        c = sum(vec)
-        if c <= 0.0:
-            out[: j + 1] = -math.inf
-            return out
-        logc += math.log(c)
-        vec = [v / c for v in vec]
-        total = sum(rho[s] * vec[s] for s in states)
-        out[j] = (logc + math.log(total)) if total > 0.0 else -math.inf
-    return out
-
-
-def _hmm_forward_word(model: HiddenMarkovModel, w: np.ndarray) -> float:
-    return float(_hmm_scan_log_probs(model, w, forward=True)[-1])
-
-
-def _hmm_block_table(model: HiddenMarkovModel, length: int) -> np.ndarray:
-    """Log-probabilities of every word of the given length, indexed by rank."""
-    try:
-        cache = _HMM_TABLE_CACHE[model]
-    except KeyError:
-        cache = _HMM_TABLE_CACHE[model] = {}
-    if length not in cache:
-        for n, level in level_probs(model, length, cap=DEFAULT_ENUM_CAP):
-            if n == length:
-                cache[length] = _safe_log(level)
-    return cache[length]
-
-
-_HMM_TABLE_CACHE = weakref.WeakKeyDictionary()
-
-
-def _window_sums(logs: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Sums of ``logs[s[i]:e[i]]``, exactly -inf where a window holds a zero factor.
-
-    The finite parts and the zero factors are cumulated separately, so a
-    zero factor outside a window cannot turn its sum into inf - inf.
-    """
-    zero = np.isneginf(logs)
-    cs = np.concatenate(([0.0], np.where(zero, 0.0, logs).cumsum()))
-    cz = np.concatenate(([0], zero.cumsum()))
-    out = cs[e] - cs[s]
-    out[cz[e] > cz[s]] = -np.inf
+    out = model._suffix(np.asarray(symbols, dtype=np.int64))
+    out[-1] = 0.0   # exactly, as in prefix_log_probs
     return out
 
 
@@ -533,39 +742,7 @@ def block_log_probs(model: ProcessModel, symbols, starts, ends) -> np.ndarray:
         return np.empty(0)
     if (e <= s).any() or s.min() < 0 or e.max() > x.shape[0]:
         raise ValueError("blocks must be non-empty and inside the symbol array")
-    if isinstance(model, IIDModel):
-        log_p = _safe_log(model.p)
-        if np.isneginf(log_p).any():
-            return _window_sums(log_p[x], s, e)
-        cs = np.concatenate(([0.0], log_p[x].cumsum()))
-        return cs[e] - cs[s]
-    if isinstance(model, MarkovModel):
-        log_t = _safe_log(model.transition)
-        log_start = _safe_log(model.initial)[x[s]]
-        if np.isneginf(log_t).any():
-            return log_start + _window_sums(log_t[x[:-1], x[1:]], s, e - 1)
-        ct = np.zeros(x.shape[0])
-        if x.shape[0] > 1:
-            ct[1:] = log_t[x[:-1], x[1:]].cumsum()
-        return log_start + ct[e - 1] - ct[s]
-    if isinstance(model, HiddenMarkovModel):
-        out = np.empty(s.shape[0])
-        lengths = e - s
-        for ell in np.unique(lengths):
-            mask = lengths == ell
-            if ell <= _HMM_TABLE_MAX_LEN:
-                table = _hmm_block_table(model, int(ell))
-                powers = model.alphabet_size ** np.arange(ell - 1, -1, -1, dtype=np.int64)
-                windows = x[s[mask][:, None] + np.arange(ell)[None, :]]
-                out[mask] = table[windows @ powers]
-            else:
-                out[mask] = [_hmm_forward_word(model, x[a:b]) for a, b in zip(s[mask], e[mask])]
-        return out
-    if isinstance(model, MixtureModel):
-        la, lb = math.log(model.weight), math.log1p(-model.weight)
-        return np.logaddexp(la + block_log_probs(model.first, x, s, e),
-                            lb + block_log_probs(model.second, x, s, e))
-    raise TypeError(f"unknown model type: {type(model)!r}")
+    return model._block(x, s, e)
 
 
 # ---------------------------------------------------------------------------
@@ -579,79 +756,26 @@ def model_id(model: ProcessModel) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _inverse_cdf(cum: Sequence[float], u: float) -> int:
-    for i, c in enumerate(cum):
-        if u < c:
-            return i
-    return len(cum) - 1
-
-
-def _sample_symbols(model: ProcessModel, n: int, rng: np.random.Generator):
-    """Draw n symbols; returns (symbols, component_index_or_None).
-
-    Draw order is fixed so that (model, n, seed) is bit-reproducible:
-    i.i.d. uses one uniform per symbol (inverse CDF); Markov uses one
-    uniform for the initial symbol then one per transition; hidden Markov
-    draws the full hidden path first, then all emissions; mixtures draw the
-    component label first and then delegate to it with the same generator.
-    """
-    if isinstance(model, MixtureModel):
-        comp = 0 if rng.random() < model.weight else 1
-        symbols, _ = _sample_symbols(model.components[comp], n, rng)
-        return symbols, comp
-    if isinstance(model, IIDModel):
-        cum = np.cumsum(model.p)
-        drawn = np.searchsorted(cum, rng.random(n), side="right")
-        return np.minimum(drawn, model.alphabet_size - 1).astype(np.int64), None
-    if isinstance(model, MarkovModel):
-        u = rng.random(n)
-        cum_init = list(np.cumsum(model.initial))
-        cum_rows = np.cumsum(model.transition, axis=1).tolist()
-        ul = u.tolist()
-        out = [0] * n
-        state = _inverse_cdf(cum_init, ul[0])
-        out[0] = state
-        for k in range(1, n):
-            state = _inverse_cdf(cum_rows[state], ul[k])
-            out[k] = state
-        return np.asarray(out, dtype=np.int64), None
-    if isinstance(model, HiddenMarkovModel):
-        u = rng.random(n)
-        cum_init = list(np.cumsum(model.hidden_initial))
-        cum_rows = np.cumsum(model.hidden_transition, axis=1).tolist()
-        ul = u.tolist()
-        path = [0] * n
-        state = _inverse_cdf(cum_init, ul[0])
-        path[0] = state
-        for k in range(1, n):
-            state = _inverse_cdf(cum_rows[state], ul[k])
-            path[k] = state
-        cum_emit = np.cumsum(model.emission, axis=1)
-        ue = rng.random(n)
-        symbols = (ue[:, None] >= cum_emit[np.asarray(path)]).sum(axis=1)
-        return symbols.astype(np.int64), None
-    raise TypeError(f"unknown model type: {type(model)!r}")
-
-
 def sample_trajectory(model: ProcessModel, n: int, seed: int) -> Trajectory:
-    """Sample a length-n trajectory; identical (model, n, seed) is bit-identical."""
+    """Sample a length-n trajectory; identical (model, n, seed) is bit-identical.
+
+    Raises ModelFormatError, naming the failed invariants, for a model that
+    ``validate_model`` rejects.  Draw order is fixed: i.i.d. uses one
+    uniform per symbol (inverse CDF); Markov uses one uniform for the initial
+    symbol then one per transition; hidden Markov draws the full hidden path
+    first, then all emissions; mixtures draw the component label first and
+    then delegate to it with the same generator.
+    """
     if n < 1:
         raise ValueError("trajectory length must be >= 1")
-    rng = np.random.default_rng(seed)
-    symbols, comp = _sample_symbols(model, n, rng)
+    _require_valid(model, "cannot sample")
+    symbols, comp = model._sample(n, np.random.default_rng(seed))
     return Trajectory(symbols=symbols, seed=int(seed), model_id=model_id(model), component=comp)
 
 
 # ---------------------------------------------------------------------------
 # Exact enumeration of marginals
 # ---------------------------------------------------------------------------
-
-
-def _check_cap(alphabet_size: int, n: int, cap: int):
-    if alphabet_size ** n > cap:
-        raise CapExceededError(
-            f"enumeration of {alphabet_size}^{n} atoms exceeds the cap of {cap}"
-        )
 
 
 def level_probs(model: ProcessModel, n_max: int, cap: int = DEFAULT_ENUM_CAP,
@@ -665,46 +789,9 @@ def level_probs(model: ProcessModel, n_max: int, cap: int = DEFAULT_ENUM_CAP,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     a = model.alphabet_size
-    _check_cap(a, n_max, cap)
-    if isinstance(model, IIDModel):
-        level = model.p.copy()
-        yield 1, level
-        for n in range(2, n_max + 1):
-            level = np.kron(level, model.p)
-            yield n, level
-        return
-    if isinstance(model, MarkovModel):
-        level = model.initial.copy()
-        yield 1, level
-        for n in range(2, n_max + 1):
-            last = np.arange(level.shape[0], dtype=np.int64) % a
-            level = (level[:, None] * model.transition[last, :]).ravel()
-            yield n, level
-        return
-    if isinstance(model, HiddenMarkovModel):
-        rho = model.hidden_initial if hidden_start is None else np.asarray(hidden_start, dtype=float)
-        fwd = rho[None, :] * model.emission.T  # (A words, S): rho(s) B(s, a)
-        yield 1, fwd.sum(axis=1)
-        for n in range(2, n_max + 1):
-            g = fwd @ model.hidden_transition
-            fwd = (g[:, None, :] * model.emission.T[None, :, :]).reshape(-1, model.hidden_states)
-            yield n, fwd.sum(axis=1)
-        return
-    if isinstance(model, MixtureModel):
-        if hidden_start is not None:
-            raise ValueError("hidden_start applies to hidden-Markov models only")
-        w = model.weight
-        for (n, p1), (_, p2) in zip(level_probs(model.first, n_max, cap),
-                                    level_probs(model.second, n_max, cap)):
-            yield n, w * p1 + (1.0 - w) * p2
-        return
-    raise TypeError(f"unknown model type: {type(model)!r}")
-
-
-def _entropy_of(level: np.ndarray) -> float:
-    mask = level > 0
-    p = level[mask]
-    return float(-(p * np.log(p)).sum())
+    if a ** n_max > cap:
+        raise CapExceededError(f"enumeration of {a}^{n_max} atoms exceeds the cap of {cap}")
+    yield from model._levels(n_max, hidden_start)
 
 
 def marginal_entropy(model: ProcessModel, n: int, cap: int = DEFAULT_ENUM_CAP) -> float:
@@ -727,13 +814,6 @@ def beta_sequence(model: ProcessModel, n_max: int, cap: int = DEFAULT_ENUM_CAP) 
     return np.diff(np.asarray(entropies))
 
 
-def _markov_rate(model: MarkovModel) -> float:
-    rows = model.transition
-    mask = rows > 0
-    contrib = np.where(mask, -rows * _safe_log(np.where(mask, rows, 1.0)), 0.0)
-    return float(model.initial @ contrib.sum(axis=1))
-
-
 def entropy_rate(model: ProcessModel, tol: float = 1e-5, n_cap: int = 22,
                  cap: int = DEFAULT_ENUM_CAP) -> EntropyBracket:
     """Entropy rate as an exact point or a sandwich bracket (nats per symbol).
@@ -748,46 +828,7 @@ def entropy_rate(model: ProcessModel, tol: float = 1e-5, n_cap: int = 22,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(model, IIDModel):
-        h = _entropy_of(model.p)
-        return EntropyBracket(h, h, n_used=1)
-    if isinstance(model, MarkovModel):
-        h = _markov_rate(model)
-        return EntropyBracket(h, h, n_used=2)
-    if isinstance(model, MixtureModel):
-        return entropy_rate(model.first, tol, n_cap, cap).hull(
-            entropy_rate(model.second, tol, n_cap, cap))
-    if not isinstance(model, HiddenMarkovModel):
-        raise TypeError(f"unknown model type: {type(model)!r}")
-
-    a, S = model.alphabet_size, model.hidden_states
-    n_max, atoms = 0, 1
-    while n_max < n_cap and atoms * a <= cap:
-        atoms *= a
-        n_max += 1
-    if n_max < 1:
-        raise CapExceededError(f"cannot enumerate even one level of {a} atoms under cap {cap}")
-    sweeps = [level_probs(model, n_max, cap)]
-    for s in range(S):
-        start = np.zeros(S)
-        start[s] = 1.0
-        sweeps.append(level_probs(model, n_max, cap, hidden_start=start))
-    rho = model.hidden_initial
-    prev_upper_h = 0.0
-    prev_lower_h = np.zeros(S)
-    lower, upper, n_used = 0.0, float(np.log(a)), 0
-    for n in range(1, n_max + 1):
-        levels = [next(sweep) for sweep in sweeps]
-        upper_h = _entropy_of(levels[0][1])
-        lower_h = np.array([_entropy_of(levels[1 + s][1]) for s in range(S)])
-        upper_n = upper_h - prev_upper_h
-        lower_n = float(rho @ (lower_h - prev_lower_h))
-        prev_upper_h, prev_lower_h = upper_h, lower_h
-        lower, upper = min(lower_n, upper_n), max(lower_n, upper_n)
-        n_used = n
-        if upper - lower <= tol:
-            return EntropyBracket(lower, upper, n_used=n_used)
-    return EntropyBracket(lower, upper, n_used=n_used, converged=False)
+    return model._rate(tol, n_cap, cap)
 
 
 @dataclass(frozen=True)
@@ -826,43 +867,17 @@ def discrepancy_gap(model: ProcessModel, K: int, cap: int = DEFAULT_ENUM_CAP,
 
 
 def model_to_dict(model: ProcessModel) -> dict:
-    if isinstance(model, IIDModel):
-        return {"alphabet_size": model.alphabet_size, "variant": "iid",
-                "p": model.p.tolist()}
-    if isinstance(model, MarkovModel):
-        return {"alphabet_size": model.alphabet_size, "variant": "markov",
-                "transition": model.transition.tolist(),
-                "initial": model.initial.tolist()}
-    if isinstance(model, HiddenMarkovModel):
-        return {"alphabet_size": model.alphabet_size, "variant": "hidden_markov",
-                "hidden_states": model.hidden_states,
-                "hidden_transition": model.hidden_transition.tolist(),
-                "hidden_initial": model.hidden_initial.tolist(),
-                "emission": model.emission.tolist()}
-    if isinstance(model, MixtureModel):
-        return {"alphabet_size": model.alphabet_size, "variant": "mixture",
-                "weight": model.weight,
-                "components": [model_to_dict(model.first), model_to_dict(model.second)]}
-    raise TypeError(f"unknown model type: {type(model)!r}")
-
-
-_REQUIRED_KEYS = {
-    "iid": {"alphabet_size", "variant", "p"},
-    "markov": {"alphabet_size", "variant", "transition", "initial"},
-    "hidden_markov": {"alphabet_size", "variant", "hidden_states",
-                      "hidden_transition", "hidden_initial", "emission"},
-    "mixture": {"alphabet_size", "variant", "weight", "components"},
-}
+    return {"alphabet_size": model.alphabet_size, "variant": model._VARIANT, **model._params()}
 
 
 def model_from_dict(d: dict, path: str = "$") -> ProcessModel:
     """Build a model from its dict form; unknown or missing keys are errors."""
     if not isinstance(d, dict):
         raise ModelFormatError(f"{path}: expected an object")
-    variant = d.get("variant")
-    if variant not in _REQUIRED_KEYS:
-        raise ModelFormatError(f"{path}.variant: expected one of {sorted(_REQUIRED_KEYS)}, got {variant!r}")
-    required = _REQUIRED_KEYS[variant]
+    cls = _VARIANTS.get(d.get("variant"))
+    if cls is None:
+        raise ModelFormatError(f"{path}.variant: expected one of {sorted(_VARIANTS)}, got {d.get('variant')!r}")
+    required = {"alphabet_size", "variant", *cls._KEYS}
     missing = required - set(d)
     if missing:
         raise ModelFormatError(f"{path}: missing keys {sorted(missing)}")
@@ -870,29 +885,11 @@ def model_from_dict(d: dict, path: str = "$") -> ProcessModel:
     if unknown:
         raise ModelFormatError(f"{path}: unknown keys {sorted(unknown)}")
     try:
-        if variant == "iid":
-            model: ProcessModel = IIDModel(p=d["p"])
-        elif variant == "markov":
-            model = MarkovModel(transition=d["transition"], initial=d["initial"])
-        elif variant == "hidden_markov":
-            model = HiddenMarkovModel(hidden_transition=d["hidden_transition"],
-                                      hidden_initial=d["hidden_initial"],
-                                      emission=d["emission"])
-            if model.hidden_states != d["hidden_states"]:
-                raise ModelFormatError(f"{path}.hidden_states: inconsistent with emission shape")
-        else:
-            comps = d["components"]
-            if not isinstance(comps, list) or len(comps) != 2:
-                raise ModelFormatError(f"{path}.components: expected a list of exactly 2 models")
-            model = MixtureModel(weight=float(d["weight"]),
-                                 first=model_from_dict(comps[0], path=f"{path}.components[0]"),
-                                 second=model_from_dict(comps[1], path=f"{path}.components[1]"))
+        model = cls._from_params(d, path)
     except (ValueError, TypeError) as exc:
         raise ModelFormatError(f"{path}: malformed parameters ({exc})") from exc
     if model.alphabet_size != d["alphabet_size"]:
         raise ModelFormatError(f"{path}.alphabet_size: inconsistent with parameter shapes")
-    if variant == "hidden_markov" and model.hidden_transition.shape[0] != model.emission.shape[0]:
-        raise ModelFormatError(f"{path}: hidden_transition and emission disagree on state count")
     return model
 
 
@@ -906,11 +903,7 @@ def load_model(path) -> ProcessModel:
     except OSError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     model = model_from_dict(raw)
-    report = validate_model(model)
-    if not report.passed:
-        rows = "; ".join(f"{c.name} (residual {c.residual:.3g}, bound {c.bound:.3g})"
-                         for c in report.failures)
-        raise ModelFormatError(f"{path}: model invariants violated: {rows}")
+    _require_valid(model, str(path))
     return model
 
 

@@ -90,6 +90,19 @@ def test_seed_derivation_is_deterministic(tmp_path):
     assert len(set(config.seeds)) == 5
 
 
+@pytest.mark.parametrize("seeds", [
+    [], [-1], [3.7], ["4"], {"count": 0, "master_seed": 1}, {"count": "3", "master_seed": 1},
+    {"count": 3, "master_seed": 1.5}, {"count": True, "master_seed": 1},
+    {"count": 3, "master_seed": -1},
+])
+def test_simulate_rejects_bad_seeds(tmp_path, m1_file, seeds):
+    path = _write_config(tmp_path, experiment="perturbation", perturbation={"plan": "trim1"},
+                         seeds=seeds)
+    with pytest.raises(ConfigError, match="seeds"):
+        parse_config(path)
+    assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 4
+
+
 def test_resolve_workers_env_fallback(monkeypatch):
     monkeypatch.setenv("PARSENTROPY_WORKERS", "3")
     assert resolve_workers(None, None) == 3

@@ -17,6 +17,7 @@ from parsentropy import (
     convergence_experiment,
     counterexample_experiment,
     entropy_rate,
+    estimator,
     factorization_residual,
     marginal_entropy,
     oracle_target,
@@ -150,6 +151,20 @@ def test_oracle_target_tail_family(h1):
     t = oracle_target(h1, ParserSpec("counterexample_v", {"K": 4, "epsilon": 0.05}))
     expected = 0.5 * (marginal_entropy(h1, 2) / 2 + 0.531364059281)
     assert t.mid == pytest.approx(expected, abs=1e-5)
+
+
+def test_tail_selection_run_computes_the_rate_bracket_once(h1, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return entropy_rate(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "entropy_rate", counting)
+    spec = ParserSpec("counterexample_v", {"K": 4, "epsilon": 0.05})
+    report = convergence_experiment(h1, spec, [1000, 2000], [7])
+    assert len(calls) == 1
+    assert report.target == oracle_target(h1, spec)
 
 
 def test_oracle_target_rejects_alternating_family(h1):

@@ -86,6 +86,15 @@ def test_validate_bad_row_sum_fails():
     assert "transition.rows_sum_to_one" in names
 
 
+def test_invalid_model_is_reported_but_not_sampled():
+    model = MarkovModel(transition=[[0.8, 0.3], [0.2, 0.8]], initial=[0.4, 0.6])
+    failed = {c.name for c in validate_model(model).failures}
+    assert {"transition.rows_sum_to_one", "stationarity"} <= failed
+    with pytest.raises(ModelFormatError, match="transition.rows_sum_to_one") as info:
+        sample_trajectory(model, 10, seed=1)
+    assert all(name in str(info.value) for name in failed)
+
+
 def test_stationary_distribution_power_iteration(m1):
     pi = stationary_distribution(m1.transition)
     # eigen-decomposition oracle for the same fixed point
