@@ -9,6 +9,11 @@ sampling and probability engines, which the public functions call:
   vectorized batch versions used on long trajectories,
 - ``level_probs`` enumerates full marginals for exact entropy computations.
 
+Hidden-Markov prefix, suffix and block values come from one blocked scan of
+the scaled forward recursion, numpy across chunks with a Python loop over
+the offset in a chunk; Markov and hidden-Markov paths come from a blocked
+walk that draws the same bytes as a sequential inverse-CDF walk.
+
 All probabilities are kept in natural-log units (nats) end to end; the
 value ``-inf`` is reserved for out-of-support words.  Higher-order Markov
 sources are expressed as hidden-Markov models or by alphabet extension;
@@ -24,10 +29,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import weakref
 from dataclasses import dataclass, fields
-from functools import partialmethod
-from typing import Iterator, Optional, Sequence, Union
+from functools import partial, partialmethod
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -35,12 +39,10 @@ from .errors import CapExceededError, ModelFormatError, PreconditionError
 
 DEFAULT_ENUM_CAP = 1 << 22
 
-# Hidden-Markov blocks up to this length are evaluated through cached
-# full-marginal tables; longer blocks get an individual forward pass.
-_HMM_TABLE_MAX_LEN = 12
-
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
+_TINY = np.finfo(float).tiny
+_BLOCKS_PER_PASS = 1 << 15   # bounds the HMM kernel's temporaries to a few MB
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -170,21 +172,53 @@ def _window_sums(logs: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_cdf(cum: Sequence[float], u: float) -> int:
-    for i, c in enumerate(cum):
-        if u < c:
-            return i
-    return len(cum) - 1
+def _chunk_len(n: int) -> int:
+    """ceil(n ** (1/3)) for n >= 1: the chunk length of the blocked scans over n symbols."""
+    m = round(n ** (1 / 3))
+    return m + (m ** 3 < n)
 
 
-def _walk_chain(initial: np.ndarray, transition: np.ndarray, u: np.ndarray) -> list:
-    """States of a chain by inverse CDF, one uniform each; row -1 (``initial``) draws the start."""
-    rows = np.cumsum(np.vstack((transition, initial)), axis=1).tolist()
-    path, state = [], -1
-    for uk in u.tolist():
-        state = _inverse_cdf(rows[state], uk)
-        path.append(state)
-    return path
+def _walk_chain(initial: np.ndarray, transition: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """States of a chain by inverse CDF, one uniform each, as a blocked walk.
+
+    Step k maps state s to the count of entries <= u[k] in cumulative row s,
+    capped at the last state (step 0 reads ``initial``).  The maps are
+    composed per chunk, the chunk starts walked, and the chunks filled in.
+    """
+    k, n = transition.shape[0], u.shape[0]
+    rows = np.cumsum(np.vstack((transition, initial)), axis=1)
+    m = _chunk_len(n)
+    c = -(-n // m)
+    maps = np.zeros((c * m, k), dtype=np.min_scalar_type(k - 1))   # the padding is never read out
+    for s in range(k):
+        maps[:n, s] = np.minimum(np.searchsorted(rows[s], u, side="right"), k - 1)
+    maps[0] = min(int(np.searchsorted(rows[-1], u[0], side="right")), k - 1)
+    flat = maps.reshape(-1)
+    base = np.arange(c) * (m * k)                # flat index of each chunk's first map
+    through = np.broadcast_to(np.arange(k), (c, k))
+    for j in range(m):                           # through[i, s]: state after chunk i from s
+        through = flat[through + (base + j * k)[:, None]]
+    starts, state = np.empty(c, dtype=np.int64), 0
+    for i, row in enumerate(through.tolist()):
+        starts[i], state = state, row[state]
+    path = np.empty((c, m), dtype=np.int64)
+    for j in range(m):
+        starts = path[:, j] = flat[starts + base + j * k]
+    return path.reshape(-1)[:n]
+
+
+def _scaled(arr: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """Scale each ``arr[:, :, i]`` to total 1 in place; add the log totals to ``log_scale``.
+
+    A zero total divides by the least normal float: zeros stay zeros, with no 0/0.
+    """
+    total = np.maximum(arr.sum(axis=(0, 1)), _TINY)
+    log_scale += np.log(total)
+    arr /= total
+    return arr
+
+
+_mul = partial(np.einsum, "ijk,jlk->ilk")   # x[:, :, i] @ y[:, :, i] for stacks x, y
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +240,9 @@ class _Model:
 
     def _params(self) -> dict:
         return {key: np.asarray(getattr(self, key)).tolist() for key in self._KEYS}
+
+    def _hidden_start(self, hidden_start) -> np.ndarray:
+        raise PreconditionError("hidden_start applies to hidden-Markov models only")
 
     @classmethod
     def _from_params(cls, d: dict, path: str):
@@ -331,8 +368,7 @@ class MarkovModel(_Model):
         return log_start + ct[e - 1] - ct[s]
 
     def _sample(self, n: int, rng: np.random.Generator):
-        path = _walk_chain(self.initial, self.transition, rng.random(n))
-        return np.asarray(path, dtype=np.int64), None
+        return _walk_chain(self.initial, self.transition, rng.random(n)), None
 
     def _levels(self, n_max: int, hidden_start) -> Iterator:
         a = self.alphabet_size
@@ -391,134 +427,97 @@ class HiddenMarkovModel(_Model):
                 + [_stationarity_check(prefix, self.hidden_initial, self.hidden_transition),
                    _alphabet_check(prefix, self)])
 
-    def _scan_two_state(self, x: np.ndarray, forward: bool) -> np.ndarray:
-        """Unrolled two-hidden-state scan; ~4x the generic loop on long inputs."""
-        n = x.shape[0]
-        (q00, q01), (q10, q11) = self.hidden_transition.tolist()
-        b = self.emission.tolist()
-        r0, r1 = self.hidden_initial.tolist()
-        obs = x.tolist()
-        out = np.zeros(n + 1)
-        if forward:
-            o = obs[0]
-            v0, v1 = r0 * b[0][o], r1 * b[1][o]
-            logc = 0.0
-            for j in range(n):
-                if j > 0:
-                    o = obs[j]
-                    v0, v1 = (v0 * q00 + v1 * q10) * b[0][o], (v0 * q01 + v1 * q11) * b[1][o]
-                c = v0 + v1
-                if c <= 0.0:
-                    out[j + 1:] = -math.inf
-                    return out
-                logc += math.log(c)
-                v0 /= c
-                v1 /= c
-                out[j + 1] = logc
-            return out
-        o = obs[n - 1]
-        v0, v1 = b[0][o], b[1][o]
-        logc = 0.0
-        for j in range(n - 1, -1, -1):
-            if j < n - 1:
-                o = obs[j]
-                v0, v1 = b[0][o] * (q00 * v0 + q01 * v1), b[1][o] * (q10 * v0 + q11 * v1)
-            c = v0 + v1
-            if c <= 0.0:
-                out[: j + 1] = -math.inf
-                return out
-            logc += math.log(c)
-            v0 /= c
-            v1 /= c
-            total = r0 * v0 + r1 * v1
-            out[j] = (logc + math.log(total)) if total > 0.0 else -math.inf
-        return out
+    def _forward(self, y: np.ndarray, s: np.ndarray, e: np.ndarray, reverse: bool = False,
+                 scan: bool = False) -> np.ndarray:
+        """Log-probabilities of the blocks ``y[s:e]``: the kernel of every HMM engine.
 
-    def _scan(self, x: np.ndarray, forward: bool) -> np.ndarray:
-        """Scaled sequential pass over all prefixes (forward) or suffixes (backward).
-
-        Plain-float inner loop: at trajectory lengths of 10^6 this is several
-        times faster than per-step numpy dispatch.
+        Pieces of at most m = ``_chunk_len(total length)`` steps cover each
+        block after its first symbol.  Pass 1 multiplies out every piece's
+        transfer matrices, numpy across pieces; pass 2 folds each block's
+        pieces by doubling.  With ``scan`` (one block: the word, cut into
+        chunks) pass 3 turns pass 1's read-outs into log P(y[:k]), k <= len(y).
+        ``reverse`` runs Q^T from ones and reads out against rho: the
+        backward recursion on the reversed word.  Stacks keep their index last.
         """
-        n = x.shape[0]
-        if n == 0:
-            return np.zeros(1)
-        if self.hidden_states == 2 and n > 2:
-            return self._scan_two_state(x, forward)
-        S = self.hidden_states
-        q = self.hidden_transition.tolist()
-        b = self.emission.tolist()
-        rho = self.hidden_initial.tolist()
-        out = np.zeros(n + 1)
-        obs = x.tolist()
-        states = range(S)
-        if forward:
-            vec = [rho[s] * b[s][obs[0]] for s in states]
-            logc = 0.0
-            for j in range(n):
-                if j > 0:
-                    o = obs[j]
-                    vec = [sum(vec[s] * q[s][t] for s in states) * b[t][o] for t in states]
-                c = sum(vec)
-                if c <= 0.0:
-                    out[j + 1:] = -math.inf
-                    return out
-                logc += math.log(c)
-                vec = [v / c for v in vec]
-                out[j + 1] = logc
-            return out
-        vec = [b[s][obs[n - 1]] for s in states]
-        logc = 0.0
-        for j in range(n - 1, -1, -1):
-            if j < n - 1:
-                o = obs[j]
-                vec = [b[s][o] * sum(q[s][t] * vec[t] for t in states) for s in states]
-            c = sum(vec)
-            if c <= 0.0:
-                out[: j + 1] = -math.inf
-                return out
-            logc += math.log(c)
-            vec = [v / c for v in vec]
-            total = sum(rho[s] * vec[s] for s in states)
-            out[j] = (logc + math.log(total)) if total > 0.0 else -math.inf
-        return out
+        S, b, q, rho, ones = (self.hidden_states, self.emission, self.hidden_transition,
+                              self.hidden_initial, np.ones(self.hidden_states))
+        start, step_t, weight = (ones, q, rho) if reverse else (rho, q.T, ones)
+        m = _chunk_len(int((e - s).sum()))
+        count = np.maximum((e - s + (m - 2)) // m, 1)       # pieces per block, maybe one empty
+        order = (-count).argsort(kind="stable")             # blocks by decreasing piece count
+        s, e, count = s[order], e[order], count[order]
+        ends = count.cumsum()                               # pieces come block after block
+        place = np.arange(ends[-1]) - (ends - count).repeat(count)
+        starts = (s + 1).repeat(count) + place * m
+        lengths = np.minimum(e.repeat(count) - starts, m)
+        by_len = (-lengths).argsort(kind="stable")          # pass 1 runs in decreasing length
+        at, depth = starts[by_len], int(lengths.max(initial=0))
+        prod = np.repeat(np.eye(S)[:, :, None], at.shape[0], axis=2)
+        prod_log, spare = np.zeros(at.shape[0]), np.empty_like(prod)
+        if scan:                                            # buf[k] = log P(y[:k])
+            buf, reads = np.zeros(2 + at.shape[0] * m), np.zeros((depth, S, at.shape[0]))
+            grid = buf[2:].reshape(-1, m)                   # grid[c, j]: y[:2 + c m + j]
+        for j, a in enumerate((-lengths[by_len]).searchsorted(-np.arange(depth)).tolist()):
+            cur = prod[:, :, :a]
+            np.multiply(np.matmul(step_t, cur, out=spare[:, :, :a]), b.take(y[at[:a] + j], axis=1),
+                        out=cur)
+            _scaled(cur, prod_log[:a])
+            if scan:
+                np.matmul(weight, cur, out=reads[j, :, :a])
+                grid[:a, j] = prod_log[:a]
+        back = by_len.argsort()
+        prod, prod_log = prod.take(back, axis=2), prod_log[back]
+        for d in (1 << r for r in range(int(count[0] - 1).bit_length())):   # d < count[0]
+            hi = int(ends[(-count).searchsorted(-d) - 1])   # the pieces of blocks with more than d
+            has = place[d:hi] >= d
+            log_d = prod_log[:hi - d] + prod_log[d:hi]
+            np.copyto(prod[:, :, d:hi], _scaled(_mul(prod[:, :, :hi - d], prod[:, :, d:hi]), log_d),
+                      where=has)
+            np.copyto(prod_log[d:hi], log_d, where=has)   # piece i: pieces i - 2d + 1 .. i
+        v = (start[:, None] * b.take(y[s], axis=1))[None]
+        if scan:                                            # pass 3, in place in reads and grid
+            reads *= np.concatenate((v, _mul(v, prod[:, :, :-1])), axis=2)[0]
+            inner = reads[:, 0]
+            for i in range(1, S):
+                inner += reads[:, i]
+            buf[1] = _safe_log(weight @ v[0, :, 0])
+            with np.errstate(divide="ignore"):
+                grid[:, :depth] += np.log(inner, out=inner).T
+            grid += np.concatenate(([0.0], prod_log[:-1]))[:, None]
+            return buf[:y.shape[0] + 1]
+        result = np.empty(s.shape[0])
+        result[order] = prod_log[ends - 1] + _safe_log(weight @ _mul(v, prod.take(ends - 1, axis=2))[0])
+        return result
 
-    _prefix = partialmethod(_scan, forward=True)
-    _suffix = partialmethod(_scan, forward=False)
+    def _scan(self, x: np.ndarray, reverse: bool) -> np.ndarray:
+        """Log-probabilities of every prefix, or with ``reverse`` of every suffix, of ``x``."""
+        e = np.full(1, x.shape[0])
+        out = self._forward(x[::-1] if reverse else x, e - e, e, reverse, True) if e[0] else np.zeros(1)
+        return out[::-1].copy() if reverse else out
 
-    def _block_table(self, length: int) -> np.ndarray:
-        """Log-probabilities of every word of the given length, indexed by rank."""
-        cache = _HMM_TABLE_CACHE.setdefault(self, {})
-        if length not in cache:
-            for n, level in level_probs(self, length, cap=DEFAULT_ENUM_CAP):
-                if n == length:
-                    cache[length] = _safe_log(level)
-        return cache[length]
+    _prefix = partialmethod(_scan, reverse=False)
+    _suffix = partialmethod(_scan, reverse=True)
 
     def _block(self, x: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        out = np.empty(s.shape[0])
-        lengths = e - s
-        for ell in np.unique(lengths):
-            mask = lengths == ell
-            if ell <= _HMM_TABLE_MAX_LEN:
-                table = self._block_table(int(ell))
-                powers = self.alphabet_size ** np.arange(ell - 1, -1, -1, dtype=np.int64)
-                windows = x[s[mask][:, None] + np.arange(ell)[None, :]]
-                out[mask] = table[windows @ powers]
-            else:
-                out[mask] = [self._scan(x[a:b], forward=True)[-1]
-                             for a, b in zip(s[mask], e[mask])]
-        return out
+        n = _BLOCKS_PER_PASS
+        return np.concatenate([self._forward(x, s[i:i + n], e[i:i + n]) for i in range(0, len(s), n)])
 
     def _sample(self, n: int, rng: np.random.Generator):
         path = _walk_chain(self.hidden_initial, self.hidden_transition, rng.random(n))
         cum_emit = np.cumsum(self.emission, axis=1)
         ue = rng.random(n)
-        symbols = (ue[:, None] >= cum_emit[np.asarray(path)]).sum(axis=1)
+        symbols = (ue[:, None] >= cum_emit[path]).sum(axis=1)
         return symbols.astype(np.int64), None
 
+    def _hidden_start(self, hidden_start) -> np.ndarray:
+        rho = np.asarray(hidden_start, dtype=float)
+        if rho.shape == (self.hidden_states,) and rho.min() >= 0 and abs(rho.sum() - 1) <= _ROW_SUM_TOL:
+            return rho
+        raise PreconditionError(f"hidden_start must be a distribution over the {self.hidden_states} "
+                                f"hidden states, got {hidden_start!r}")
+
     def _levels(self, n_max: int, hidden_start) -> Iterator:
-        rho = self.hidden_initial if hidden_start is None else np.asarray(hidden_start, dtype=float)
+        rho = self.hidden_initial if hidden_start is None else hidden_start
         fwd = rho[None, :] * self.emission.T  # (A words, S): rho(s) B(s, a)
         yield 1, fwd.sum(axis=1)
         for n in range(2, n_max + 1):
@@ -562,9 +561,6 @@ class HiddenMarkovModel(_Model):
         if model.hidden_states != d["hidden_states"]:
             raise ModelFormatError(f"{path}.hidden_states: inconsistent with emission shape")
         return model
-
-
-_HMM_TABLE_CACHE = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -615,8 +611,6 @@ class MixtureModel(_Model):
         return symbols, comp
 
     def _levels(self, n_max: int, hidden_start) -> Iterator:
-        if hidden_start is not None:
-            raise ValueError("hidden_start applies to hidden-Markov models only")
         w = self.weight
         for (n, p1), (_, p2) in zip(self.first._levels(n_max, None),
                                     self.second._levels(n_max, None)):
@@ -783,11 +777,15 @@ def level_probs(model: ProcessModel, n_max: int, cap: int = DEFAULT_ENUM_CAP,
     """Yield ``(n, P_n)`` for n = 1..n_max, with P_n over all rank-ordered words.
 
     Ranks are base-``|A|`` encodings with the first symbol most significant.
-    ``hidden_start`` overrides the hidden initial distribution (hidden-Markov
-    models only); it is used for conditional-entropy sandwich bounds.
+    ``hidden_start`` overrides the hidden initial distribution; it is used
+    for conditional-entropy sandwich bounds.  It must be a distribution over
+    the hidden states of a hidden-Markov model; any other model type raises
+    PreconditionError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if hidden_start is not None:
+        hidden_start = model._hidden_start(hidden_start)
     a = model.alphabet_size
     if a ** n_max > cap:
         raise CapExceededError(f"enumeration of {a}^{n_max} atoms exceeds the cap of {cap}")

@@ -259,8 +259,9 @@ def _block_split_entry(model: ProcessModel, x: np.ndarray, s: int, e: int):
         return None
     word = x[s:e]
     pre = prefix_log_probs(model, word)
-    suf = suffix_log_probs(model, word)
-    penalties = np.round(np.abs(pre[1:-1] + suf[1:-1] - pre[-1]), 9)
+    penalties = pre[1:-1] + suffix_log_probs(model, word)[1:-1]
+    penalties -= pre[-1]
+    np.round(np.abs(penalties, out=penalties), 9, out=penalties)   # in place: no temporaries
     j = int(np.argmax(penalties))  # first maximum: smallest index on ties
     return (-float(penalties[j]), s + 1 + j, s, e)
 
@@ -485,15 +486,6 @@ class ParserSpec:
             b = self.params["budget"]
             if not (b in ("sqrt", "log2") or (isinstance(b, int) and b >= 1)):
                 raise ValueError("budget must be 'sqrt', 'log2', or a positive integer")
-
-    @property
-    def is_sublinear(self) -> bool:
-        """Whether the block count is o(N) by construction."""
-        if self.family in ("growing", "lz78"):
-            return True
-        if self.family in ("random_sublinear", "adversarial"):
-            return self.params["budget"] in ("sqrt", "log2")
-        return False
 
     @property
     def is_fixed(self) -> bool:

@@ -187,7 +187,7 @@ def test_prefix_suffix_block_agree_with_per_word(all_reference_models, name):
 
 
 def test_block_log_probs_long_hmm_blocks_match_scan(h1):
-    # above the table cutoff each block runs its own forward pass
+    # blocks longer than one chunk of the blocked scan
     traj = sample_trajectory(h1, 120, seed=9)
     starts = np.array([0, 30])
     ends = np.array([30, 120])
@@ -386,6 +386,25 @@ def test_entropy_per_symbol_subadditive(all_reference_models):
     for model in all_reference_models.values():
         ratios = [marginal_entropy(model, n) / n for n in range(1, 10)]
         assert np.diff(ratios).max() < 1e-9
+
+
+@pytest.mark.parametrize("name", ["iid_uniform", "m1", "mixture"])
+def test_level_probs_hidden_start_refused_without_hidden_states(all_reference_models, name):
+    with pytest.raises(PreconditionError, match="hidden_start"):
+        list(level_probs(all_reference_models[name], 2, hidden_start=[1.0, 0.0]))
+
+
+@pytest.mark.parametrize("start", [[3.0, 0.0], [1.0], [0.5, 0.25, 0.25], [1.5, -0.5],
+                                   [float("nan"), 1.0]])
+def test_level_probs_hidden_start_must_be_a_distribution(h1, start):
+    with pytest.raises(PreconditionError, match="hidden_start"):
+        list(level_probs(h1, 2, hidden_start=start))
+
+
+def test_level_probs_hidden_start_conditions_on_the_state(h1):
+    levels = dict(level_probs(h1, 2, hidden_start=[1.0, 0.0]))
+    assert levels[1].tolist() == pytest.approx([0.9, 0.1], abs=1e-15)
+    assert float(levels[2].sum()) == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
