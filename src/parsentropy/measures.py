@@ -9,10 +9,9 @@ sampling and probability engines, which the public functions call:
   vectorized batch versions used on long trajectories,
 - ``level_probs`` enumerates full marginals for exact entropy computations.
 
-Hidden-Markov prefix, suffix and block values come from one blocked scan of
-the scaled forward recursion, numpy across chunks with a Python loop over
-the offset in a chunk; Markov and hidden-Markov paths come from a blocked
-walk that draws the same bytes as a sequential inverse-CDF walk.
+Hidden-Markov prefix, suffix and block values come from one blocked scan of the
+scaled forward recursion, numpy across chunks with a Python loop over the offset in a
+chunk; chain paths come from a blocked walk with the bytes of a sequential one.
 
 All probabilities are kept in natural-log units (nats) end to end; the
 value ``-inf`` is reserved for out-of-support words.  Higher-order Markov
@@ -30,7 +29,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import partial, partialmethod
+from functools import partialmethod
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -42,7 +41,10 @@ DEFAULT_ENUM_CAP = 1 << 22
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
 _TINY = np.finfo(float).tiny
-_BLOCKS_PER_PASS = 1 << 15   # bounds the HMM kernel's temporaries to a few MB
+_LOWEST = np.finfo(float).min
+# Bound the HMM kernel's temporaries to a few MB: blocks per pass, chunks per scan read-out.
+_BLOCKS_PER_PASS = 1 << 15
+_CHUNKS_PER_READ = 1 << 8
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -207,18 +209,14 @@ def _walk_chain(initial: np.ndarray, transition: np.ndarray, u: np.ndarray) -> n
     return path.reshape(-1)[:n]
 
 
-def _scaled(arr: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
-    """Scale each ``arr[:, :, i]`` to total 1 in place; add the log totals to ``log_scale``.
-
-    A zero total divides by the least normal float: zeros stay zeros, with no 0/0.
-    """
-    total = np.maximum(arr.sum(axis=(0, 1)), _TINY)
-    log_scale += np.log(total)
-    arr /= total
-    return arr
-
-
-_mul = partial(np.einsum, "ijk,jlk->ilk")   # x[:, :, i] @ y[:, :, i] for stacks x, y
+def _log_sum_exp(t: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(t))) along ``axis``, overwriting ``t``; -inf where every term is -inf."""
+    top = np.maximum.reduce(t, axis=axis, keepdims=True)
+    np.maximum(top, _LOWEST, out=top)                  # all terms -inf: any finite shift
+    t -= top
+    total = np.add.reduce(np.exp(t, out=t), axis=axis, keepdims=True)
+    top += np.log(total, out=total)
+    return top.squeeze(axis)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +425,7 @@ class HiddenMarkovModel(_Model):
                 + [_stationarity_check(prefix, self.hidden_initial, self.hidden_transition),
                    _alphabet_check(prefix, self)])
 
+    @np.errstate(divide="ignore")                           # log(0) = -inf: out of support
     def _forward(self, y: np.ndarray, s: np.ndarray, e: np.ndarray, reverse: bool = False,
                  scan: bool = False) -> np.ndarray:
         """Log-probabilities of the blocks ``y[s:e]``: the kernel of every HMM engine.
@@ -438,10 +437,12 @@ class HiddenMarkovModel(_Model):
         chunks) pass 3 turns pass 1's read-outs into log P(y[:k]), k <= len(y).
         ``reverse`` runs Q^T from ones and reads out against rho: the
         backward recursion on the reversed word.  Stacks keep their index last.
+        Row i of a piece's product, the forward vector from hidden state i, has
+        its own log scale, and passes 2 and 3 work on log matrices: an entry is
+        lost only next to a much larger one of its own row, never another row's.
         """
-        S, b, q, rho, ones = (self.hidden_states, self.emission, self.hidden_transition,
-                              self.hidden_initial, np.ones(self.hidden_states))
-        start, step_t, weight = (ones, q, rho) if reverse else (rho, q.T, ones)
+        S, b, q, rho = self.hidden_states, self.emission, self.hidden_transition, self.hidden_initial
+        start, step_t, weight = (np.ones(S), q, rho) if reverse else (rho, q.T, np.ones(S))
         m = _chunk_len(int((e - s).sum()))
         count = np.maximum((e - s + (m - 2)) // m, 1)       # pieces per block, maybe one empty
         order = (-count).argsort(kind="stable")             # blocks by decreasing piece count
@@ -453,40 +454,40 @@ class HiddenMarkovModel(_Model):
         by_len = (-lengths).argsort(kind="stable")          # pass 1 runs in decreasing length
         at, depth = starts[by_len], int(lengths.max(initial=0))
         prod = np.repeat(np.eye(S)[:, :, None], at.shape[0], axis=2)
-        prod_log, spare = np.zeros(at.shape[0]), np.empty_like(prod)
-        if scan:                                            # buf[k] = log P(y[:k])
+        prod_log, spare = np.zeros((S, at.shape[0])), np.empty_like(prod)
+        if scan:                                            # reads[j, i, c]: log of row i's read-out
             buf, reads = np.zeros(2 + at.shape[0] * m), np.zeros((depth, S, at.shape[0]))
-            grid = buf[2:].reshape(-1, m)                   # grid[c, j]: y[:2 + c m + j]
+            grid = buf[2:].reshape(-1, m)                   # log P(y[:k]) = buf[k] = grid[c, j]
         for j, a in enumerate((-lengths[by_len]).searchsorted(-np.arange(depth)).tolist()):
             cur = prod[:, :, :a]
             np.multiply(np.matmul(step_t, cur, out=spare[:, :, :a]), b.take(y[at[:a] + j], axis=1),
                         out=cur)
-            _scaled(cur, prod_log[:a])
+            total = np.add.reduce(cur, axis=1)              # each row to total 1; a zero row
+            prod_log[:, :a] += np.log(total)                # stays 0, with log scale -inf
+            cur /= np.maximum(total, _TINY)[:, None]
             if scan:
-                np.matmul(weight, cur, out=reads[j, :, :a])
-                grid[:a, j] = prod_log[:a]
+                np.log(np.matmul(weight, cur, out=reads[j, :, :a]), out=reads[j, :, :a])
+                reads[j, :, :a] += prod_log[:, :a]
         back = by_len.argsort()
-        prod, prod_log = prod.take(back, axis=2), prod_log[back]
+        logs = np.log(prod.take(back, axis=2, out=spare), out=spare)   # logs[i, l, c]: piece c, i to l
+        logs += prod_log.take(back, axis=1)[:, None]
         for d in (1 << r for r in range(int(count[0] - 1).bit_length())):   # d < count[0]
             hi = int(ends[(-count).searchsorted(-d) - 1])   # the pieces of blocks with more than d
-            has = place[d:hi] >= d
-            log_d = prod_log[:hi - d] + prod_log[d:hi]
-            np.copyto(prod[:, :, d:hi], _scaled(_mul(prod[:, :, :hi - d], prod[:, :, d:hi]), log_d),
-                      where=has)
-            np.copyto(prod_log[d:hi], log_d, where=has)   # piece i: pieces i - 2d + 1 .. i
-        v = (start[:, None] * b.take(y[s], axis=1))[None]
-        if scan:                                            # pass 3, in place in reads and grid
-            reads *= np.concatenate((v, _mul(v, prod[:, :, :-1])), axis=2)[0]
-            inner = reads[:, 0]
-            for i in range(1, S):
-                inner += reads[:, i]
-            buf[1] = _safe_log(weight @ v[0, :, 0])
-            with np.errstate(divide="ignore"):
-                grid[:, :depth] += np.log(inner, out=inner).T
-            grid += np.concatenate(([0.0], prod_log[:-1]))[:, None]
+            product = _log_sum_exp(logs[:, :, None, :hi - d] + logs[None, :, :, d:hi], 1)
+            np.copyto(logs[:, :, d:hi], product, where=place[d:hi] >= d)   # pieces i - 2d + 1 .. i
+        v = start[:, None] * b.take(y[s], axis=1)           # entering vector of each block
+        log_v = np.log(v)[:, None]
+        if scan:                                            # pass 3: enter each chunk, read out
+            enter = _log_sum_exp(log_v + logs[:, :, :-1], 0)   # v through the chunks before
+            reads += np.concatenate((log_v[:, 0], enter), axis=1)
+            buf[1] = np.log(weight @ v[:, 0])               # k = 1; grid: k = 2 + c m + j
+            for c in range(0, grid.shape[0], _CHUNKS_PER_READ):   # bounded temporaries
+                part = slice(c, c + _CHUNKS_PER_READ)
+                grid[part, :depth] = _log_sum_exp(reads[:, :, part], 1).T
             return buf[:y.shape[0] + 1]
+        ends_at = logs.take(ends - 1, axis=2) + log_v + np.log(weight)[:, None]
         result = np.empty(s.shape[0])
-        result[order] = prod_log[ends - 1] + _safe_log(weight @ _mul(v, prod.take(ends - 1, axis=2))[0])
+        result[order] = _log_sum_exp(ends_at.reshape(S * S, -1), 0)
         return result
 
     def _scan(self, x: np.ndarray, reverse: bool) -> np.ndarray:

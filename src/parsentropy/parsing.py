@@ -259,9 +259,8 @@ def _block_split_entry(model: ProcessModel, x: np.ndarray, s: int, e: int):
         return None
     word = x[s:e]
     pre = prefix_log_probs(model, word)
-    penalties = pre[1:-1] + suffix_log_probs(model, word)[1:-1]
-    penalties -= pre[-1]
-    np.round(np.abs(penalties, out=penalties), 9, out=penalties)   # in place: no temporaries
+    suf = suffix_log_probs(model, word)
+    penalties = np.round(np.abs(pre[1:-1] + suf[1:-1] - pre[-1]), 9)
     j = int(np.argmax(penalties))  # first maximum: smallest index on ties
     return (-float(penalties[j]), s + 1 + j, s, e)
 

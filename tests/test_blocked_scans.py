@@ -26,6 +26,7 @@ from parsentropy import (
     sample_trajectory,
     stationary_distribution,
     suffix_log_probs,
+    validate_model,
 )
 from parsentropy.measures import _chunk_len, _walk_chain
 
@@ -233,3 +234,65 @@ def test_many_blocks_span_several_kernel_passes():
     first = lrho[:, None] + lb[:, w[starts]]
     pair = np.logaddexp.reduce(first[:, None, :] + lq[:, :, None] + lb[:, w[starts + 1]][None], axis=(0, 1))
     _assert_logs_match(block_log_probs(model, w, starts, starts + 2), pair)
+
+
+# Reducible chains: the hidden state never changes inside a class, so forward
+# vectors started from different states drift apart by a factor of 2e-3 (and
+# of 2e-30 inside a single chunk) per symbol; each must keep its own scale.
+REDUCIBLE = [
+    HiddenMarkovModel([[1, 0], [0, 1]], [.5, .5], [[.5, .5, 0], [1e-3, 0, .999]]),
+    HiddenMarkovModel([[1, 0], [0, 1]], [.5, .5], [[.5, .5, 0], [1e-30, 0, 1 - 1e-30]]),
+    HiddenMarkovModel([[.9, .1, 0], [.2, .8, 0], [0, 0, 1]], [1 / 3, 1 / 6, 1 / 2],
+                      [[.5, .5, 0], [.4, .6, 0], [1e-3, 0, .999]]),
+]
+
+
+@pytest.mark.parametrize("k", range(len(REDUCIBLE)))
+@pytest.mark.parametrize("n", [301, 3000])
+def test_reducible_hmm_keeps_every_start_state(k, n):
+    model = REDUCIBLE[k]
+    assert validate_model(model).passed
+    zeros = np.zeros(n - 1, dtype=np.int64)
+    half = n // 2 - n // 2 % 2
+    starts = np.concatenate((np.arange(0, half, 2), [half, 0, 1]))
+    ends = np.concatenate((np.arange(2, half + 1, 2), [n, n, n - 1]))
+    for w in (np.concatenate(([2], zeros)), np.concatenate((zeros, [2])),
+              np.concatenate((zeros[:half], [2], zeros[half:]))):
+        pre, suf = prefix_log_probs(model, w), suffix_log_probs(model, w)
+        _assert_logs_match(pre[1:], _ref_forward(model, w))
+        _assert_logs_match(suf[:-1], _ref_backward(model, w))
+        _assert_logs_match(block_log_probs(model, w, starts, ends),
+                           [_ref_forward(model, w[s:e])[-1] for s, e in zip(starts, ends)])
+
+
+def _long_double_log_prob(model, w):
+    """log P(w) by the scaled forward recursion in long double, one symbol at a time."""
+    ld = np.longdouble
+    q = [[ld(v) for v in row] for row in model.hidden_transition.tolist()]
+    b = [[ld(v) for v in row] for row in model.emission.tolist()]
+    states = range(len(q))
+    alpha = [ld(r) * b[i][w[0]] for i, r in enumerate(model.hidden_initial.tolist())]
+    total = ld(0)
+    for t, sym in enumerate(w.tolist()):
+        if t:
+            alpha = [sum(alpha[i] * q[i][j] for i in states) * b[j][sym] for j in states]
+        c = sum(alpha)
+        alpha = [a / c for a in alpha]
+        total += np.log(c)
+    return total
+
+
+def test_two_limit_blockwise_sum_matches_long_double_recursion():
+    # a counterexample_v parsing: 2-symbol blocks, then one tail of 10^5 symbols.
+    # A sequential float scan of the tail is off by about 2e-13 relative here.
+    model = reference_model("h1")
+    n, tail = 200_000, 100_000
+    w = sample_trajectory(model, n, seed=7).symbols
+    starts = np.append(np.arange(0, tail, 2), tail)
+    ends = np.append(np.arange(2, tail + 1, 2), n)
+    got = block_log_probs(model, w, starts, ends)
+    lq, lb, lrho = _logs(model.hidden_transition), _logs(model.emission), _logs(model.hidden_initial)
+    pairs = lrho[:, None, None] + lb[:, None, w[:tail:2]] + lq[:, :, None] + lb[None, :, w[1:tail:2]]
+    ref = [*np.logaddexp.reduce(pairs, axis=(0, 1)), float(_long_double_log_prob(model, w[tail:]))]
+    assert math.isclose(got[-1], ref[-1], rel_tol=1e-14)
+    assert math.isclose(math.fsum(got), math.fsum(ref), rel_tol=1e-14)

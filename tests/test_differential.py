@@ -94,6 +94,11 @@ MIXTURE_EMPTY_WORD = (MixtureModel(weight=0.1, first=IIDModel(p=[0.0, 1.0]),
                                    second=IIDModel(p=[0.0, 1.0])), np.array([1]))
 
 
+# An initial law stationary only up to round-off: P([0]) = 0 < P([2, 0]) = 7.75e-18.
+NEAR_STATIONARY = (MarkovModel(transition=[[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.25, 0.75, 0.0]],
+                               initial=[0.0, 1.0, 3.1e-17]), np.array([2, 0]))
+
+
 def _blocks(n):
     return [(s, e) for s in range(n) for e in range(s + 1, n + 1)]
 
@@ -153,6 +158,7 @@ def test_level_probs_match_naive_on_every_block(case):
 
 @SETTINGS
 @given(model_and_word())
+@example(NEAR_STATIONARY)
 def test_z_value_matches_naive_on_every_block(case):
     model, w = case
     for s, e in _blocks(len(w)):
