@@ -34,6 +34,7 @@ from .measures import (
     Trajectory,
     beta_sequence,
     block_log_probs,
+    cut_penalties,
     discrepancy_gap,
     entropy_rate,
     level_probs,
@@ -53,12 +54,10 @@ from .measures import (
 )
 from .martingale import (
     DecompositionResult,
-    MartingaleTrace,
     chain_rule_decomposition,
     expected_logz_check,
     truncated_decomposition,
     verify_martingale_property,
-    z_trace,
     z_value,
     zmax_tail_check,
 )
@@ -77,7 +76,6 @@ from .parsing import (
     parse_random_sublinear,
     perturb_subblocks,
     perturb_superblocks,
-    sublinearity_series,
     validate_parsing,
     validate_perturbed,
 )

@@ -201,7 +201,7 @@ def _tail_limit(h_half: float, K: int, bracket: EntropyBracket) -> OracleTarget:
 def oracle_target(model: ProcessModel, spec: ParserSpec, rate_tol: float = 1e-5,
                   n_cap: int = 22, cap: int = DEFAULT_ENUM_CAP) -> OracleTarget:
     """The limit the blockwise estimate must approach for this (model, spec)."""
-    if spec.is_fixed:
+    if spec.family == "fixed":
         k = spec.params["K"]
         h_k = marginal_entropy(model, k, cap)
         return OracleTarget(h_k / k, h_k / k)
@@ -280,7 +280,7 @@ def _converge(model, spec, grid, seeds, mode, tol, params, plan, rate_tol, n_cap
     """Score every seed against the oracle limit of (model, spec); as or l1 verdict."""
     headline = oracle_target(model, spec, rate_tol, n_cap, cap)
     target = headline
-    if isinstance(model, MixtureModel) and not spec.is_fixed:
+    if isinstance(model, MixtureModel) and spec.family != "fixed":
         target = tuple(oracle_target(comp, spec, rate_tol, n_cap, cap) for comp in model.components)
     # Tail selection compares suffix information rates against the entropy
     # rate itself, not against the experiment's limit value.

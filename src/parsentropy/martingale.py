@@ -7,7 +7,7 @@ telescopes the information content of a prefix:
 
     -log P([x_1^n]) = sum_{k=0}^{n-1} log Z_{n-k} evaluated along the shifts.
 
-This module exposes single-word and trajectory evaluations of log Z, the
+This module exposes single-word evaluations of log Z, the
 untruncated and depth-M-truncated splits of that telescoping identity, and
 three exact enumeration verifiers: the one-step martingale identity, the
 maximal-ratio tail bound, and the expectation identity
@@ -39,18 +39,6 @@ from .measures import (
     prefix_log_probs,
     suffix_log_probs,
 )
-
-
-@dataclass(frozen=True)
-class MartingaleTrace:
-    """log Z_1..log Z_n along one trajectory suffix, plus the running maximum."""
-
-    z_log: np.ndarray
-    running_max_log: np.ndarray
-    base_index: int
-
-    def __len__(self) -> int:
-        return self.z_log.shape[0]
 
 
 @dataclass(frozen=True)
@@ -101,24 +89,6 @@ def z_value(model: ProcessModel, word) -> float:
         raise OutOfSupportError("word has probability zero under the model")
     shifted = 0.0 if w.shape[0] == 1 else log_cylinder_prob(model, w[1:])
     return shifted - full
-
-
-def z_trace(model: ProcessModel, traj: Trajectory, n: int, base: int = 0) -> MartingaleTrace:
-    """log Z_1..log Z_n evaluated on the trajectory suffix starting at ``base``."""
-    if n < 1:
-        raise ValueError("trace depth must be >= 1")
-    if base < 0 or base + n > len(traj):
-        raise InsufficientLengthError(
-            f"trace needs symbols [{base}, {base + n}) but trajectory has length {len(traj)}"
-        )
-    word = traj.symbols[base:base + n]
-    full = prefix_log_probs(model, word)
-    if not np.isfinite(full[-1]):
-        raise OutOfSupportError("trajectory suffix has probability zero under the model")
-    shifted = prefix_log_probs(model, word[1:]) if n > 1 else np.zeros(1)
-    z_log = shifted[:n] - full[1:]
-    return MartingaleTrace(z_log=z_log, running_max_log=np.maximum.accumulate(z_log),
-                           base_index=base)
 
 
 def _levels(model: ProcessModel, lo: int, hi: int, cap: int) -> list:

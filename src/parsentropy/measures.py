@@ -7,6 +7,8 @@ sampling and probability engines, which the public functions call:
 - ``log_cylinder_prob`` evaluates a single word exactly in log domain,
 - ``prefix_log_probs`` / ``suffix_log_probs`` / ``block_log_probs`` are the
   vectorized batch versions used on long trajectories,
+- ``cut_penalties`` gives the factorization gap of every cut where it is
+  local (i.i.d. and Markov models),
 - ``level_probs`` enumerates full marginals for exact entropy computations.
 
 Hidden-Markov prefix, suffix and block values come from one blocked scan of the
@@ -231,10 +233,14 @@ class _Model:
     defaults below read the attributes of those names and rebuild a model
     from its dataclass fields) and implements ``_checks(prefix)``,
     ``_prefix(x)``, ``_suffix(x)``, ``_block(x, s, e)``, ``_sample(n, rng)``,
-    ``_levels(n_max, hidden_start)`` and ``_rate(tol, n_cap, cap)``.
+    ``_levels(n_max, hidden_start)`` and ``_rate(tol, n_cap, cap)``; a model
+    whose cut penalty is local also overrides ``_cut_penalties(x)``.
     Constructors check shapes only, so that ``validate_model`` can report on
     a model that is not stochastic.
     """
+
+    def _cut_penalties(self, x: np.ndarray) -> Optional[np.ndarray]:
+        return None
 
     def _params(self) -> dict:
         return {key: np.asarray(getattr(self, key)).tolist() for key in self._KEYS}
@@ -286,6 +292,9 @@ class IIDModel(_Model):
         cs = np.concatenate(([0.0], log_p[x].cumsum()))
         return cs[e] - cs[s]
 
+    def _cut_penalties(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros(max(x.shape[0] - 1, 0))
+
     def _sample(self, n: int, rng: np.random.Generator):
         drawn = np.searchsorted(np.cumsum(self.p), rng.random(n), side="right")
         return np.minimum(drawn, self.alphabet_size - 1).astype(np.int64), None
@@ -333,27 +342,23 @@ class MarkovModel(_Model):
                    _alphabet_check(prefix, self)])
 
     def _prefix(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        out = np.zeros(n + 1)
-        out[1] = _safe_log(self.initial)[x[0]]
-        if n > 1:
-            steps = _safe_log(self.transition)[x[:-1], x[1:]]
-            np.cumsum(steps, out=out[2:])
+        out = np.zeros(x.shape[0] + 1)
+        if x.shape[0]:
+            out[1] = _safe_log(self.initial)[x[0]]
+            np.cumsum(_safe_log(self.transition)[x[:-1], x[1:]], out=out[2:])
             out[2:] += out[1]
         return out
 
     def _suffix(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        out = np.zeros(n + 1)
-        start = _safe_log(self.initial)[x]
-        if n > 1:
-            steps = _safe_log(self.transition)[x[:-1], x[1:]]
-            tail = np.zeros(n)
-            tail[:-1] = steps[::-1].cumsum()[::-1]
-            out[:n] = start + tail
-        else:
-            out[0] = start[0]
+        out = np.zeros(x.shape[0] + 1)
+        if x.shape[0]:
+            out[:-2] = _safe_log(self.transition)[x[:-1], x[1:]][::-1].cumsum()[::-1]
+            out[:-1] += _safe_log(self.initial)[x]
         return out
+
+    @np.errstate(invalid="ignore")               # -inf - -inf: only off the support
+    def _cut_penalties(self, x: np.ndarray) -> np.ndarray:
+        return _safe_log(self.transition)[x[:-1], x[1:]] - _safe_log(self.initial)[x[1:]]
 
     def _block(self, x: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
         log_t = _safe_log(self.transition)
@@ -505,10 +510,12 @@ class HiddenMarkovModel(_Model):
 
     def _sample(self, n: int, rng: np.random.Generator):
         path = _walk_chain(self.hidden_initial, self.hidden_transition, rng.random(n))
-        cum_emit = np.cumsum(self.emission, axis=1)
         ue = rng.random(n)
-        symbols = (ue[:, None] >= cum_emit[path]).sum(axis=1)
-        return symbols.astype(np.int64), None
+        symbols = np.empty(n, dtype=np.int64)
+        for h, row in enumerate(np.cumsum(self.emission, axis=1)):   # inverse CDF per hidden state
+            at = path == h
+            symbols[at] = np.searchsorted(row, ue[at], side="right")
+        return np.minimum(symbols, self.alphabet_size - 1, out=symbols), None
 
     def _hidden_start(self, hidden_start) -> np.ndarray:
         rho = np.asarray(hidden_start, dtype=float)
@@ -738,6 +745,19 @@ def block_log_probs(model: ProcessModel, symbols, starts, ends) -> np.ndarray:
     if (e <= s).any() or s.min() < 0 or e.max() > x.shape[0]:
         raise ValueError("blocks must be non-empty and inside the symbol array")
     return model._block(x, s, e)
+
+
+def cut_penalties(model: ProcessModel, symbols) -> Optional[np.ndarray]:
+    """log P(x_t | x_{<t}) - log P(x_t) at every cut t = 1..n-1, where it is local.
+
+    Entry t - 1 is the factorization gap log P(block) - log P(left) - log P(right)
+    of a cut before ``symbols[t]``, for every block that holds ``symbols[t-1:t+1]``:
+    0 for i.i.d. models, log T(x_{t-1}, x_t) - log pi(x_t) for Markov models.
+    Hidden-Markov and mixture models return None, since their gap depends on
+    the block.  Each entry is one table lookup, so equal entries are equal
+    bit for bit.  Entries are meaningless where the word has probability 0.
+    """
+    return model._cut_penalties(np.asarray(symbols, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ from .errors import (
 from .measures import (
     ProcessModel,
     Trajectory,
-    entropy_rate,
+    block_log_probs,
+    cut_penalties,
     prefix_log_probs,
-    sample_trajectory,
     suffix_log_probs,
 )
 
@@ -98,9 +98,8 @@ class PerturbedParsing:
     """Blocks of a parsing after per-block trims or extensions.
 
     Intervals are half-open [start, start+length) in 0-based symbol indices;
-    ``kind`` records which perturbation produced them ("sub", "super", or
-    "unsafe" for the unconstrained exploratory mode).  ``modification``
-    counts every trimmed and added symbol.
+    ``kind`` records which perturbation produced them ("sub" or "super").
+    ``modification`` counts every trimmed and added symbol.
     """
 
     starts: np.ndarray
@@ -248,29 +247,46 @@ def parse_random_sublinear(N: int, budget: int, seed: int) -> Parsing:
     return Parsing(boundaries=bounds)
 
 
-def _block_split_entry(model: ProcessModel, x: np.ndarray, s: int, e: int):
-    """Best split of block [s, e): (-penalty, global position, s, e), or None.
+def _block_split_entry(model: ProcessModel, x: np.ndarray, s: int, e: int,
+                       pre: Optional[np.ndarray] = None, suf: Optional[np.ndarray] = None):
+    """Best split of block [s, e): (-penalty, global position, s, e, pre, suf), or None.
 
-    Penalties are quantized to 1e-9 nats so that mathematically equal cuts
-    (e.g. every cut of a product measure) tie exactly and resolve by index
-    instead of by accumulation noise.
+    ``pre`` and ``suf`` are log P(x[s:u]) and log P(x[u:e]) for u = s..e;
+    the one not passed in is scanned.  A child block inherits one of them
+    from its parent, so that each child costs one scan.  Penalties are
+    quantized to 1e-9 nats so that mathematically equal cuts tie exactly
+    and resolve by index instead of by accumulation noise.
     """
     if e - s < 2:
         return None
-    word = x[s:e]
-    pre = prefix_log_probs(model, word)
-    suf = suffix_log_probs(model, word)
+    if pre is None:
+        pre = prefix_log_probs(model, x[s:e])
+    if suf is None:
+        suf = suffix_log_probs(model, x[s:e])
     penalties = np.round(np.abs(pre[1:-1] + suf[1:-1] - pre[-1]), 9)
     j = int(np.argmax(penalties))  # first maximum: smallest index on ties
-    return (-float(penalties[j]), s + 1 + j, s, e)
+    return (-float(penalties[j]), s + 1 + j, s, e, pre, suf)
+
+
+def _require_support(log_prob: float, N: int) -> None:
+    if log_prob == -np.inf:
+        raise PreconditionError(f"the word x[0:{N}] has probability 0 under the model, "
+                                "so its factorization penalties are undefined")
 
 
 def parse_adversarial(model: ProcessModel, traj: Trajectory, N: int, budget: int) -> Parsing:
     """Greedy boundary placement maximizing the factorization penalty.
 
     Each step splits some current block at the position with the largest
-    |log P(left) + log P(right) - log P(block)|, re-evaluating the affected
-    halves after every placement; ties go to the smallest global index.
+    |log P(left) + log P(right) - log P(block)|, quantized to 1e-9 nats;
+    ties go to the smallest global index.  Where the model's penalty is
+    local (i.i.d. and Markov models, ``cut_penalties``), a cut's penalty
+    does not depend on its block, so the greedy is one stable sort of the
+    cuts by (-penalty, index) and needs no scan.  Otherwise a heap holds
+    each block's best split with the block's prefix and suffix scans; the
+    left child of a split keeps the parent's prefix values, the right child
+    its suffix values, and each scans the other direction only.  Raises
+    PreconditionError when the word has probability 0 under the model.
     Deterministic in all inputs.
     """
     if not 1 <= budget <= N:
@@ -278,15 +294,21 @@ def parse_adversarial(model: ProcessModel, traj: Trajectory, N: int, budget: int
     if N > len(traj):
         raise PreconditionError("trajectory shorter than requested prefix")
     x = traj.symbols[:N]
-    heap = []
-    first = _block_split_entry(model, x, 0, N)
-    if first is not None:
-        heap.append(first)
+    local = cut_penalties(model, x)
+    if local is not None:
+        _require_support(block_log_probs(model, x, [0], [N])[0], N)
+        cuts = np.argsort(-np.round(np.abs(local), 9), kind="stable")[:budget - 1] + 1
+        return Parsing(boundaries=np.concatenate((np.sort(cuts), [N])))
+    pre = prefix_log_probs(model, x)
+    _require_support(pre[-1], N)
+    root = _block_split_entry(model, x, 0, N, pre=pre)
+    heap = [root] if root is not None else []
     cuts = []
     for _ in range(budget - 1):
-        neg_pen, t, s, e = heapq.heappop(heap)
+        _, t, s, e, pre, suf = heapq.heappop(heap)
         cuts.append(t)
-        for child in (_block_split_entry(model, x, s, t), _block_split_entry(model, x, t, e)):
+        for child in (_block_split_entry(model, x, s, t, pre=pre[:t - s + 1].copy()),
+                      _block_split_entry(model, x, t, e, suf=suf[t - s:].copy())):
             if child is not None:
                 heapq.heappush(heap, child)
     bounds = np.concatenate((np.sort(np.asarray(cuts, dtype=np.int64)), [N]))
@@ -371,32 +393,28 @@ def perturb_subblocks(parsing: Parsing, trim_plan) -> PerturbedParsing:
     )
 
 
-def perturb_superblocks(parsing: Parsing, extend_plan, unsafe: bool = False) -> PerturbedParsing:
+def perturb_superblocks(parsing: Parsing, extend_plan) -> PerturbedParsing:
     """Grow each block by (left_ext, right_ext) symbols into its neighbors.
 
-    Every extended interval must stay inside [1, N]; unless ``unsafe`` is
-    set, it may reach into the immediately neighboring blocks only.  The
-    unsafe mode exists for exploration and carries no convergence claim.
+    Every extended interval must stay inside [1, N] and may reach into the
+    immediately neighboring blocks only.
     """
     plan = _as_plan(extend_plan, parsing.c)
     starts = parsing.starts - plan[:, 0]
     ends = parsing.ends + plan[:, 1]
     if starts.min() < 0 or ends.max() > parsing.N:
         raise OverlapViolationError("an extension leaves the parsed prefix")
-    if not unsafe:
-        left_limit = np.concatenate(([0], parsing.starts[:-1]))
-        right_limit = np.concatenate((parsing.ends[1:], [parsing.N]))
-        if np.any(starts < left_limit) or np.any(ends > right_limit):
-            i = int(np.argmax((starts < left_limit) | (ends > right_limit)))
-            raise OverlapViolationError(
-                f"block {i} extends beyond its neighboring blocks"
-            )
+    left_limit = np.concatenate(([0], parsing.starts[:-1]))
+    right_limit = np.concatenate((parsing.ends[1:], [parsing.N]))
+    if np.any(starts < left_limit) or np.any(ends > right_limit):
+        i = int(np.argmax((starts < left_limit) | (ends > right_limit)))
+        raise OverlapViolationError(f"block {i} extends beyond its neighboring blocks")
     return PerturbedParsing(
         starts=starts,
         lengths=ends - starts,
         origin=parsing,
         modification=int(plan.sum()),
-        kind="super" if not unsafe else "unsafe",
+        kind="super",
     )
 
 
@@ -485,11 +503,8 @@ class ParserSpec:
             b = self.params["budget"]
             if not (b in ("sqrt", "log2") or (isinstance(b, int) and b >= 1)):
                 raise ValueError("budget must be 'sqrt', 'log2', or a positive integer")
-
-    @property
-    def is_fixed(self) -> bool:
-        """Fixed-length blocks of K symbols; ``counterexample_u`` is an alias of ``fixed``."""
-        return self.family in ("fixed", "counterexample_u")
+        if self.family == "counterexample_u":   # fixed-length blocks of an even K
+            object.__setattr__(self, "family", "fixed")
 
     def describe(self) -> str:
         return json.dumps(self.params, sort_keys=True, separators=(",", ":"))
@@ -512,7 +527,7 @@ def make_parsing(spec: ParserSpec, N: int, model: Optional[ProcessModel] = None,
     tail selection) for the counterexample v/w families.
     """
     fam = spec.family
-    if spec.is_fixed:
+    if fam == "fixed":
         return parse_fixed(N, spec.params["K"])
     if fam == "growing":
         return parse_growing(N, spec.params["schedule"])
@@ -537,30 +552,3 @@ def make_parsing(spec: ParserSpec, N: int, model: Optional[ProcessModel] = None,
         return parse_counterexample_w(model, traj, N, spec.params["K"], h_ref,
                                       spec.params["epsilon"])
     raise AssertionError("unreachable")
-
-
-@dataclass(frozen=True)
-class SublinearitySeries:
-    rows: tuple  # (N, c, c/N)
-    tail_decreasing: bool
-
-
-def sublinearity_series(spec: ParserSpec, model: ProcessModel, seed: int, N_grid) -> SublinearitySeries:
-    """Block-count ratios c_N / N along an increasing grid, from one trajectory."""
-    grid = [int(n) for n in N_grid]
-    if any(b >= a for a, b in zip(grid[1:], grid)):
-        raise ValueError("N_grid must be strictly increasing")
-    traj = None
-    h_ref = None
-    if spec.family in ("lz78", "adversarial", "counterexample_v", "counterexample_w"):
-        traj = sample_trajectory(model, grid[-1], seed)
-        if spec.family.startswith("counterexample"):
-            h_ref = entropy_rate(model).mid
-    rows = []
-    for n in grid:
-        parsing = make_parsing(spec, n, model=model, traj=traj, h_ref=h_ref)
-        rows.append((n, parsing.c, parsing.c / n))
-    ratios = [r for _, _, r in rows]
-    tail = ratios[len(ratios) // 2:]
-    tail_decreasing = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
-    return SublinearitySeries(rows=tuple(rows), tail_decreasing=tail_decreasing)

@@ -80,6 +80,26 @@ def test_sampled_bytes_are_pinned(name, n):
     assert hashlib.sha256(traj.symbols.tobytes()).hexdigest() == SAMPLE_DIGESTS[name, n]
 
 
+class _ConstantUniforms:
+    """Stands in for a numpy Generator whose uniforms all equal ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n=None):
+        return np.full(n, self.u)
+
+
+def test_emission_draw_stays_in_the_alphabet():
+    # the emission row sums to 1 - 5e-13, inside the validation tolerance;
+    # a uniform above the row total draws the last symbol, not symbol 2
+    model = HiddenMarkovModel([[1.0]], [1.0], [[0.5, 0.5 - 5e-13]])
+    assert validate_model(model).passed
+    for u, symbol in ((1 - 1e-13, 1), (0.5, 1), (0.5 - 1e-12, 0)):
+        symbols, _ = model._sample(5, _ConstantUniforms(u))
+        assert symbols.tolist() == [symbol] * 5
+
+
 def _sequential_walk(initial, transition, u):
     rows = np.cumsum(np.vstack((transition, initial)), axis=1).tolist()
     path, state = [], -1

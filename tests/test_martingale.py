@@ -18,7 +18,6 @@ from parsentropy import (
     sample_trajectory,
     truncated_decomposition,
     verify_martingale_property,
-    z_trace,
     z_value,
     zmax_tail_check,
 )
@@ -30,7 +29,7 @@ H_M1 = 0.4 * (-(0.3 * math.log(0.3) + 0.7 * math.log(0.7))) + \
 
 
 # ---------------------------------------------------------------------------
-# z values and traces
+# z values
 # ---------------------------------------------------------------------------
 
 
@@ -54,50 +53,21 @@ def test_z_value_out_of_support_raises():
         z_value(model, [0, 1])
 
 
-def test_z_trace_iid_constant(iid2):
-    traj = sample_trajectory(iid2, 64, seed=1)
-    trace = z_trace(iid2, traj, 10)
-    assert np.abs(trace.z_log - LN2).max() < 1e-12
-    assert np.abs(trace.running_max_log - LN2).max() < 1e-12
-
-
-def test_z_trace_matches_z_value_on_prefixes(m1):
-    traj = sample_trajectory(m1, 32, seed=7)
-    trace = z_trace(m1, traj, 6, base=0)
-    for n in range(1, 7):
-        assert trace.z_log[n - 1] == pytest.approx(
-            z_value(m1, traj.symbols[:n]), abs=1e-12)
-
-
-def test_z_trace_markov_constant_from_depth_two(m1):
+def test_z_value_markov_constant_from_depth_two(m1):
     # interior transition factors cancel in the ratio, so the value freezes
     traj = sample_trajectory(m1, 400, seed=3)
     for base in (0, 17, 100):
-        trace = z_trace(m1, traj, 40, base=base)
         x1, x2 = int(traj.symbols[base]), int(traj.symbols[base + 1])
         expected = math.log(float(m1.initial[x2])) - math.log(
             float(m1.initial[x1]) * float(m1.transition[x1, x2]))
-        assert np.abs(trace.z_log[1:] - expected).max() < 1e-12
+        for n in (2, 3, 17, 40):
+            assert z_value(m1, traj.symbols[base:base + n]) == pytest.approx(expected, abs=1e-12)
 
 
-def test_z_trace_running_max_monotone(h1):
-    traj = sample_trajectory(h1, 100, seed=5)
-    trace = z_trace(h1, traj, 60, base=10)
-    assert (np.diff(trace.running_max_log) >= 0).all()
-    assert trace.base_index == 10
-
-
-def test_z_trace_nonnegative_all_models(all_reference_models):
+def test_z_value_nonnegative_all_models(all_reference_models):
     for model in all_reference_models.values():
-        traj = sample_trajectory(model, 80, seed=11)
-        trace = z_trace(model, traj, 50)
-        assert trace.z_log.min() >= 0.0
-
-
-def test_z_trace_needs_enough_symbols(m1):
-    traj = sample_trajectory(m1, 10, seed=0)
-    with pytest.raises(InsufficientLengthError):
-        z_trace(m1, traj, 8, base=3)
+        x = sample_trajectory(model, 80, seed=11).symbols
+        assert min(z_value(model, x[:n]) for n in range(1, 51)) >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from parsentropy import (
     PreconditionError,
     beta_sequence,
     block_log_probs,
+    cut_penalties,
     discrepancy_gap,
     entropy_rate,
     level_probs,
@@ -154,6 +155,23 @@ def test_block_in_support_after_earlier_zero_factor():
     iid = IIDModel(p=[1.0, 0.0])
     y = np.array([0, 1, 0, 0])
     assert list(block_log_probs(iid, y, [2, 0], [4, 2])) == [0.0, -math.inf]
+
+
+@pytest.mark.parametrize("name", ["iid_uniform", "m1", "h1", "mixture"])
+def test_empty_word_scans_are_exactly_zero(all_reference_models, name):
+    model = all_reference_models[name]
+    assert prefix_log_probs(model, []).tolist() == [0.0]
+    assert suffix_log_probs(model, []).tolist() == [0.0]
+
+
+def test_cut_penalties_are_local_table_entries(all_reference_models):
+    x = np.array([0, 0, 1, 1, 0, 1])
+    m1 = all_reference_models["m1"]
+    expected = [math.log(m1.transition[a, b]) - math.log(m1.initial[b]) for a, b in zip(x, x[1:])]
+    assert cut_penalties(m1, x).tolist() == pytest.approx(expected, abs=1e-15)
+    assert cut_penalties(all_reference_models["iid_uniform"], x).tolist() == [0.0] * 5
+    assert cut_penalties(all_reference_models["h1"], x) is None
+    assert cut_penalties(all_reference_models["mixture"], x) is None
 
 
 @pytest.mark.parametrize("name", ["iid_uniform", "m1", "h1", "mixture"])

@@ -1,14 +1,20 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parsentropy import parsing
 from parsentropy import (
+    HiddenMarkovModel,
+    IIDModel,
+    MarkovModel,
     OverlapViolationError,
     Parsing,
     ParserSpec,
+    PreconditionError,
     Trajectory,
     TrimTooLargeError,
     WindowEmptyError,
@@ -25,8 +31,8 @@ from parsentropy import (
     parse_random_sublinear,
     perturb_subblocks,
     perturb_superblocks,
+    reference_model,
     sample_trajectory,
-    sublinearity_series,
     validate_parsing,
     validate_perturbed,
 )
@@ -144,32 +150,107 @@ def test_adversarial_is_deterministic(h1):
     assert a.to_text() == b.to_text()
 
 
-def test_adversarial_greedy_penalties_are_stepwise_maximal(m1):
-    # replay contract on a small instance: every placement beats all
-    # positions that were available at that step (penalties at the parser's
-    # 1e-9 quantization, ties to the smallest index)
-    traj = sample_trajectory(m1, 40, seed=4)
-    x = traj.symbols
+def _assert_stepwise_maximal(model, traj, N, budget):
+    # replay contract: every placement beats all positions that were
+    # available at that step (penalties recomputed block by block from
+    # log_cylinder_prob at the parser's 1e-9 quantization, ties to the
+    # smallest index)
+    x = traj.symbols[:N]
 
     def penalty(s, t, e):
-        return round(abs(log_cylinder_prob(m1, x[s:t]) + log_cylinder_prob(m1, x[t:e])
-                         - log_cylinder_prob(m1, x[s:e])), 9)
+        return round(abs(log_cylinder_prob(model, x[s:t]) + log_cylinder_prob(model, x[t:e])
+                         - log_cylinder_prob(model, x[s:e])), 9)
 
-    p = parse_adversarial(m1, traj, 40, 5)
-    chosen = p.boundaries[:-1].tolist()
-    blocks = [(0, 40)]
+    chosen = parse_adversarial(model, traj, N, budget).boundaries[:-1].tolist()
+    assert len(chosen) == budget - 1
+    blocks = [(0, N)]
     remaining = list(chosen)
     # greedy places boundaries in order of decreasing penalty
     for _ in range(len(chosen)):
         candidates = [(penalty(s, t, e), -t) for s, e in blocks for t in range(s + 1, e)]
-        best = max(candidates)
-        t_star = -best[1]
+        t_star = -max(candidates)[1]
         assert t_star in remaining
         remaining.remove(t_star)
         s, e = next((s, e) for s, e in blocks if s < t_star < e)
         blocks.remove((s, e))
         blocks += [(s, t_star), (t_star, e)]
     assert not remaining
+
+
+def test_adversarial_greedy_penalties_are_stepwise_maximal(m1):
+    _assert_stepwise_maximal(m1, sample_trajectory(m1, 40, seed=4), 40, 5)
+
+
+# the first reducible model of test_blocked_scans: the hidden state never moves
+REDUCIBLE_HMM = HiddenMarkovModel([[1, 0], [0, 1]], [.5, .5], [[.5, .5, 0], [1e-3, 0, .999]])
+
+
+@pytest.mark.parametrize("name", ["h1", "reducible", "mixture_m1_uniform"])
+@pytest.mark.parametrize("seed", [4, 11])
+def test_adversarial_heap_path_is_stepwise_maximal(name, seed):
+    model = REDUCIBLE_HMM if name == "reducible" else reference_model(name)
+    _assert_stepwise_maximal(model, sample_trajectory(model, 40, seed=seed), 40, 8)
+
+
+def test_adversarial_fair_coin_cuts_first_indices_at_1e6(iid2):
+    traj = sample_trajectory(iid2, 10**6, seed=3)
+    p = parse_adversarial(iid2, traj, 10**6, 1000)
+    assert p.boundaries.tolist() == list(range(1, 1000)) + [10**6]
+
+
+def _exact_top_k(model, x, k):
+    """Top-k cuts of a Markov word by (penalty desc, index asc), from a 2x2 table in Python floats."""
+    table = {(a, b): round(abs(math.log(float(model.transition[a, b]))
+                               - math.log(float(model.initial[b]))), 9)
+             for a in range(2) for b in range(2)}
+    pen = np.array([table[a, b] for a, b in zip(x[:-1].tolist(), x[1:].tolist())])
+    cuts = []
+    for value in sorted(set(table.values()), reverse=True):   # equal values: increasing index
+        cuts += (np.flatnonzero(pen == value) + 1)[:k - len(cuts)].tolist()
+    return sorted(cuts)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_adversarial_markov_at_1e6_is_the_exact_top_k(m1, seed):
+    n, budget = 10**6, 1000
+    traj = sample_trajectory(m1, n, seed=seed)
+    start = time.perf_counter()
+    p = parse_adversarial(m1, traj, n, budget)
+    elapsed = time.perf_counter() - start
+    assert p.boundaries[:-1].tolist() == _exact_top_k(m1, traj.symbols, budget - 1)
+    assert elapsed < 5.0   # the greedy heap took 5.5 s (seed 7) and 78.8 s (seed 1)
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    for name in ("prefix_log_probs", "suffix_log_probs"):
+        def counted(model, symbols, _scan=getattr(parsing, name)):
+            calls.append(len(symbols))
+            return _scan(model, symbols)
+        monkeypatch.setattr(parsing, name, counted)
+    return calls
+
+
+def test_adversarial_scans_at_most_once_per_child(monkeypatch, m1, h1):
+    calls = _count_scans(monkeypatch)
+    budget = 40
+    p = parse_adversarial(h1, sample_trajectory(h1, 3_000, seed=5), 3_000, budget)
+    assert p.c == budget
+    assert 2 < len(calls) <= 2 + 2 * (budget - 1)
+    calls.clear()
+    assert parse_adversarial(m1, sample_trajectory(m1, 3_000, seed=5), 3_000, budget).c == budget
+    assert calls == []
+
+
+@pytest.mark.parametrize("model,word", [
+    (MarkovModel([[.5, .5], [0, 1]], [0, 1]), [1, 0, 1, 1, 1, 0, 1]),
+    (IIDModel([1.0, 0.0]), [0, 0, 1, 0]),
+    (HiddenMarkovModel([[1.0]], [1.0], [[1.0, 0.0]]), [0, 1, 0, 0]),
+    (REDUCIBLE_HMM, [2, 2, 1, 2]),
+])
+def test_adversarial_rejects_a_word_of_probability_zero(model, word):
+    with pytest.raises(PreconditionError, match="probability 0"):
+        parse_adversarial(model, _traj(word), len(word), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +366,6 @@ def test_perturb_superblocks_rejects_overreach():
         perturb_superblocks(p, plan)
 
 
-def test_perturb_superblocks_unsafe_mode_skips_neighbor_rule():
-    p = parse_fixed(100, 10)
-    plan = np.zeros((p.c, 2), dtype=int)
-    plan[0, 1] = 25
-    pert = perturb_superblocks(p, plan, unsafe=True)
-    assert pert.kind == "unsafe"
-    assert pert.total_length == 125
-    plan[0, 1] = 95  # still must stay inside the prefix
-    with pytest.raises(OverlapViolationError):
-        perturb_superblocks(p, plan, unsafe=True)
-
-
 def test_apply_perturbation_plan_names():
     p = parse_growing(10_000, "sqrt")
     assert apply_perturbation_plan(p, "trim1").modification == p.c
@@ -337,6 +406,13 @@ def test_every_generator_output_validates(m1, family, params):
         assert validate_parsing(parsing, n).passed
 
 
+def test_counterexample_u_is_fixed_with_even_k():
+    spec = ParserSpec("counterexample_u", {"K": 4})
+    assert spec.family == "fixed" and spec.params == {"K": 4}
+    with pytest.raises(ValueError):
+        ParserSpec("counterexample_u", {"K": 3})
+
+
 def test_parser_spec_validation_errors():
     with pytest.raises(ValueError):
         ParserSpec("unknown_family", {})
@@ -368,25 +444,6 @@ def test_generators_are_byte_deterministic(m1):
         lambda: parse_random_sublinear(2_000, 44, seed=9),
     ):
         assert make().to_text() == make().to_text()
-
-
-def test_sublinearity_series_fixed_vs_growing(m1):
-    fixed = sublinearity_series(ParserSpec("fixed", {"K": 4}), m1, seed=1,
-                                N_grid=[1_000, 10_000, 100_000])
-    assert all(abs(r - 0.25) < 1e-2 for _, _, r in fixed.rows)
-    grow = sublinearity_series(ParserSpec("growing", {"schedule": "sqrt"}), m1, seed=1,
-                               N_grid=[1_000, 10_000, 100_000])
-    ratios = [r for _, _, r in grow.rows]
-    assert ratios == sorted(ratios, reverse=True)
-    assert grow.tail_decreasing
-
-
-def test_sublinearity_series_lz78(iid2):
-    series = sublinearity_series(ParserSpec("lz78", {}), iid2, seed=5,
-                                 N_grid=[10_000, 100_000, 1_000_000])
-    ratios = [r for _, _, r in series.rows]
-    assert ratios[-1] < 0.08
-    assert series.tail_decreasing
 
 
 @settings(max_examples=40, deadline=None)
