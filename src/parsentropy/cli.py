@@ -75,7 +75,6 @@ from .estimator import (
     sublinear_birkhoff_check,
 )
 
-ENV_WORKERS = "PARSENTROPY_WORKERS"
 SEED_ALGORITHM = ("seedsequence-v1: per-trajectory seed i is the first uint64 state "
                   "word of numpy SeedSequence([master_seed, i])")
 
@@ -101,7 +100,6 @@ def _round12(x: float) -> float:
 _TOP_KEYS = {
     "schema_version", "experiment", "model", "parser", "n_grid", "seeds",
     "mode", "tolerance", "counterexample", "perturbation", "birkhoff",
-    "output_dir", "workers",
 }
 _EXPERIMENTS = ("convergence", "counterexample", "perturbation", "birkhoff")
 
@@ -119,8 +117,6 @@ class ExperimentConfig:
     counterexample: Optional[dict]
     perturbation: Optional[dict]
     birkhoff: Optional[dict]
-    output_dir: Optional[str]
-    workers: Optional[int]
 
     @property
     def config_hash(self) -> str:
@@ -266,14 +262,10 @@ def parse_config(path) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: counterexample and birkhoff parameters must be numbers") from exc
 
-    workers = raw.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
-        raise ConfigError(f"{path}: workers must be a positive integer")
     return ExperimentConfig(
         raw=raw, experiment=experiment, model_path=raw["model"], parser_spec=parser_spec,
         n_grid=grid, seeds=seeds, mode=mode, tolerance=tolerance,
         counterexample=cx, perturbation=pert, birkhoff=bk,
-        output_dir=raw.get("output_dir"), workers=workers,
     )
 
 
@@ -297,20 +289,6 @@ def _records_to_csv(records, path) -> None:
 def _target_dict(target) -> dict:
     return {"lower": _round12(target.lower), "upper": _round12(target.upper),
             "mid": _round12(target.mid)}
-
-
-def resolve_workers(flag: Optional[int], config_workers: Optional[int]) -> int:
-    if flag is not None:
-        return flag
-    if config_workers is not None:
-        return config_workers
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{ENV_WORKERS} must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 def _run_experiment(config: ExperimentConfig, model: ProcessModel, map_fn=map):
@@ -388,11 +366,13 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
         config = parse_config(config_path)
         model = load_model(Path(config_path).parent / config.model_path
                            if not os.path.isabs(config.model_path) else config.model_path)
-        n_workers = resolve_workers(workers, config.workers)
+        n_workers = (os.cpu_count() or 1) if workers is None else workers
+        if n_workers < 1:
+            raise ConfigError(f"workers must be a positive integer, got {workers}")
     except (ConfigError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    out = Path(out_dir or config.output_dir or "runs") / config.config_hash[:12]
+    out = Path(out_dir or "runs") / config.config_hash[:12]
     out.mkdir(parents=True, exist_ok=True)
 
     wall: dict = {}
@@ -722,7 +702,7 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run one experiment from a JSON config")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--workers", type=int, default=None,
-                       help=f"worker processes (default: ${ENV_WORKERS} or CPU count)")
+                       help="worker processes (default: CPU count)")
     p_sim.add_argument("--out", default=None, help="output directory root")
 
     p_rep = sub.add_parser("report", help="emit plot-ready TSV tables for a run")

@@ -145,25 +145,18 @@ class BirkhoffSeries:
 # ---------------------------------------------------------------------------
 
 
-def _blocks_of(parsing: Union[Parsing, PerturbedParsing]):
-    if isinstance(parsing, Parsing):
-        return parsing.starts, parsing.ends, parsing.N, parsing.c
-    return parsing.starts, parsing.ends, parsing.origin.N, parsing.c
-
-
 def blockwise_info(model: ProcessModel, traj: Trajectory,
                    parsing: Union[Parsing, PerturbedParsing]) -> float:
     """Per-symbol sum of block information contents, in nats.
 
     Perturbed parsings keep the 1/N normalization of their origin prefix.
     """
-    starts, ends, n, _ = _blocks_of(parsing)
-    if n > len(traj):
+    if parsing.N > len(traj):
         raise PreconditionError("parsing covers more symbols than the trajectory has")
-    logs = block_log_probs(model, traj.symbols, starts, ends)
+    logs = block_log_probs(model, traj.symbols, parsing.starts, parsing.ends)
     if not np.all(np.isfinite(logs)):
         raise OutOfSupportError("a block has probability zero under the model")
-    return -float(np.sum(logs)) / n
+    return -float(np.sum(logs)) / parsing.N
 
 
 def smb_info(model: ProcessModel, traj: Trajectory, N: int) -> float:
@@ -183,8 +176,7 @@ def factorization_residual(model: ProcessModel, traj: Trajectory,
     Positive when the product of block probabilities underestimates the
     joint cylinder probability; identically zero for product measures.
     """
-    _, _, n, _ = _blocks_of(parsing)
-    return blockwise_info(model, traj, parsing) - smb_info(model, traj, n)
+    return blockwise_info(model, traj, parsing) - smb_info(model, traj, parsing.N)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 This module defines the four source variants (i.i.d., first-order Markov,
 hidden Markov, two-component mixture); each class carries its validation,
-sampling and probability engines, which the public functions call:
+sampling and probability engines, which the public functions call (the
+i.i.d. model runs on those of the Markov chain whose every row is ``p``):
 
 - ``log_cylinder_prob`` evaluates a single word exactly in log domain,
 - ``prefix_log_probs`` / ``suffix_log_probs`` / ``block_log_probs`` are the
@@ -10,6 +11,8 @@ sampling and probability engines, which the public functions call:
 - ``cut_penalties`` gives the factorization gap of every cut where it is
   local (i.i.d. and Markov models),
 - ``level_probs`` enumerates full marginals for exact entropy computations.
+
+The word evaluations raise PreconditionError on a symbol outside the alphabet.
 
 Hidden-Markov prefix, suffix and block values come from one blocked scan of the
 scaled forward recursion, numpy across chunks with a Python loop over the offset in a
@@ -255,7 +258,11 @@ class _Model:
 
 @dataclass(frozen=True, eq=False)
 class IIDModel(_Model):
-    """Product measure with symbol distribution ``p`` (length = alphabet size)."""
+    """Product measure with symbol distribution ``p`` (length = alphabet size).
+
+    Its engines are those of the first-order chain whose every row and whose
+    start are ``p``, built once per model: that chain is the product measure.
+    """
 
     p: np.ndarray
 
@@ -267,6 +274,7 @@ class IIDModel(_Model):
         if p.ndim != 1 or p.shape[0] < 1:
             raise ValueError("p must be a 1-d distribution over the alphabet")
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_chain", MarkovModel(np.tile(p, (p.shape[0], 1)), p))
 
     @property
     def alphabet_size(self) -> int:
@@ -275,40 +283,16 @@ class IIDModel(_Model):
     def _checks(self, prefix: str) -> list:
         return _distribution_checks(prefix + "p", self.p) + [_alphabet_check(prefix, self)]
 
-    def _prefix(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape[0] + 1)
-        np.cumsum(_safe_log(self.p)[x], out=out[1:])
-        return out
+    def _on_chain(self, engine: str, *args):
+        return getattr(self._chain, engine)(*args)
 
-    def _suffix(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape[0] + 1)
-        out[:-1] = _safe_log(self.p)[x][::-1].cumsum()[::-1]
-        return out
-
-    def _block(self, x: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        log_p = _safe_log(self.p)
-        if np.isneginf(log_p).any():
-            return _window_sums(log_p[x], s, e)
-        cs = np.concatenate(([0.0], log_p[x].cumsum()))
-        return cs[e] - cs[s]
-
-    def _cut_penalties(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(max(x.shape[0] - 1, 0))
-
-    def _sample(self, n: int, rng: np.random.Generator):
-        drawn = np.searchsorted(np.cumsum(self.p), rng.random(n), side="right")
-        return np.minimum(drawn, self.alphabet_size - 1).astype(np.int64), None
-
-    def _levels(self, n_max: int, hidden_start) -> Iterator:
-        level = self.p.copy()
-        yield 1, level
-        for n in range(2, n_max + 1):
-            level = np.kron(level, self.p)
-            yield n, level
-
-    def _rate(self, tol: float, n_cap: int, cap: int) -> EntropyBracket:
-        h = _entropy_of(self.p)
-        return EntropyBracket(h, h, n_used=1)
+    _prefix = partialmethod(_on_chain, "_prefix")
+    _suffix = partialmethod(_on_chain, "_suffix")
+    _block = partialmethod(_on_chain, "_block")
+    _cut_penalties = partialmethod(_on_chain, "_cut_penalties")
+    _sample = partialmethod(_on_chain, "_sample")
+    _levels = partialmethod(_on_chain, "_levels")
+    _rate = partialmethod(_on_chain, "_rate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -697,13 +681,21 @@ def stationary_distribution(transition, tol: float = 1e-14) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _symbols(model: ProcessModel, symbols) -> np.ndarray:
+    """``symbols`` as int64; PreconditionError names the first one outside the alphabet."""
+    x = np.asarray(symbols, dtype=np.int64)
+    a = model.alphabet_size
+    if x.size and (x.min() < 0 or x.max() >= a):
+        i = int(np.flatnonzero((x < 0) | (x >= a))[0])
+        raise PreconditionError(f"symbol {x.flat[i]} at index {i} is outside the alphabet 0..{a - 1}")
+    return x
+
+
 def log_cylinder_prob(model: ProcessModel, word) -> float:
     """Exact log-probability of the cylinder of ``word``; -inf off support."""
     w = np.asarray(word, dtype=np.int64)
     if w.ndim != 1 or w.shape[0] == 0:
         raise ValueError("word must be a non-empty 1-d sequence of symbols")
-    if w.min() < 0 or w.max() >= model.alphabet_size:
-        raise ValueError("word contains symbols outside the alphabet")
     return float(prefix_log_probs(model, w)[-1])
 
 
@@ -713,7 +705,7 @@ def prefix_log_probs(model: ProcessModel, symbols) -> np.ndarray:
     ``L[0] = 0`` (empty word).  A single pass serves every nested prefix of a
     long trajectory.
     """
-    out = model._prefix(np.asarray(symbols, dtype=np.int64))
+    out = model._prefix(_symbols(model, symbols))
     out[0] = 0.0   # exactly: a mixture's logaddexp(log w, log(1 - w)) need not round to 0
     return out
 
@@ -724,7 +716,7 @@ def suffix_log_probs(model: ProcessModel, symbols) -> np.ndarray:
     ``S[n] = 0``.  By stationarity this is the cylinder probability of the
     suffix word; the hidden-Markov case runs one scaled backward recursion.
     """
-    out = model._suffix(np.asarray(symbols, dtype=np.int64))
+    out = model._suffix(_symbols(model, symbols))
     out[-1] = 0.0   # exactly, as in prefix_log_probs
     return out
 
@@ -733,7 +725,8 @@ def block_log_probs(model: ProcessModel, symbols, starts, ends) -> np.ndarray:
     """Log-probabilities of the sub-words ``symbols[starts[i]:ends[i]]``.
 
     Vectorized over blocks; all blocks must be non-empty and lie inside the
-    symbol array.  This is the workhorse behind blockwise information sums.
+    symbol array.  Symbols past the last block end are not read.  This is the
+    workhorse behind blockwise information sums.
     """
     x = np.asarray(symbols, dtype=np.int64)
     s = np.asarray(starts, dtype=np.int64)
@@ -744,7 +737,7 @@ def block_log_probs(model: ProcessModel, symbols, starts, ends) -> np.ndarray:
         return np.empty(0)
     if (e <= s).any() or s.min() < 0 or e.max() > x.shape[0]:
         raise ValueError("blocks must be non-empty and inside the symbol array")
-    return model._block(x, s, e)
+    return model._block(_symbols(model, x[:e.max()]), s, e)
 
 
 def cut_penalties(model: ProcessModel, symbols) -> Optional[np.ndarray]:
@@ -757,7 +750,7 @@ def cut_penalties(model: ProcessModel, symbols) -> Optional[np.ndarray]:
     the block.  Each entry is one table lookup, so equal entries are equal
     bit for bit.  Entries are meaningless where the word has probability 0.
     """
-    return model._cut_penalties(np.asarray(symbols, dtype=np.int64))
+    return model._cut_penalties(_symbols(model, symbols))
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,11 @@ class PerturbedParsing:
         return self.starts + self.lengths
 
     @property
+    def N(self) -> int:
+        """The origin's prefix length, which normalizes per-symbol sums."""
+        return self.origin.N
+
+    @property
     def c(self) -> int:
         return self.starts.shape[0]
 

@@ -10,7 +10,6 @@ from parsentropy.cli import (
     derive_seeds,
     main,
     parse_config,
-    resolve_workers,
 )
 
 
@@ -103,12 +102,19 @@ def test_simulate_rejects_bad_seeds(tmp_path, m1_file, seeds):
     assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 4
 
 
-def test_resolve_workers_env_fallback(monkeypatch):
-    monkeypatch.setenv("PARSENTROPY_WORKERS", "3")
-    assert resolve_workers(None, None) == 3
-    assert resolve_workers(2, None) == 2
-    monkeypatch.delenv("PARSENTROPY_WORKERS")
-    assert resolve_workers(None, 5) == 5
+@pytest.mark.parametrize("key,value", [("workers", 2), ("output_dir", "elsewhere")])
+def test_config_has_no_workers_or_output_dir_keys(tmp_path, m1_file, key, value):
+    path = _write_config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError, match="unknown keys"):
+        parse_config(path)
+    assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 4
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_simulate_rejects_worker_count_below_one(tmp_path, m1_file, workers):
+    path = _write_config(tmp_path)
+    assert cmd_simulate(str(path), workers=workers, out_dir=str(tmp_path / "o")) == 4
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -26,6 +27,7 @@ from parsentropy import (
     model_from_dict,
     model_id,
     model_to_dict,
+    parse_growing,
     prefix_log_probs,
     sample_trajectory,
     save_model,
@@ -174,6 +176,34 @@ def test_cut_penalties_are_local_table_entries(all_reference_models):
     assert cut_penalties(all_reference_models["mixture"], x) is None
 
 
+_WORD_ENGINES = {
+    "prefix_log_probs": prefix_log_probs,
+    "suffix_log_probs": suffix_log_probs,
+    "block_log_probs": lambda model, x: block_log_probs(model, x, [0, 2], [2, len(x)]),
+    "cut_penalties": cut_penalties,
+    "log_cylinder_prob": log_cylinder_prob,
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_WORD_ENGINES))
+@pytest.mark.parametrize("bad", [-1, 2])
+@pytest.mark.parametrize("name", ["iid_uniform", "m1", "h1", "mixture"])
+def test_word_engines_reject_symbols_outside_the_alphabet(all_reference_models, name, bad, engine):
+    x = np.array([0, 1, 1, bad, 0])
+    with pytest.raises(PreconditionError, match=rf"symbol {bad} at index 3 is outside the alphabet 0\.\.1"):
+        _WORD_ENGINES[engine](all_reference_models[name], x)
+
+
+@pytest.mark.parametrize("name", ["iid_uniform", "m1", "h1", "mixture"])
+def test_block_log_probs_reads_no_symbol_past_the_last_block(all_reference_models, name):
+    model = all_reference_models[name]
+    x = sample_trajectory(model, 60, seed=4).symbols
+    starts, ends = np.array([0, 9, 30]), np.array([9, 30, 41])
+    tail = np.full(100, model.alphabet_size)        # out of the alphabet, never read
+    assert np.array_equal(block_log_probs(model, np.concatenate((x[:41], tail)), starts, ends),
+                          block_log_probs(model, x[:41], starts, ends))
+
+
 @pytest.mark.parametrize("name", ["iid_uniform", "m1", "h1", "mixture"])
 def test_log_cylinder_matches_naive_oracle(all_reference_models, name):
     model = all_reference_models[name]
@@ -212,6 +242,34 @@ def test_block_log_probs_long_hmm_blocks_match_scan(h1):
     blocks = block_log_probs(h1, traj.symbols, starts, ends)
     for i, (s, e) in enumerate(zip(starts, ends)):
         assert blocks[i] == pytest.approx(log_cylinder_prob(h1, traj.symbols[s:e]), abs=1e-9)
+
+
+# sha256 of the fair coin's engine outputs on its 10^5-symbol sample at seed 3,
+# pinned from the coin's own product-measure engines before it ran on the
+# Markov chain's: the delegation must not move a byte of them.
+COIN_DIGESTS = {
+    "sample": "8a355d48bb4113648a7d1223ae34f9189fd982450497649161afcd776fbbb1ec",
+    "prefix": "cb8b5b9e2eb747e05c5e320a1f2cfd5fa0b033190efa21a535ab4ba87f1eeccd",
+    "suffix": "da890394a64f61848f2136b2c6fb4d04b4dbac9f72d255ae612ec83e4f7fd1e2",
+    "block": "a05e6919fa5c949571ada88c5af5933b5f6d06dd05adf6f635253e910c2c8791",
+    "levels": "0e7322701ab75930bb879842f9709f74abe199e3adc6b4f9704a8df2e0ff34ff",
+    "rate": "ce347467a4a1463927c6373756935dcb209da37948aae811b1cfa4c06cb61e81",
+}
+
+
+def test_coin_engine_bytes_are_pinned(iid2):
+    x = sample_trajectory(iid2, 10**5, seed=3).symbols
+    sqrt = parse_growing(10**5, "sqrt")
+    rate = entropy_rate(iid2)
+    got = {
+        "sample": x,
+        "prefix": prefix_log_probs(iid2, x),
+        "suffix": suffix_log_probs(iid2, x),
+        "block": block_log_probs(iid2, x, sqrt.starts, sqrt.ends),
+        "levels": np.concatenate([level for _, level in level_probs(iid2, 10)]),
+        "rate": np.array([rate.lower, rate.upper]),
+    }
+    assert {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in got.items()} == COIN_DIGESTS
 
 
 # ---------------------------------------------------------------------------
