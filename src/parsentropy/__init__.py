@@ -24,7 +24,7 @@ from .errors import (
     WindowEmptyError,
 )
 from .measures import (
-    DEFAULT_ENUM_CAP,
+    ENUM_CAP,
     EntropyBracket,
     HiddenMarkovModel,
     IIDModel,

@@ -21,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -67,6 +68,7 @@ from .parsing import (
     validate_perturbed,
 )
 from .estimator import (
+    TWO_LIMIT_TOL_REL,
     BirkhoffSeries,
     CounterexampleReport,
     convergence_experiment,
@@ -124,6 +126,14 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _number(value, where: str, integer: bool = False):
+    """``value`` if it is a positive finite JSON number (an integer if ``integer``); else ConfigError."""
+    if type(value) not in ((int,) if integer else (int, float)) or not 0 < value < math.inf:
+        raise ConfigError(f"{where}: expected a positive {'integer' if integer else 'number'}, "
+                          f"got {value!r}")
+    return value
+
+
 def _expand_grid(spec, where: str) -> tuple:
     if isinstance(spec, list):
         grid = spec
@@ -135,7 +145,8 @@ def _expand_grid(spec, where: str) -> tuple:
         for key in ("start", "stop", "points"):
             if key not in spec:
                 raise ConfigError(f"{where}: missing key {key!r}")
-        start, stop, points = spec["start"], spec["stop"], spec["points"]
+        start, stop = (_number(spec[key], f"{where}.{key}") for key in ("start", "stop"))
+        points = _number(spec["points"], f"{where}.points", integer=True)
         spacing = spec.get("spacing", "geometric")
         if spacing == "geometric":
             vals = np.geomspace(start, stop, points)
@@ -144,17 +155,15 @@ def _expand_grid(spec, where: str) -> tuple:
         else:
             raise ConfigError(f"{where}.spacing: expected 'geometric' or 'linear'")
         grid = [int(round(v)) for v in vals]
-        if spec.get("parity") == "both":
+        if spec.get("parity", "both") != "both":
+            raise ConfigError(f"{where}.parity: expected 'both', got {spec['parity']!r}")
+        if "parity" in spec:
             grid = sorted({g - g % 2 for g in grid} | {g - g % 2 + 1 for g in grid})
     else:
         raise ConfigError(f"{where}: expected a list or a range object")
-    try:
-        grid = [int(n) for n in grid]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: entries must be integers") from exc
-    grid = sorted(set(grid))
-    if not grid or grid[0] < 1:
-        raise ConfigError(f"{where}: lengths must be positive")
+    grid = sorted({_number(n, f"{where}[{i}]", integer=True) for i, n in enumerate(grid)})
+    if not grid:
+        raise ConfigError(f"{where}: need at least one length")
     return tuple(grid)
 
 
@@ -216,9 +225,13 @@ def parse_config(path) -> ExperimentConfig:
     mode = raw.get("mode", "as")
     if mode not in ("as", "l1"):
         raise ConfigError(f"{path}: mode must be 'as' or 'l1'")
-    tolerance = float(raw.get("tolerance", 0.01))
-    if tolerance <= 0:
-        raise ConfigError(f"{path}: tolerance must be positive")
+    tolerance = float(_number(raw.get("tolerance", 0.01), f"{path}:tolerance"))
+    if experiment != "convergence" and (len(seeds) != 1 or mode != "as"):
+        raise ConfigError(f"{path}: the {experiment} experiment follows one trajectory; "
+                          "it needs exactly one seed and mode 'as'")
+    if experiment == "counterexample" and "tolerance" in raw:
+        raise ConfigError(f"{path}:tolerance: not used by the counterexample experiment, whose "
+                          f"verdict allows {TWO_LIMIT_TOL_REL:.0%} of each limit")
 
     parser_spec = None
     if experiment in ("convergence", "perturbation"):
@@ -253,14 +266,16 @@ def parse_config(path) -> ExperimentConfig:
                   {"K", "epsilon_schedule"})
     pert = _section("perturbation", {"plan"}, {"plan"})
     bk = _section("birkhoff", {"observable", "index_family", "depth"}, set())
-    try:  # typed here, so that a non-numeric value is a config error
-        if cx is not None:
-            cx = {"K": int(cx["K"]), "epsilon_schedule": [float(e) for e in cx["epsilon_schedule"]],
-                  "min_gap": float(cx.get("min_gap", 1e-3))}
-        if bk is not None:
-            bk = {**bk, "depth": int(bk.get("depth", 8))}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: counterexample and birkhoff parameters must be numbers") from exc
+    if cx is not None:  # typed here, so that a malformed value is a config error
+        where, schedule = f"{path}:counterexample", cx["epsilon_schedule"]
+        if not isinstance(schedule, list):
+            raise ConfigError(f"{where}.epsilon_schedule: expected a list of numbers")
+        cx = {"K": _number(cx["K"], f"{where}.K", integer=True),
+              "epsilon_schedule": [_number(e, f"{where}.epsilon_schedule[{i}]")
+                                   for i, e in enumerate(schedule)],
+              "min_gap": _number(cx.get("min_gap", 1e-3), f"{where}.min_gap")}
+    if bk is not None:
+        bk = {**bk, "depth": _number(bk.get("depth", 8), f"{path}:birkhoff.depth", integer=True)}
 
     return ExperimentConfig(
         raw=raw, experiment=experiment, model_path=raw["model"], parser_spec=parser_spec,

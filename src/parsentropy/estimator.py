@@ -30,7 +30,6 @@ from .errors import (
     PreconditionError,
 )
 from .measures import (
-    DEFAULT_ENUM_CAP,
     EntropyBracket,
     MixtureModel,
     ProcessModel,
@@ -49,6 +48,8 @@ from .parsing import (
     apply_perturbation_plan,
     make_parsing,
 )
+
+TWO_LIMIT_TOL_REL = 0.02   # the two-limit verdict: each tail average within 2% of its limit
 
 
 @dataclass(frozen=True)
@@ -134,10 +135,8 @@ class BirkhoffSeries:
         return self.rows[-1][1]
 
     @property
-    def passed(self) -> Optional[bool]:
+    def verdict(self) -> Optional[bool]:
         return None if self.tol is None else self.final_value < self.tol
-
-    verdict = passed
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +189,21 @@ def _tail_limit(h_half: float, K: int, bracket: EntropyBracket) -> OracleTarget:
     return OracleTarget(0.5 * (short + bracket.lower), 0.5 * (short + bracket.upper), rate=bracket)
 
 
-def oracle_target(model: ProcessModel, spec: ParserSpec, rate_tol: float = 1e-5,
-                  n_cap: int = 22, cap: int = DEFAULT_ENUM_CAP) -> OracleTarget:
+def oracle_target(model: ProcessModel, spec: ParserSpec) -> OracleTarget:
     """The limit the blockwise estimate must approach for this (model, spec)."""
     if spec.family == "fixed":
         k = spec.params["K"]
-        h_k = marginal_entropy(model, k, cap)
+        h_k = marginal_entropy(model, k)
         return OracleTarget(h_k / k, h_k / k)
     if spec.family == "counterexample_w":
         raise PreconditionError(
             "the alternating family has two limits; run counterexample_experiment")
     if spec.family == "counterexample_v" and isinstance(model, MixtureModel):
         raise PreconditionError("tail-selecting parsings need an ergodic model")
-    rate = entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap)
+    rate = entropy_rate(model)
     if spec.family == "counterexample_v":
         k = spec.params["K"]
-        return _tail_limit(marginal_entropy(model, k // 2, cap), k, rate)
+        return _tail_limit(marginal_entropy(model, k // 2), k, rate)
     return OracleTarget(rate.lower, rate.upper, rate=rate)
 
 
@@ -267,13 +265,12 @@ def _seed_cell(args) -> list:
     return records
 
 
-def _converge(model, spec, grid, seeds, mode, tol, params, plan, rate_tol, n_cap, cap,
-              map_fn) -> ConvergenceReport:
+def _converge(model, spec, grid, seeds, mode, tol, params, plan, map_fn) -> ConvergenceReport:
     """Score every seed against the oracle limit of (model, spec); as or l1 verdict."""
-    headline = oracle_target(model, spec, rate_tol, n_cap, cap)
+    headline = oracle_target(model, spec)
     target = headline
     if isinstance(model, MixtureModel) and spec.family != "fixed":
-        target = tuple(oracle_target(comp, spec, rate_tol, n_cap, cap) for comp in model.components)
+        target = tuple(oracle_target(comp, spec) for comp in model.components)
     # Tail selection compares suffix information rates against the entropy
     # rate itself, not against the experiment's limit value.
     h_ref = headline.rate.mid if spec.family == "counterexample_v" else None
@@ -299,9 +296,7 @@ def _converge(model, spec, grid, seeds, mode, tol, params, plan, rate_tol, n_cap
 
 def convergence_experiment(model: ProcessModel, spec: ParserSpec, N_grid,
                            seeds: Sequence[int], target_mode: str = "as",
-                           tol: float = 0.01, rate_tol: float = 1e-5,
-                           n_cap: int = 22, cap: int = DEFAULT_ENUM_CAP,
-                           map_fn: Callable = map) -> ConvergenceReport:
+                           tol: float = 0.01, map_fn: Callable = map) -> ConvergenceReport:
     """Blockwise-information convergence against a pre-computed oracle limit.
 
     Almost-sure mode follows nested prefixes of one trajectory (one seed);
@@ -324,21 +319,18 @@ def convergence_experiment(model: ProcessModel, spec: ParserSpec, N_grid,
             raise PreconditionError("seeds must be distinct")
     else:
         raise PreconditionError("target_mode must be 'as' or 'l1'")
-    return _converge(model, spec, grid, seeds, target_mode, tol, spec.describe(), None,
-                     rate_tol, n_cap, cap, map_fn)
+    return _converge(model, spec, grid, seeds, target_mode, tol, spec.describe(), None, map_fn)
 
 
 def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Sequence[float],
-                              N_grid, seed: int, tol_rel: float = 0.02,
-                              min_gap: float = 1e-3, rate_tol: float = 1e-5,
-                              n_cap: int = 22, cap: int = DEFAULT_ENUM_CAP) -> CounterexampleReport:
+                              N_grid, seed: int, min_gap: float = 1e-3) -> CounterexampleReport:
     """Two-limit behavior of the alternating parsing on a linear block budget.
 
     Requires an ergodic model whose fixed-K and tail-parsing limits are
     separated by more than ``min_gap`` (verified by enumeration before the
     run).  The grid must contain both parities; the epsilon schedule is
     applied in contiguous non-increasing segments, emulating a diagonal
-    refinement of the tail-selection window.
+    refinement of the tail-selection window; ``TWO_LIMIT_TOL_REL`` sets the verdict.
     """
     if isinstance(model, MixtureModel):
         raise PreconditionError("the two-limit construction needs an ergodic model; mixtures are not")
@@ -351,7 +343,7 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
     if {n % 2 for n in grid} != {0, 1}:
         raise PreconditionError("N_grid must contain both even and odd lengths")
 
-    gap_info = discrepancy_gap(model, K, cap=cap, rate_tol=rate_tol, n_cap=n_cap)
+    gap_info = discrepancy_gap(model, K)
     if gap_info.gap <= min_gap:
         raise GapTooSmallError(
             f"fixed-block and tail-parsing limits are {gap_info.gap:.3e} nats apart "
@@ -376,8 +368,8 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
     even_avg = float(np.mean([r.blockwise_info for r in records if r.N in tail and r.N % 2 == 0]))
     odd_avg = float(np.mean([r.blockwise_info for r in records if r.N in tail and r.N % 2 == 1]))
     parity_gap = even_avg - odd_avg
-    tol_even = tol_rel * limit_even
-    tol_odd = tol_rel * limit_odd.mid
+    tol_even = TWO_LIMIT_TOL_REL * limit_even
+    tol_odd = TWO_LIMIT_TOL_REL * limit_odd.mid
     tol_gap = tol_even + tol_odd
     return CounterexampleReport(
         series=tuple(records), limit_even=limit_even, limit_odd=limit_odd,
@@ -392,8 +384,7 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
 
 def perturbation_experiment(model: ProcessModel, spec: ParserSpec,
                             plan: Union[str, Callable], N_grid, seed: int,
-                            tol: float = 0.01, rate_tol: float = 1e-5,
-                            n_cap: int = 22, cap: int = DEFAULT_ENUM_CAP) -> ConvergenceReport:
+                            tol: float = 0.01) -> ConvergenceReport:
     """Convergence of blockwise information under per-block perturbations.
 
     The plan (a name from the built-in plans or a callable mapping a parsing
@@ -410,8 +401,7 @@ def perturbation_experiment(model: ProcessModel, spec: ParserSpec,
         plan_name = getattr(plan, "__name__", "custom")
     params = json.dumps({**spec.params, "plan": plan_name}, sort_keys=True,
                         separators=(",", ":"))
-    return _converge(model, spec, grid, [int(seed)], "as", tol, params, plan,
-                     rate_tol, n_cap, cap, map)
+    return _converge(model, spec, grid, [int(seed)], "as", tol, params, plan, map)
 
 
 _BIRKHOFF_OBSERVABLES = ("log_zmax_to_depth_d", "abs_log_z_d")

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import InsufficientLengthError, OutOfSupportError
 from .measures import (
-    DEFAULT_ENUM_CAP,
     ProcessModel,
     Trajectory,
     _entropy_of,
@@ -91,16 +90,16 @@ def z_value(model: ProcessModel, word) -> float:
     return shifted - full
 
 
-def _levels(model: ProcessModel, lo: int, hi: int, cap: int) -> list:
+def _levels(model: ProcessModel, lo: int, hi: int) -> list:
     """[P_lo, ..., P_hi] as rank-indexed arrays, with P_0 = [1]."""
     levels = {0: np.ones(1)}
-    for k, level in level_probs(model, hi, cap):
+    for k, level in level_probs(model, hi):
         if k >= lo:
             levels[k] = level
     return [levels[k] for k in range(lo, hi + 1)]
 
 
-def verify_martingale_property(model: ProcessModel, n: int, cap: int = DEFAULT_ENUM_CAP) -> float:
+def verify_martingale_property(model: ProcessModel, n: int) -> float:
     """Max residual of the one-step identity, over every length-n word in support.
 
     For each such word u the sum of Z_{n+1}(ua) P([ua]) over in-support
@@ -110,7 +109,7 @@ def verify_martingale_property(model: ProcessModel, n: int, cap: int = DEFAULT_E
     if n < 1:
         raise ValueError("n must be >= 1")
     a = model.alphabet_size
-    p_prev, p_n, p_next = _levels(model, n - 1, n + 1, cap)
+    p_prev, p_n, p_next = _levels(model, n - 1, n + 1)
     shift_rank = np.arange(p_n.shape[0], dtype=np.int64) % p_prev.shape[0]
     ext = p_next.reshape(-1, a)                      # P([u a])
     shifted_ext = p_n[shift_rank[:, None] * a + np.arange(a, dtype=np.int64)[None, :]]
@@ -122,11 +121,11 @@ def verify_martingale_property(model: ProcessModel, n: int, cap: int = DEFAULT_E
     return float(np.abs(contrib[in_support] - target[in_support]).max())
 
 
-def expected_logz_check(model: ProcessModel, n: int, cap: int = DEFAULT_ENUM_CAP) -> float:
+def expected_logz_check(model: ProcessModel, n: int) -> float:
     """|E[log Z_n] - (H(P_n) - H(P_{n-1}))| with both sides exactly enumerated."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p_prev, p_n = _levels(model, n - 1, n, cap)
+    p_prev, p_n = _levels(model, n - 1, n)
     shift_rank = np.arange(p_n.shape[0], dtype=np.int64) % p_prev.shape[0]
     mask = p_n > 0
     z_log = _safe_log(p_prev[shift_rank[mask]]) - _safe_log(p_n[mask])
@@ -135,7 +134,7 @@ def expected_logz_check(model: ProcessModel, n: int, cap: int = DEFAULT_ENUM_CAP
     return abs(expectation - increment)
 
 
-def zmax_tail_check(model: ProcessModel, n: int, t_grid, cap: int = DEFAULT_ENUM_CAP):
+def zmax_tail_check(model: ProcessModel, n: int, t_grid):
     """Exact tails of max_{k<=n} Z_k against the |A|/t and |A| e^{-t} bounds.
 
     Returns one row per threshold t: the exact probability that the running
@@ -149,7 +148,7 @@ def zmax_tail_check(model: ProcessModel, n: int, t_grid, cap: int = DEFAULT_ENUM
     prev = np.ones(1)
     running = None
     level_n = None
-    for k, level in level_probs(model, n, cap):
+    for k, level in level_probs(model, n):
         shift_rank = np.arange(level.shape[0], dtype=np.int64) % prev.shape[0]
         with np.errstate(invalid="ignore"):
             z_log = np.where(level > 0, _safe_log(prev[shift_rank]) - _safe_log(level), -np.inf)

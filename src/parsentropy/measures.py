@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import CapExceededError, ModelFormatError, PreconditionError
 
-DEFAULT_ENUM_CAP = 1 << 22
+ENUM_CAP = 1 << 22   # atoms: every exact enumeration stays under it
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
@@ -236,7 +236,7 @@ class _Model:
     defaults below read the attributes of those names and rebuild a model
     from its dataclass fields) and implements ``_checks(prefix)``,
     ``_prefix(x)``, ``_suffix(x)``, ``_block(x, s, e)``, ``_sample(n, rng)``,
-    ``_levels(n_max, hidden_start)`` and ``_rate(tol, n_cap, cap)``; a model
+    ``_levels(n_max, hidden_start)`` and ``_rate(tol, n_cap)``; a model
     whose cut penalty is local also overrides ``_cut_penalties(x)``.
     Constructors check shapes only, so that ``validate_model`` can report on
     a model that is not stochastic.
@@ -366,7 +366,7 @@ class MarkovModel(_Model):
             level = (level[:, None] * self.transition[last, :]).ravel()
             yield n, level
 
-    def _rate(self, tol: float, n_cap: int, cap: int) -> EntropyBracket:
+    def _rate(self, tol: float, n_cap: int) -> EntropyBracket:
         rows = self.transition
         mask = rows > 0
         contrib = np.where(mask, -rows * _safe_log(np.where(mask, rows, 1.0)), 0.0)
@@ -517,19 +517,16 @@ class HiddenMarkovModel(_Model):
             fwd = (g[:, None, :] * self.emission.T[None, :, :]).reshape(-1, self.hidden_states)
             yield n, fwd.sum(axis=1)
 
-    def _rate(self, tol: float, n_cap: int, cap: int) -> EntropyBracket:
+    def _rate(self, tol: float, n_cap: int) -> EntropyBracket:
         a, S = self.alphabet_size, self.hidden_states
-        n_max, atoms = 0, 1
-        while n_max < n_cap and atoms * a <= cap:
-            atoms *= a
+        n_max = 1                                # level 1 over the cap: level_probs raises
+        while n_max < n_cap and a ** (n_max + 1) <= ENUM_CAP:
             n_max += 1
-        if n_max < 1:
-            raise CapExceededError(f"cannot enumerate even one level of {a} atoms under cap {cap}")
-        sweeps = [level_probs(self, n_max, cap)]
+        sweeps = [level_probs(self, n_max)]
         for s in range(S):
             start = np.zeros(S)
             start[s] = 1.0
-            sweeps.append(level_probs(self, n_max, cap, hidden_start=start))
+            sweeps.append(level_probs(self, n_max, hidden_start=start))
         rho = self.hidden_initial
         prev_upper_h = 0.0
         prev_lower_h = np.zeros(S)
@@ -608,8 +605,8 @@ class MixtureModel(_Model):
                                     self.second._levels(n_max, None)):
             yield n, w * p1 + (1.0 - w) * p2
 
-    def _rate(self, tol: float, n_cap: int, cap: int) -> EntropyBracket:
-        return self.first._rate(tol, n_cap, cap).hull(self.second._rate(tol, n_cap, cap))
+    def _rate(self, tol: float, n_cap: int) -> EntropyBracket:
+        return self.first._rate(tol, n_cap).hull(self.second._rate(tol, n_cap))
 
     def _params(self) -> dict:
         return {"weight": self.weight,
@@ -786,61 +783,59 @@ def sample_trajectory(model: ProcessModel, n: int, seed: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def level_probs(model: ProcessModel, n_max: int, cap: int = DEFAULT_ENUM_CAP,
-                hidden_start: Optional[np.ndarray] = None) -> Iterator:
+def level_probs(model: ProcessModel, n_max: int, hidden_start: Optional[np.ndarray] = None) -> Iterator:
     """Yield ``(n, P_n)`` for n = 1..n_max, with P_n over all rank-ordered words.
 
     Ranks are base-``|A|`` encodings with the first symbol most significant.
     ``hidden_start`` overrides the hidden initial distribution; it is used
     for conditional-entropy sandwich bounds.  It must be a distribution over
     the hidden states of a hidden-Markov model; any other model type raises
-    PreconditionError.
+    PreconditionError.  Over ``ENUM_CAP`` atoms, CapExceededError comes first.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if hidden_start is not None:
         hidden_start = model._hidden_start(hidden_start)
     a = model.alphabet_size
-    if a ** n_max > cap:
-        raise CapExceededError(f"enumeration of {a}^{n_max} atoms exceeds the cap of {cap}")
+    if a ** n_max > ENUM_CAP:
+        raise CapExceededError(f"enumeration of {a}^{n_max} atoms exceeds the cap of {ENUM_CAP}")
     yield from model._levels(n_max, hidden_start)
 
 
-def marginal_entropy(model: ProcessModel, n: int, cap: int = DEFAULT_ENUM_CAP) -> float:
+def marginal_entropy(model: ProcessModel, n: int) -> float:
     """Exact Shannon entropy of the n-th marginal, by full enumeration (nats)."""
-    for k, level in level_probs(model, n, cap):
+    for k, level in level_probs(model, n):
         if k == n:
             return _entropy_of(level)
     raise AssertionError("unreachable")
 
 
-def beta_sequence(model: ProcessModel, n_max: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def beta_sequence(model: ProcessModel, n_max: int) -> np.ndarray:
     """Increments H(P_n) - H(P_{n-1}) for n = 1..n_max, with H(P_0) = 0.
 
     Non-increasing, and flat from n = m+1 on exactly for Markov sources of
     order <= m; the limit is the entropy rate.
     """
     entropies = [0.0]
-    for _, level in level_probs(model, n_max, cap):
+    for _, level in level_probs(model, n_max):
         entropies.append(_entropy_of(level))
     return np.diff(np.asarray(entropies))
 
 
-def entropy_rate(model: ProcessModel, tol: float = 1e-5, n_cap: int = 22,
-                 cap: int = DEFAULT_ENUM_CAP) -> EntropyBracket:
+def entropy_rate(model: ProcessModel, tol: float = 1e-5, n_cap: int = 22) -> EntropyBracket:
     """Entropy rate as an exact point or a sandwich bracket (nats per symbol).
 
     i.i.d. and Markov models have closed forms.  Hidden-Markov models are
     bracketed between the conditional entropy of the next symbol given the
     past with and without the initial hidden state, both computed by exact
-    enumeration and widening n until the width drops below ``tol``; if the
-    cap or ``n_cap`` is reached first, the widest achieved bracket is
+    enumeration and widening n until the width drops below ``tol``; if
+    ``ENUM_CAP`` or ``n_cap`` is reached first, the widest achieved bracket is
     returned with ``converged=False``.  Mixtures return the hull of their
     component brackets (the per-realization rate is not constant).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return model._rate(tol, n_cap, cap)
+    if tol <= 0 or n_cap < 1:
+        raise ValueError("tol must be positive and n_cap at least 1")
+    return model._rate(tol, n_cap)
 
 
 @dataclass(frozen=True)
@@ -857,8 +852,7 @@ class DiscrepancyGap:
         return self.h_bracket.width
 
 
-def discrepancy_gap(model: ProcessModel, K: int, cap: int = DEFAULT_ENUM_CAP,
-                    rate_tol: float = 1e-5, n_cap: int = 22) -> DiscrepancyGap:
+def discrepancy_gap(model: ProcessModel, K: int) -> DiscrepancyGap:
     """H(P_K)/K - (2 H(P_{K/2})/K + h)/2, positive iff the two-limit split exists.
 
     Zero (up to the reported bracket width) exactly when the model is Markov
@@ -866,9 +860,9 @@ def discrepancy_gap(model: ProcessModel, K: int, cap: int = DEFAULT_ENUM_CAP,
     """
     if K % 2 != 0 or K < 2:
         raise PreconditionError("K must be a positive even integer")
-    h_k = marginal_entropy(model, K, cap)
-    h_half = marginal_entropy(model, K // 2, cap)
-    bracket = entropy_rate(model, tol=rate_tol, n_cap=n_cap, cap=cap)
+    h_k = marginal_entropy(model, K)
+    h_half = marginal_entropy(model, K // 2)
+    bracket = entropy_rate(model)
     gap = h_k / K - 0.5 * (2.0 * h_half / K + bracket.mid)
     return DiscrepancyGap(gap=gap, h_bracket=bracket, h_k=h_k, h_half=h_half)
 

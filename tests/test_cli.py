@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -110,6 +111,73 @@ def test_config_has_no_workers_or_output_dir_keys(tmp_path, m1_file, key, value)
     assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 4
 
 
+# What makes a valid config of each single-trajectory experiment; None deletes the key.
+_SINGLE_TRAJECTORY = {
+    "perturbation": {"perturbation": {"plan": "trim1"}},
+    "counterexample": {"parser": None, "tolerance": None,
+                       "counterexample": {"K": 4, "epsilon_schedule": [0.1]}},
+    "birkhoff": {"parser": None, "birkhoff": {"depth": 8}},
+}
+
+
+def _experiment_config(tmp_path, experiment, **overrides):
+    config = json.loads(_write_config(tmp_path, experiment=experiment).read_text())
+    config.update(_SINGLE_TRAJECTORY[experiment], **overrides)
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+    return path
+
+
+@pytest.mark.parametrize("experiment", sorted(_SINGLE_TRAJECTORY))
+@pytest.mark.parametrize("overrides", [
+    {"seeds": [7, 8]},
+    {"mode": "l1"},
+    {"mode": "l1", "seeds": {"count": 20, "master_seed": 1}},
+], ids=["two-seeds", "l1-mode", "l1-mode-20-seeds"])
+def test_single_trajectory_experiments_reject_ignored_settings(tmp_path, m1_file,
+                                                               experiment, overrides):
+    accepted = _experiment_config(tmp_path, experiment)
+    assert parse_config(accepted).seeds == (7,)
+    path = _experiment_config(tmp_path, experiment, **overrides)
+    with pytest.raises(ConfigError, match="exactly one seed and mode 'as'"):
+        parse_config(path)
+    assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 4
+
+
+def test_counterexample_rejects_tolerance(tmp_path, m1_file):
+    path = _experiment_config(tmp_path, "counterexample", tolerance=1e-9)
+    with pytest.raises(ConfigError, match="tolerance: not used"):
+        parse_config(path)
+    assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 4
+
+
+@pytest.mark.parametrize("key,overrides", [
+    ("n_grid.start", {"n_grid": {"start": "a", "stop": 1000, "points": 3}}),
+    ("n_grid.start", {"n_grid": {"start": 0, "stop": 1000, "points": 3}}),
+    ("n_grid.points", {"n_grid": {"start": 10, "stop": 1000, "points": 2.5}}),
+    ("n_grid.points", {"n_grid": {"start": 10, "stop": 1000, "points": -1}}),
+    ("n_grid.parity", {"n_grid": {"start": 10, "stop": 1000, "points": 3, "parity": "odd"}}),
+    ("n_grid[1]", {"n_grid": [500, 1000.7]}),
+    ("n_grid[0]", {"n_grid": [True, 2000]}),
+    ("tolerance", {"tolerance": "x"}),
+    ("tolerance", {"tolerance": float("nan")}),
+    ("counterexample.K", {"experiment": "counterexample", "parser": None, "tolerance": None,
+                          "counterexample": {"K": 4.5, "epsilon_schedule": [0.1]}}),
+    ("counterexample.epsilon_schedule", {
+        "experiment": "counterexample", "parser": None, "tolerance": None,
+        "counterexample": {"K": 4, "epsilon_schedule": 0.1}}),
+    ("birkhoff.depth", {"experiment": "birkhoff", "parser": None, "birkhoff": {"depth": 8.5}}),
+])
+def test_malformed_config_numbers_exit_4_naming_the_key(tmp_path, m1_file, key, overrides):
+    config = json.loads(_write_config(tmp_path).read_text())
+    config.update(overrides)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(path)
+    assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 4
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_simulate_rejects_worker_count_below_one(tmp_path, m1_file, workers):
     path = _write_config(tmp_path)
@@ -155,7 +223,7 @@ def test_simulate_counterexample_precondition_exit_code(tmp_path, m1_file):
         counterexample={"K": 4, "epsilon_schedule": [0.1]},
         n_grid=[1000, 1001, 2000, 2001])
     config = json.loads(path.read_text())
-    del config["parser"]
+    del config["parser"], config["tolerance"]
     path.write_text(json.dumps(config))
     # first-order chain: the two limits coincide, so the gap check refuses it
     assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 3
@@ -209,7 +277,7 @@ def test_summary_sections_perturbation(tmp_path, m1_file):
 def test_summary_sections_counterexample(tmp_path):
     save_model(reference_model("h1"), tmp_path / "h1.json")
     config = json.loads(_write_config(tmp_path).read_text())
-    del config["parser"]
+    del config["parser"], config["tolerance"]
     config.update(experiment="counterexample", model="h1.json",
                   n_grid=[1000, 1001, 2000, 2001],
                   counterexample={"K": 4, "epsilon_schedule": [0.1]})

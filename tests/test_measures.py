@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,18 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsentropy import (
+    ENUM_CAP,
     CapExceededError,
     HiddenMarkovModel,
     IIDModel,
     MarkovModel,
     MixtureModel,
     ModelFormatError,
+    ParserSpec,
     PreconditionError,
     beta_sequence,
     block_log_probs,
     cut_penalties,
     discrepancy_gap,
     entropy_rate,
+    expected_logz_check,
     level_probs,
     load_model,
     log_cylinder_prob,
@@ -27,6 +31,7 @@ from parsentropy import (
     model_from_dict,
     model_id,
     model_to_dict,
+    oracle_target,
     parse_growing,
     prefix_log_probs,
     sample_trajectory,
@@ -34,6 +39,8 @@ from parsentropy import (
     stationary_distribution,
     suffix_log_probs,
     validate_model,
+    verify_martingale_property,
+    zmax_tail_check,
 )
 
 from conftest import naive_marginal_entropy, naive_word_prob
@@ -338,8 +345,32 @@ def test_marginal_entropy_matches_bruteforce(all_reference_models, name):
 def test_marginal_entropy_cap(m1):
     with pytest.raises(CapExceededError):
         marginal_entropy(m1, 23)
-    # a larger explicit cap admits the same depth
-    assert marginal_entropy(m1, 12, cap=2**12) > 0
+
+
+# On m1 each call needs 2^23 or 2^24 atoms: one level over ENUM_CAP = 2^22.
+_OVER_CAP = {
+    "level_probs": lambda m: next(level_probs(m, 23)),
+    "marginal_entropy": lambda m: marginal_entropy(m, 23),
+    "beta_sequence": lambda m: beta_sequence(m, 23),
+    "discrepancy_gap": lambda m: discrepancy_gap(m, 24),
+    "oracle_target": lambda m: oracle_target(m, ParserSpec("fixed", {"K": 23})),
+    "verify_martingale_property": lambda m: verify_martingale_property(m, 22),
+    "expected_logz_check": lambda m: expected_logz_check(m, 23),
+    "zmax_tail_check": lambda m: zmax_tail_check(m, 23, (2.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVER_CAP))
+def test_enumeration_cap_holds_at_every_entry_point(m1, name):
+    assert ENUM_CAP == 1 << 22
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="exceeds the cap"):
+            _OVER_CAP[name](m1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20   # refused before any level (8 bytes per atom) is built
 
 
 def test_beta_sequence_markov_flat_from_two(m1):
