@@ -135,33 +135,9 @@ def _number(value, where: str, integer: bool = False):
 
 
 def _expand_grid(spec, where: str) -> tuple:
-    if isinstance(spec, list):
-        grid = spec
-    elif isinstance(spec, dict):
-        allowed = {"start", "stop", "points", "spacing", "parity"}
-        unknown = set(spec) - allowed
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-        for key in ("start", "stop", "points"):
-            if key not in spec:
-                raise ConfigError(f"{where}: missing key {key!r}")
-        start, stop = (_number(spec[key], f"{where}.{key}") for key in ("start", "stop"))
-        points = _number(spec["points"], f"{where}.points", integer=True)
-        spacing = spec.get("spacing", "geometric")
-        if spacing == "geometric":
-            vals = np.geomspace(start, stop, points)
-        elif spacing == "linear":
-            vals = np.linspace(start, stop, points)
-        else:
-            raise ConfigError(f"{where}.spacing: expected 'geometric' or 'linear'")
-        grid = [int(round(v)) for v in vals]
-        if spec.get("parity", "both") != "both":
-            raise ConfigError(f"{where}.parity: expected 'both', got {spec['parity']!r}")
-        if "parity" in spec:
-            grid = sorted({g - g % 2 for g in grid} | {g - g % 2 + 1 for g in grid})
-    else:
-        raise ConfigError(f"{where}: expected a list or a range object")
-    grid = sorted({_number(n, f"{where}[{i}]", integer=True) for i, n in enumerate(grid)})
+    if not isinstance(spec, list):
+        raise ConfigError(f"{where}: expected a list of lengths, got {spec!r}")
+    grid = sorted({_number(n, f"{where}[{i}]", integer=True) for i, n in enumerate(spec)})
     if not grid:
         raise ConfigError(f"{where}: need at least one length")
     return tuple(grid)
@@ -262,8 +238,7 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{name}: missing keys {sorted(missing)}")
         return section
 
-    cx = _section("counterexample", {"K", "epsilon_schedule", "min_gap"},
-                  {"K", "epsilon_schedule"})
+    cx = _section("counterexample", {"K", "epsilon_schedule"}, {"K", "epsilon_schedule"})
     pert = _section("perturbation", {"plan"}, {"plan"})
     bk = _section("birkhoff", {"observable", "index_family", "depth"}, set())
     if cx is not None:  # typed here, so that a malformed value is a config error
@@ -272,10 +247,9 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{where}.epsilon_schedule: expected a list of numbers")
         cx = {"K": _number(cx["K"], f"{where}.K", integer=True),
               "epsilon_schedule": [_number(e, f"{where}.epsilon_schedule[{i}]")
-                                   for i, e in enumerate(schedule)],
-              "min_gap": _number(cx.get("min_gap", 1e-3), f"{where}.min_gap")}
-    if bk is not None:
-        bk = {**bk, "depth": _number(bk.get("depth", 8), f"{path}:birkhoff.depth", integer=True)}
+                                   for i, e in enumerate(schedule)]}
+    if bk is not None and "depth" in bk:
+        bk = {**bk, "depth": _number(bk["depth"], f"{path}:birkhoff.depth", integer=True)}
 
     return ExperimentConfig(
         raw=raw, experiment=experiment, model_path=raw["model"], parser_spec=parser_spec,
@@ -319,12 +293,9 @@ def _run_experiment(config: ExperimentConfig, model: ProcessModel, map_fn=map):
     if config.experiment == "counterexample":
         cx = config.counterexample
         return counterexample_experiment(model, cx["K"], cx["epsilon_schedule"], config.n_grid,
-                                         config.seeds[0], min_gap=cx["min_gap"])
-    bk = config.birkhoff
-    return sublinear_birkhoff_check(
-        model, observable=bk.get("observable", "abs_log_z_d"),
-        index_family=bk.get("index_family", "prefix_sqrt"),
-        N_grid=config.n_grid, seed=config.seeds[0], depth=bk["depth"], tol=config.tolerance)
+                                         config.seeds[0])
+    return sublinear_birkhoff_check(model, N_grid=config.n_grid, seed=config.seeds[0],
+                                    tol=config.tolerance, **config.birkhoff)
 
 
 def _verdict(ok) -> str:
@@ -354,6 +325,9 @@ def _summary_sections(config: ExperimentConfig, report) -> dict:
                 "even_tail_avg": _round12(report.even_tail_avg),
                 "odd_tail_avg": _round12(report.odd_tail_avg),
                 "parity_gap": _round12(report.parity_gap),
+                "tol_even": _round12(report.tol_even),
+                "tol_odd": _round12(report.tol_odd),
+                "tol_gap": _round12(report.tol_gap),
                 "even": _verdict(report.even_ok),
                 "odd": _verdict(report.odd_ok),
                 "gap": _verdict(report.gap_ok),
@@ -393,8 +367,10 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
     wall: dict = {}
     try:
         t0 = time.perf_counter()
-        if config.experiment == "convergence" and config.mode == "l1" and n_workers > 1:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # only an l1 convergence run has cells to spread: one per seed
+        pool_size = min(n_workers, len(config.seeds)) if config.mode == "l1" else 1
+        if pool_size > 1:
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
                 report = _run_experiment(config, model, pool.map)
         else:
             report = _run_experiment(config, model)
@@ -407,10 +383,11 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
         "experiment": config.experiment,
         "model_id": model_id(model),
         "mode": config.mode,
-        "tolerance": _round12(config.tolerance),
         "units": "nats",
         **_summary_sections(config, report),
     }
+    if config.experiment != "counterexample":   # its verdict writes its own tolerances
+        summary["tolerance"] = _round12(config.tolerance)
     verdict = _verdict(report.verdict)
     t0 = time.perf_counter()
     if isinstance(report, BirkhoffSeries):
@@ -436,7 +413,7 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
         "oracle_values": summary.get("oracle", summary.get("birkhoff")),
         "verdicts": {config.experiment: verdict},
         "wall_clock_s": {k: round(v, 3) for k, v in wall.items()},
-        "workers": n_workers,
+        "workers": pool_size,
         "emitted": ["results.csv", "summary.json"],
     }
     with open(out / "manifest.json", "w") as fh:

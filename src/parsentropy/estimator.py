@@ -36,6 +36,7 @@ from .measures import (
     Trajectory,
     block_log_probs,
     entropy_rate,
+    level_probs,
     marginal_entropy,
     discrepancy_gap,
     prefix_log_probs,
@@ -50,6 +51,7 @@ from .parsing import (
 )
 
 TWO_LIMIT_TOL_REL = 0.02   # the two-limit verdict: each tail average within 2% of its limit
+TWO_LIMIT_MIN_GAP = 1e-3   # nats: the two limits must lie further apart than this
 
 
 @dataclass(frozen=True)
@@ -207,6 +209,28 @@ def oracle_target(model: ProcessModel, spec: ParserSpec) -> OracleTarget:
     return OracleTarget(rate.lower, rate.upper, rate=rate)
 
 
+def _component_targets(model: MixtureModel, spec: ParserSpec) -> tuple:
+    """One limit per mixture component, in the order of ``model.components``.
+
+    A sublinear parsing of a realization of component j tends to that
+    component's rate.  Fixed-K blocks are scored under the mixture, so they
+    tend to the cross-entropy E_j[-log P(X_1^K)]/K of the component's
+    K-marginal against the mixture's; the weighted mean of these is the
+    headline H(P_K)/K.
+    """
+    if spec.family != "fixed":
+        return tuple(oracle_target(comp, spec) for comp in model.components)
+    k = spec.params["K"]
+    *_, (_, mixed) = level_probs(model, k)
+    targets = []
+    for comp in model.components:
+        *_, (_, own) = level_probs(comp, k)
+        support = own > 0
+        cross = -float(own[support] @ np.log(mixed[support])) / k
+        targets.append(OracleTarget(cross, cross))
+    return tuple(targets)
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -268,9 +292,7 @@ def _seed_cell(args) -> list:
 def _converge(model, spec, grid, seeds, mode, tol, params, plan, map_fn) -> ConvergenceReport:
     """Score every seed against the oracle limit of (model, spec); as or l1 verdict."""
     headline = oracle_target(model, spec)
-    target = headline
-    if isinstance(model, MixtureModel) and spec.family != "fixed":
-        target = tuple(oracle_target(comp, spec) for comp in model.components)
+    target = _component_targets(model, spec) if isinstance(model, MixtureModel) else headline
     # Tail selection compares suffix information rates against the entropy
     # rate itself, not against the experiment's limit value.
     h_ref = headline.rate.mid if spec.family == "counterexample_v" else None
@@ -301,8 +323,9 @@ def convergence_experiment(model: ProcessModel, spec: ParserSpec, N_grid,
 
     Almost-sure mode follows nested prefixes of one trajectory (one seed);
     L1 mode averages absolute deviations across at least 20 seeds at the
-    largest N.  For mixture models each seed is scored against the rate of
-    the component it sampled, and the report target is the bracket hull.
+    largest N.  For mixture models each seed is scored against the limit of
+    the component it sampled (``_component_targets``), and the report
+    target is the mixture's own: the bracket hull of the rates, or H(P_K)/K.
 
     ``map_fn`` may be a pool map; seeds are independent cells and the merge
     order is fixed, so results do not depend on the worker count.
@@ -323,14 +346,15 @@ def convergence_experiment(model: ProcessModel, spec: ParserSpec, N_grid,
 
 
 def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Sequence[float],
-                              N_grid, seed: int, min_gap: float = 1e-3) -> CounterexampleReport:
+                              N_grid, seed: int) -> CounterexampleReport:
     """Two-limit behavior of the alternating parsing on a linear block budget.
 
     Requires an ergodic model whose fixed-K and tail-parsing limits are
-    separated by more than ``min_gap`` (verified by enumeration before the
-    run).  The grid must contain both parities; the epsilon schedule is
-    applied in contiguous non-increasing segments, emulating a diagonal
-    refinement of the tail-selection window; ``TWO_LIMIT_TOL_REL`` sets the verdict.
+    separated by more than ``TWO_LIMIT_MIN_GAP`` (verified by enumeration
+    before the run).  The grid must contain both parities; the epsilon
+    schedule is applied in contiguous non-increasing segments, emulating a
+    diagonal refinement of the tail-selection window; ``TWO_LIMIT_TOL_REL``
+    sets the verdict.
     """
     if isinstance(model, MixtureModel):
         raise PreconditionError("the two-limit construction needs an ergodic model; mixtures are not")
@@ -344,10 +368,10 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
         raise PreconditionError("N_grid must contain both even and odd lengths")
 
     gap_info = discrepancy_gap(model, K)
-    if gap_info.gap <= min_gap:
+    if gap_info.gap <= TWO_LIMIT_MIN_GAP:
         raise GapTooSmallError(
             f"fixed-block and tail-parsing limits are {gap_info.gap:.3e} nats apart "
-            f"(resolution {min_gap:.1e}); the two-limit experiment cannot resolve them"
+            f"(resolution {TWO_LIMIT_MIN_GAP:.1e}); the two-limit experiment cannot resolve them"
         )
     limit_even = gap_info.h_k / K
     limit_odd = _tail_limit(gap_info.h_half, K, gap_info.h_bracket)
@@ -382,26 +406,20 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
     )
 
 
-def perturbation_experiment(model: ProcessModel, spec: ParserSpec,
-                            plan: Union[str, Callable], N_grid, seed: int,
-                            tol: float = 0.01) -> ConvergenceReport:
+def perturbation_experiment(model: ProcessModel, spec: ParserSpec, plan: str, N_grid,
+                            seed: int, tol: float = 0.01) -> ConvergenceReport:
     """Convergence of blockwise information under per-block perturbations.
 
-    The plan (a name from the built-in plans or a callable mapping a parsing
-    to a perturbed one) must be subextensive: the modification ratio has to
-    decrease along the grid and drop below 1% at the largest N, otherwise
-    BudgetNotSubextensiveError is raised before any estimation.  Mixture
-    seeds are scored against their sampled component, as in
-    ``convergence_experiment``.
+    The plan, a name from ``PERTURBATION_PLANS``, must be subextensive: the
+    modification ratio has to decrease along the grid and drop below 1% at
+    the largest N, otherwise BudgetNotSubextensiveError is raised before any
+    estimation.  Mixture seeds are scored against their sampled component,
+    as in ``convergence_experiment``.
     """
     grid = _check_grid(N_grid)
-    if isinstance(plan, str):
-        plan_name, plan = plan, partial(apply_perturbation_plan, plan_name=plan)
-    else:
-        plan_name = getattr(plan, "__name__", "custom")
-    params = json.dumps({**spec.params, "plan": plan_name}, sort_keys=True,
-                        separators=(",", ":"))
-    return _converge(model, spec, grid, [int(seed)], "as", tol, params, plan, map)
+    params = json.dumps({**spec.params, "plan": plan}, sort_keys=True, separators=(",", ":"))
+    return _converge(model, spec, grid, [int(seed)], "as", tol, params,
+                     partial(apply_perturbation_plan, plan_name=plan), map)
 
 
 _BIRKHOFF_OBSERVABLES = ("log_zmax_to_depth_d", "abs_log_z_d")

@@ -45,6 +45,7 @@ ENUM_CAP = 1 << 22   # atoms: every exact enumeration stays under it
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
+_STATIONARY_SOLVE_TOL = 1e-14   # residual a solved stationary law may leave
 _TINY = np.finfo(float).tiny
 _LOWEST = np.finfo(float).min
 # Bound the HMM kernel's temporaries to a few MB: blocks per pass, chunks per scan read-out.
@@ -632,13 +633,13 @@ _VARIANTS = {cls._VARIANT: cls for cls in (IIDModel, MarkovModel, HiddenMarkovMo
 # ---------------------------------------------------------------------------
 
 
-def validate_model(model: ProcessModel, prefix: str = "") -> ModelValidationReport:
+def validate_model(model: ProcessModel) -> ModelValidationReport:
     """Check stochasticity and stationarity invariants, with numeric residuals.
 
     Failures do not raise; the report carries one row per invariant, e.g.
     the sup-norm of ``initial @ transition - initial`` for Markov models.
     """
-    return ModelValidationReport(checks=tuple(model._checks(prefix)))
+    return ModelValidationReport(checks=tuple(model._checks("")))
 
 
 def _require_valid(model: ProcessModel, where: str) -> None:
@@ -650,12 +651,12 @@ def _require_valid(model: ProcessModel, where: str) -> None:
         raise ModelFormatError(f"{where}: model invariants violated: {rows}")
 
 
-def stationary_distribution(transition, tol: float = 1e-14) -> np.ndarray:
+def stationary_distribution(transition) -> np.ndarray:
     """Stationary row vector of a row-stochastic matrix, solved directly.
 
     Least squares on pi (T - I) = 0 with sum(pi) = 1.  Raises
     PreconditionError when the stationary law is not unique (the system has
-    rank below k) or when the solution leaves a residual above ``tol``.
+    rank below k) or when the solution leaves a residual above 1e-14.
     """
     t = np.asarray(transition, dtype=float)
     k = t.shape[0]
@@ -668,8 +669,9 @@ def stationary_distribution(transition, tol: float = 1e-14) -> np.ndarray:
     pi = np.maximum(pi, 0.0)   # round-off can leave -1e-17 on transient states
     pi /= pi.sum()
     residual = float(np.abs(pi @ t - pi).max())
-    if residual > tol:
-        raise PreconditionError(f"stationary solve left residual {residual:.3e} > tol {tol:.1e}")
+    if residual > _STATIONARY_SOLVE_TOL:
+        raise PreconditionError(f"stationary solve left residual {residual:.3e} "
+                                f"> {_STATIONARY_SOLVE_TOL:.1e}")
     return pi
 
 

@@ -506,8 +506,8 @@ class ParserSpec:
             raise ValueError("epsilon must lie in (0, 1/4)")
         if "budget" in self.params:
             b = self.params["budget"]
-            if not (b in ("sqrt", "log2") or (isinstance(b, int) and b >= 1)):
-                raise ValueError("budget must be 'sqrt', 'log2', or a positive integer")
+            if not (b == "sqrt" or (isinstance(b, int) and b >= 1)):
+                raise ValueError(f"budget must be 'sqrt' or a positive integer, got {b!r}")
         if self.family == "counterexample_u":   # fixed-length blocks of an even K
             object.__setattr__(self, "family", "fixed")
 
@@ -518,8 +518,6 @@ class ParserSpec:
 def resolve_budget(budget, N: int) -> int:
     if budget == "sqrt":
         return max(1, math.isqrt(N))
-    if budget == "log2":
-        return max(1, int(round(N / max(1, (N - 1).bit_length()))))
     return min(int(budget), N)
 
 

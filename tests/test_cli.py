@@ -76,13 +76,6 @@ def test_parse_config_rejects_bad_parser(tmp_path):
         parse_config(path)
 
 
-def test_grid_expansion_geometric_with_parity(tmp_path):
-    path = _write_config(tmp_path, n_grid={"start": 1000, "stop": 100_000,
-                                           "points": 3, "parity": "both"})
-    config = parse_config(path)
-    assert config.n_grid == (1000, 1001, 10000, 10001, 100000, 100001)
-
-
 def test_seed_derivation_is_deterministic(tmp_path):
     path = _write_config(tmp_path, seeds={"count": 5, "master_seed": 99})
     config = parse_config(path)
@@ -152,11 +145,14 @@ def test_counterexample_rejects_tolerance(tmp_path, m1_file):
 
 
 @pytest.mark.parametrize("key,overrides", [
-    ("n_grid.start", {"n_grid": {"start": "a", "stop": 1000, "points": 3}}),
-    ("n_grid.start", {"n_grid": {"start": 0, "stop": 1000, "points": 3}}),
-    ("n_grid.points", {"n_grid": {"start": 10, "stop": 1000, "points": 2.5}}),
-    ("n_grid.points", {"n_grid": {"start": 10, "stop": 1000, "points": -1}}),
-    ("n_grid.parity", {"n_grid": {"start": 10, "stop": 1000, "points": 3, "parity": "odd"}}),
+    # each setting has one form: a grid is a list, the two-limit gap is a constant,
+    # and a budget is a count or "sqrt"
+    ("n_grid", {"n_grid": {"start": 10, "stop": 12, "points": 5}}),
+    ("n_grid", {"n_grid": {"start": 1000, "stop": 100_000, "points": 3, "parity": "both"}}),
+    ("min_gap", {"experiment": "counterexample", "parser": None, "tolerance": None,
+                 "counterexample": {"K": 4, "epsilon_schedule": [0.1], "min_gap": 1e-3}}),
+    ("budget", {"parser": {"family": "random_sublinear", "budget": "log2", "seed": 1}}),
+    ("budget", {"parser": {"family": "adversarial", "budget": "log2"}}),
     ("n_grid[1]", {"n_grid": [500, 1000.7]}),
     ("n_grid[0]", {"n_grid": [True, 2000]}),
     ("tolerance", {"tolerance": "x"}),
@@ -284,10 +280,17 @@ def test_summary_sections_counterexample(tmp_path):
     path = tmp_path / "cx.json"
     path.write_text(json.dumps(config))
     summary, manifest = _run_summary(path, tmp_path / "o")
-    assert set(summary) == TOP_KEYS | {"oracle", "results"}
+    # the verdict's own tolerances replace the unused top-level one
+    assert set(summary) == TOP_KEYS - {"tolerance"} | {"oracle", "results"}
     assert set(summary["oracle"]) == {"limit_even", "limit_odd", "gap", "h_bracket_width"}
     assert set(summary["results"]) == {"even_tail_avg", "odd_tail_avg", "parity_gap",
+                                       "tol_even", "tol_odd", "tol_gap",
                                        "even", "odd", "gap", "verdict"}
+    oracle, results = summary["oracle"], summary["results"]
+    assert results["tol_even"] == pytest.approx(0.02 * oracle["limit_even"], rel=1e-10)
+    assert results["tol_odd"] == pytest.approx(0.02 * oracle["limit_odd"]["mid"], rel=1e-10)
+    assert results["tol_gap"] == pytest.approx(results["tol_even"] + results["tol_odd"],
+                                               rel=1e-10)
     assert manifest["verdicts"] == {"counterexample": summary["results"]["verdict"]}
     assert manifest["oracle_values"] == summary["oracle"]
 
@@ -306,6 +309,20 @@ def test_summary_sections_birkhoff(tmp_path, m1_file):
     assert [row[0] for row in summary["birkhoff"]["rows"]] == [1000, 10_000]
     assert manifest["verdicts"] == {"birkhoff": summary["birkhoff"]["verdict"]}
     assert manifest["oracle_values"] == summary["birkhoff"]
+
+
+@pytest.mark.parametrize("mode,seeds,workers,recorded", [
+    ("l1", list(range(20)), 2, 2),     # the pool's processes run the cells
+    ("l1", list(range(20)), 1, 1),
+    ("as", [7], 3, 1),                 # one trajectory runs in this process
+], ids=["l1-pool-of-2", "l1-one-worker", "as-three-workers"])
+def test_manifest_records_the_processes_that_ran_the_cells(tmp_path, m1_file, mode, seeds,
+                                                           workers, recorded):
+    path = _write_config(tmp_path, mode=mode, seeds=seeds, n_grid=[2000])
+    out = tmp_path / "o"
+    assert cmd_simulate(str(path), workers=workers, out_dir=str(out)) == 0
+    manifest = json.loads((next(out.iterdir()) / "manifest.json").read_text())
+    assert manifest["workers"] == recorded
 
 
 def test_simulate_block_longer_than_prefix_exit_code(tmp_path, m1_file):

@@ -29,6 +29,7 @@ from parsentropy import (
     smb_info,
     sublinear_birkhoff_check,
 )
+from parsentropy.cli import derive_seeds
 
 LN2 = math.log(2.0)
 H_M1 = 0.4 * (-(0.3 * math.log(0.3) + 0.7 * math.log(0.7))) + \
@@ -216,6 +217,23 @@ def test_convergence_l1_mode_small(m1):
     assert report.verdict
     assert report.l1_deviation < 0.02
     assert len(report.series) == 20
+
+
+def test_mixture_fixed_k_scores_each_seed_against_its_component(mixture):
+    # a realization of component j tends to E_j[-log P(X_1^4)]/4 under the mixture P,
+    # not to the mixture's H(P_4)/4, which is only their weighted mean
+    spec = ParserSpec("fixed", {"K": 4})
+    report = convergence_experiment(mixture, spec, [10**4, 10**5], derive_seeds(99, 20),
+                                    "l1", tol=0.02)
+    headline = marginal_entropy(mixture, 4) / 4
+    assert report.target.lower == report.target.upper == headline
+    targets = {r.target.mid for r in report.series}
+    m1_target, coin_target = sorted(targets)
+    assert (m1_target, coin_target) == pytest.approx((0.60400, 0.71976), abs=1e-5)
+    assert (mixture.weight * m1_target + (1 - mixture.weight) * coin_target
+            == pytest.approx(headline, abs=1e-12))
+    assert report.verdict
+    assert report.l1_deviation < 0.002
 
 
 def test_convergence_hmm_all_sublinear_specs(h1):
