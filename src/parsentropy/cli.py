@@ -58,6 +58,7 @@ from .martingale import (
     zmax_tail_check,
 )
 from .parsing import (
+    PERTURBATION_PLANS,
     Parsing,
     ParserSpec,
     apply_perturbation_plan,
@@ -68,6 +69,8 @@ from .parsing import (
     validate_perturbed,
 )
 from .estimator import (
+    BIRKHOFF_OBSERVABLES,
+    INDEX_FAMILIES,
     TWO_LIMIT_TOL_REL,
     BirkhoffSeries,
     CounterexampleReport,
@@ -132,6 +135,12 @@ def _number(value, where: str, integer: bool = False):
         raise ConfigError(f"{where}: expected a positive {'integer' if integer else 'number'}, "
                           f"got {value!r}")
     return value
+
+
+def _name(value, names, where: str) -> None:
+    """ConfigError unless ``value`` is one of ``names``."""
+    if value not in tuple(names):
+        raise ConfigError(f"{where}: expected one of {sorted(names)}, got {value!r}")
 
 
 def _expand_grid(spec, where: str) -> tuple:
@@ -248,8 +257,14 @@ def parse_config(path) -> ExperimentConfig:
         cx = {"K": _number(cx["K"], f"{where}.K", integer=True),
               "epsilon_schedule": [_number(e, f"{where}.epsilon_schedule[{i}]")
                                    for i, e in enumerate(schedule)]}
-    if bk is not None and "depth" in bk:
-        bk = {**bk, "depth": _number(bk["depth"], f"{path}:birkhoff.depth", integer=True)}
+    if pert is not None:
+        _name(pert["plan"], PERTURBATION_PLANS, f"{path}:perturbation.plan")
+    if bk is not None:
+        for key, names in (("observable", BIRKHOFF_OBSERVABLES), ("index_family", INDEX_FAMILIES)):
+            if key in bk:
+                _name(bk[key], names, f"{path}:birkhoff.{key}")
+        if "depth" in bk:
+            bk = {**bk, "depth": _number(bk["depth"], f"{path}:birkhoff.depth", integer=True)}
 
     return ExperimentConfig(
         raw=raw, experiment=experiment, model_path=raw["model"], parser_spec=parser_spec,
@@ -361,9 +376,6 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
     except (ConfigError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    out = Path(out_dir or "runs") / config.config_hash[:12]
-    out.mkdir(parents=True, exist_ok=True)
-
     wall: dict = {}
     try:
         t0 = time.perf_counter()
@@ -379,6 +391,8 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 3
 
+    out = Path(out_dir or "runs") / config.config_hash[:12]   # only a run with a report
+    out.mkdir(parents=True, exist_ok=True)
     summary = {
         "experiment": config.experiment,
         "model_id": model_id(model),

@@ -422,8 +422,8 @@ def perturbation_experiment(model: ProcessModel, spec: ParserSpec, plan: str, N_
                      partial(apply_perturbation_plan, plan_name=plan), map)
 
 
-_BIRKHOFF_OBSERVABLES = ("log_zmax_to_depth_d", "abs_log_z_d")
-_INDEX_FAMILIES = ("prefix_sqrt", "random_sqrt")
+BIRKHOFF_OBSERVABLES = ("log_zmax_to_depth_d", "abs_log_z_d")
+INDEX_FAMILIES = ("prefix_sqrt", "random_sqrt")
 
 
 def sublinear_birkhoff_check(model: ProcessModel, observable: str = "abs_log_z_d",
@@ -438,10 +438,10 @@ def sublinear_birkhoff_check(model: ProcessModel, observable: str = "abs_log_z_d
     normalized sum must vanish like |A_N|/N, i.e. by a factor of about
     sqrt(10) per decade of N.
     """
-    if observable not in _BIRKHOFF_OBSERVABLES:
-        raise PreconditionError(f"observable must be one of {_BIRKHOFF_OBSERVABLES}")
-    if index_family not in _INDEX_FAMILIES:
-        raise PreconditionError(f"index_family must be one of {_INDEX_FAMILIES}")
+    if observable not in BIRKHOFF_OBSERVABLES:
+        raise PreconditionError(f"observable must be one of {BIRKHOFF_OBSERVABLES}")
+    if index_family not in INDEX_FAMILIES:
+        raise PreconditionError(f"index_family must be one of {INDEX_FAMILIES}")
     min_depth = 2 if observable == "abs_log_z_d" else 1
     if depth < min_depth:
         raise PreconditionError(f"{observable} needs depth >= {min_depth}, got {depth}")

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import CapExceededError, ModelFormatError, PreconditionError
 
 ENUM_CAP = 1 << 22   # atoms: every exact enumeration stays under it
+RATE_TOL = 1e-5      # nats: a rate sandwich this narrow has converged
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
@@ -237,7 +238,7 @@ class _Model:
     defaults below read the attributes of those names and rebuild a model
     from its dataclass fields) and implements ``_checks(prefix)``,
     ``_prefix(x)``, ``_suffix(x)``, ``_block(x, s, e)``, ``_sample(n, rng)``,
-    ``_levels(n_max, hidden_start)`` and ``_rate(tol, n_cap)``; a model
+    ``_levels(n_max)`` and ``_rate()``; a model
     whose cut penalty is local also overrides ``_cut_penalties(x)``.
     Constructors check shapes only, so that ``validate_model`` can report on
     a model that is not stochastic.
@@ -248,9 +249,6 @@ class _Model:
 
     def _params(self) -> dict:
         return {key: np.asarray(getattr(self, key)).tolist() for key in self._KEYS}
-
-    def _hidden_start(self, hidden_start) -> np.ndarray:
-        raise PreconditionError("hidden_start applies to hidden-Markov models only")
 
     @classmethod
     def _from_params(cls, d: dict, path: str):
@@ -358,7 +356,7 @@ class MarkovModel(_Model):
     def _sample(self, n: int, rng: np.random.Generator):
         return _walk_chain(self.initial, self.transition, rng.random(n)), None
 
-    def _levels(self, n_max: int, hidden_start) -> Iterator:
+    def _levels(self, n_max: int) -> Iterator:
         a = self.alphabet_size
         level = self.initial.copy()
         yield 1, level
@@ -367,7 +365,7 @@ class MarkovModel(_Model):
             level = (level[:, None] * self.transition[last, :]).ravel()
             yield n, level
 
-    def _rate(self, tol: float, n_cap: int) -> EntropyBracket:
+    def _rate(self) -> EntropyBracket:
         rows = self.transition
         mask = rows > 0
         contrib = np.where(mask, -rows * _safe_log(np.where(mask, rows, 1.0)), 0.0)
@@ -502,15 +500,9 @@ class HiddenMarkovModel(_Model):
             symbols[at] = np.searchsorted(row, ue[at], side="right")
         return np.minimum(symbols, self.alphabet_size - 1, out=symbols), None
 
-    def _hidden_start(self, hidden_start) -> np.ndarray:
-        rho = np.asarray(hidden_start, dtype=float)
-        if rho.shape == (self.hidden_states,) and rho.min() >= 0 and abs(rho.sum() - 1) <= _ROW_SUM_TOL:
-            return rho
-        raise PreconditionError(f"hidden_start must be a distribution over the {self.hidden_states} "
-                                f"hidden states, got {hidden_start!r}")
-
-    def _levels(self, n_max: int, hidden_start) -> Iterator:
-        rho = self.hidden_initial if hidden_start is None else hidden_start
+    def _levels(self, n_max: int, start: Optional[np.ndarray] = None) -> Iterator:
+        """Levels from the hidden initial law, or from the hidden law ``start``."""
+        rho = self.hidden_initial if start is None else start
         fwd = rho[None, :] * self.emission.T  # (A words, S): rho(s) B(s, a)
         yield 1, fwd.sum(axis=1)
         for n in range(2, n_max + 1):
@@ -518,16 +510,12 @@ class HiddenMarkovModel(_Model):
             fwd = (g[:, None, :] * self.emission.T[None, :, :]).reshape(-1, self.hidden_states)
             yield n, fwd.sum(axis=1)
 
-    def _rate(self, tol: float, n_cap: int) -> EntropyBracket:
+    def _rate(self) -> EntropyBracket:
         a, S = self.alphabet_size, self.hidden_states
         n_max = 1                                # level 1 over the cap: level_probs raises
-        while n_max < n_cap and a ** (n_max + 1) <= ENUM_CAP:
+        while max(a, 2) ** (n_max + 1) <= ENUM_CAP:   # one symbol: the binary depth
             n_max += 1
-        sweeps = [level_probs(self, n_max)]
-        for s in range(S):
-            start = np.zeros(S)
-            start[s] = 1.0
-            sweeps.append(level_probs(self, n_max, hidden_start=start))
+        sweeps = [level_probs(self, n_max)] + [self._levels(n_max, start) for start in np.eye(S)]
         rho = self.hidden_initial
         prev_upper_h = 0.0
         prev_lower_h = np.zeros(S)
@@ -541,7 +529,7 @@ class HiddenMarkovModel(_Model):
             prev_upper_h, prev_lower_h = upper_h, lower_h
             lower, upper = min(lower_n, upper_n), max(lower_n, upper_n)
             n_used = n
-            if upper - lower <= tol:
+            if upper - lower <= RATE_TOL:
                 return EntropyBracket(lower, upper, n_used=n_used)
         return EntropyBracket(lower, upper, n_used=n_used, converged=False)
 
@@ -600,14 +588,13 @@ class MixtureModel(_Model):
         symbols, _ = self.components[comp]._sample(n, rng)
         return symbols, comp
 
-    def _levels(self, n_max: int, hidden_start) -> Iterator:
+    def _levels(self, n_max: int) -> Iterator:
         w = self.weight
-        for (n, p1), (_, p2) in zip(self.first._levels(n_max, None),
-                                    self.second._levels(n_max, None)):
+        for (n, p1), (_, p2) in zip(self.first._levels(n_max), self.second._levels(n_max)):
             yield n, w * p1 + (1.0 - w) * p2
 
-    def _rate(self, tol: float, n_cap: int) -> EntropyBracket:
-        return self.first._rate(tol, n_cap).hull(self.second._rate(tol, n_cap))
+    def _rate(self) -> EntropyBracket:
+        return self.first._rate().hull(self.second._rate())
 
     def _params(self) -> dict:
         return {"weight": self.weight,
@@ -785,23 +772,18 @@ def sample_trajectory(model: ProcessModel, n: int, seed: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def level_probs(model: ProcessModel, n_max: int, hidden_start: Optional[np.ndarray] = None) -> Iterator:
+def level_probs(model: ProcessModel, n_max: int) -> Iterator:
     """Yield ``(n, P_n)`` for n = 1..n_max, with P_n over all rank-ordered words.
 
     Ranks are base-``|A|`` encodings with the first symbol most significant.
-    ``hidden_start`` overrides the hidden initial distribution; it is used
-    for conditional-entropy sandwich bounds.  It must be a distribution over
-    the hidden states of a hidden-Markov model; any other model type raises
-    PreconditionError.  Over ``ENUM_CAP`` atoms, CapExceededError comes first.
+    Over ``ENUM_CAP`` atoms, CapExceededError comes first.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if hidden_start is not None:
-        hidden_start = model._hidden_start(hidden_start)
     a = model.alphabet_size
     if a ** n_max > ENUM_CAP:
         raise CapExceededError(f"enumeration of {a}^{n_max} atoms exceeds the cap of {ENUM_CAP}")
-    yield from model._levels(n_max, hidden_start)
+    yield from model._levels(n_max)
 
 
 def marginal_entropy(model: ProcessModel, n: int) -> float:
@@ -824,20 +806,19 @@ def beta_sequence(model: ProcessModel, n_max: int) -> np.ndarray:
     return np.diff(np.asarray(entropies))
 
 
-def entropy_rate(model: ProcessModel, tol: float = 1e-5, n_cap: int = 22) -> EntropyBracket:
+def entropy_rate(model: ProcessModel) -> EntropyBracket:
     """Entropy rate as an exact point or a sandwich bracket (nats per symbol).
 
     i.i.d. and Markov models have closed forms.  Hidden-Markov models are
     bracketed between the conditional entropy of the next symbol given the
     past with and without the initial hidden state, both computed by exact
-    enumeration and widening n until the width drops below ``tol``; if
-    ``ENUM_CAP`` or ``n_cap`` is reached first, the widest achieved bracket is
-    returned with ``converged=False``.  Mixtures return the hull of their
-    component brackets (the per-realization rate is not constant).
+    enumeration and widening n until the width drops to ``RATE_TOL``; if
+    the next level would exceed ``ENUM_CAP`` first, the bracket at the
+    deepest level, the tightest one, is returned with ``converged=False``.
+    Mixtures return the hull of their component brackets (the
+    per-realization rate is not constant).
     """
-    if tol <= 0 or n_cap < 1:
-        raise ValueError("tol must be positive and n_cap at least 1")
-    return model._rate(tol, n_cap)
+    return model._rate()
 
 
 @dataclass(frozen=True)

@@ -34,17 +34,6 @@ from .measures import (
     suffix_log_probs,
 )
 
-PARSER_FAMILIES = (
-    "fixed",
-    "growing",
-    "lz78",
-    "random_sublinear",
-    "adversarial",
-    "counterexample_u",
-    "counterexample_v",
-    "counterexample_w",
-)
-
 
 @dataclass(frozen=True, eq=False)
 class Parsing:
@@ -466,16 +455,25 @@ def apply_perturbation_plan(parsing: Parsing, plan_name: str) -> PerturbedParsin
 # Parser specifications
 # ---------------------------------------------------------------------------
 
-_FAMILY_PARAMS = {
-    "fixed": {"K"},
-    "growing": {"schedule"},
-    "lz78": set(),
-    "random_sublinear": {"budget", "seed"},
-    "adversarial": {"budget"},
-    "counterexample_u": {"K"},
-    "counterexample_v": {"K", "epsilon"},
-    "counterexample_w": {"K", "epsilon"},
+# A parameter's rule: a test of its value and what the value must be.  JSON
+# true is not an integer, and no integer lies in (0, 1/4).
+_K = (lambda v: type(v) is int and v >= 1, "a positive integer")
+_EVEN_K = (lambda v: type(v) is int and v >= 2 and v % 2 == 0, "an even positive integer")
+_BUDGET = (lambda v: v == "sqrt" or (type(v) is int and v >= 1), "a positive integer or 'sqrt'")
+_SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_EPSILON = (lambda v: isinstance(v, float) and 0.0 < v < 0.25, "a number in (0, 1/4)")
+_SCHEDULE = (lambda v: v in ("sqrt", "log2"), "'sqrt' or 'log2'")
+
+_PARSERS = {   # family: {parameter: rule}
+    "fixed": {"K": _K},
+    "growing": {"schedule": _SCHEDULE},
+    "lz78": {},
+    "random_sublinear": {"budget": _BUDGET, "seed": _SEED},
+    "adversarial": {"budget": _BUDGET},
+    "counterexample_v": {"K": _EVEN_K, "epsilon": _EPSILON},
+    "counterexample_w": {"K": _EVEN_K, "epsilon": _EPSILON},
 }
+PARSER_FAMILIES = tuple(_PARSERS)
 
 
 @dataclass(frozen=True)
@@ -487,29 +485,14 @@ class ParserSpec:
 
     def __post_init__(self):
         if self.family not in PARSER_FAMILIES:
-            raise ValueError(f"unknown parser family {self.family!r}")
-        allowed = _FAMILY_PARAMS[self.family]
-        given = set(self.params)
-        if given != allowed:
-            raise ValueError(
-                f"family {self.family!r} takes parameters {sorted(allowed)}, got {sorted(given)}"
-            )
-        if "K" in self.params:
-            k = self.params["K"]
-            if not isinstance(k, int) or k < 1:
-                raise ValueError("K must be a positive integer")
-            if self.family.startswith("counterexample") and k % 2 != 0:
-                raise ValueError("counterexample families require even K")
-        if "schedule" in self.params and self.params["schedule"] not in ("sqrt", "log2"):
-            raise ValueError("schedule must be 'sqrt' or 'log2'")
-        if "epsilon" in self.params and not 0.0 < self.params["epsilon"] < 0.25:
-            raise ValueError("epsilon must lie in (0, 1/4)")
-        if "budget" in self.params:
-            b = self.params["budget"]
-            if not (b == "sqrt" or (isinstance(b, int) and b >= 1)):
-                raise ValueError(f"budget must be 'sqrt' or a positive integer, got {b!r}")
-        if self.family == "counterexample_u":   # fixed-length blocks of an even K
-            object.__setattr__(self, "family", "fixed")
+            raise ValueError(f"family must be one of {PARSER_FAMILIES}, got {self.family!r}")
+        rules = _PARSERS[self.family]
+        if set(self.params) != set(rules):
+            raise ValueError(f"family {self.family!r} takes parameters {sorted(rules)}, "
+                             f"got {sorted(self.params)}")
+        for key, (ok, what) in rules.items():
+            if not ok(self.params[key]):
+                raise ValueError(f"{key} must be {what}, got {self.params[key]!r}")
 
     def describe(self) -> str:
         return json.dumps(self.params, sort_keys=True, separators=(",", ":"))

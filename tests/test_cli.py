@@ -163,6 +163,19 @@ def test_counterexample_rejects_tolerance(tmp_path, m1_file):
         "experiment": "counterexample", "parser": None, "tolerance": None,
         "counterexample": {"K": 4, "epsilon_schedule": 0.1}}),
     ("birkhoff.depth", {"experiment": "birkhoff", "parser": None, "birkhoff": {"depth": 8.5}}),
+    ("parser: K", {"parser": {"family": "fixed", "K": True}}),
+    ("parser: budget", {"parser": {"family": "adversarial", "budget": True}}),
+    ("parser: seed", {"parser": {"family": "random_sublinear", "budget": 4, "seed": "x"}}),
+    ("parser: seed", {"parser": {"family": "random_sublinear", "budget": 4, "seed": -1}}),
+    ("parser: epsilon", {"parser": {"family": "counterexample_v", "K": 4, "epsilon": "x"}}),
+    ("parser: epsilon", {"parser": {"family": "counterexample_w", "K": 4,
+                                    "epsilon": float("nan")}}),
+    ("parser: family", {"parser": {"family": "counterexample_u", "K": 4}}),
+    ("perturbation.plan", {"experiment": "perturbation", "perturbation": {"plan": "trim2"}}),
+    ("birkhoff.observable", {"experiment": "birkhoff", "parser": None,
+                             "birkhoff": {"observable": "abs_log_z"}}),
+    ("birkhoff.index_family", {"experiment": "birkhoff", "parser": None,
+                               "birkhoff": {"index_family": ["prefix_sqrt"]}}),
 ])
 def test_malformed_config_numbers_exit_4_naming_the_key(tmp_path, m1_file, key, overrides):
     config = json.loads(_write_config(tmp_path).read_text())
@@ -172,6 +185,7 @@ def test_malformed_config_numbers_exit_4_naming_the_key(tmp_path, m1_file, key, 
     with pytest.raises(ConfigError, match=re.escape(key)):
         parse_config(path)
     assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 4
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -223,6 +237,7 @@ def test_simulate_counterexample_precondition_exit_code(tmp_path, m1_file):
     path.write_text(json.dumps(config))
     # first-order chain: the two limits coincide, so the gap check refuses it
     assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 3
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_bad_config_exit_code(tmp_path, m1_file):

@@ -42,6 +42,7 @@ from parsentropy import (
     verify_martingale_property,
     zmax_tail_check,
 )
+from parsentropy.measures import RATE_TOL
 
 from conftest import naive_marginal_entropy, naive_word_prob
 
@@ -410,8 +411,8 @@ def test_entropy_rate_markov_closed_form(m1):
 
 
 def test_entropy_rate_hmm_sandwich(h1):
-    bracket = entropy_rate(h1, tol=1e-4)
-    assert bracket.converged and bracket.width <= 1e-4
+    bracket = entropy_rate(h1)
+    assert bracket.converged and bracket.width <= RATE_TOL
     # the bracket enclosure holds for every deeper conditional increment
     beta12 = beta_sequence(h1, 12)[-1]
     assert bracket.lower - 1e-12 <= beta12
@@ -419,11 +420,15 @@ def test_entropy_rate_hmm_sandwich(h1):
     assert bracket.lower - 1e-12 <= 0.531364059281 <= bracket.upper + 1e-12
 
 
-def test_entropy_rate_hmm_cap_flag(h1):
-    bracket = entropy_rate(h1, tol=1e-15, n_cap=5)
+def test_entropy_rate_hmm_cap_flag():
+    # 16 symbols: a sixth level would hold 16^6 > ENUM_CAP atoms, so the sandwich stops at 5
+    emission = np.full((2, 16), 0.5 / 15)
+    emission[0, 0] = emission[1, 1] = 0.5
+    model = HiddenMarkovModel([[0.99, 0.01], [0.01, 0.99]], [0.5, 0.5], emission)
+    bracket = entropy_rate(model)
     assert not bracket.converged
     assert bracket.n_used == 5
-    assert bracket.width > 1e-15
+    assert bracket.width > RATE_TOL
 
 
 def test_entropy_rate_mixture_hull(mixture):
@@ -493,25 +498,6 @@ def test_entropy_per_symbol_subadditive(all_reference_models):
     for model in all_reference_models.values():
         ratios = [marginal_entropy(model, n) / n for n in range(1, 10)]
         assert np.diff(ratios).max() < 1e-9
-
-
-@pytest.mark.parametrize("name", ["iid_uniform", "m1", "mixture"])
-def test_level_probs_hidden_start_refused_without_hidden_states(all_reference_models, name):
-    with pytest.raises(PreconditionError, match="hidden_start"):
-        list(level_probs(all_reference_models[name], 2, hidden_start=[1.0, 0.0]))
-
-
-@pytest.mark.parametrize("start", [[3.0, 0.0], [1.0], [0.5, 0.25, 0.25], [1.5, -0.5],
-                                   [float("nan"), 1.0]])
-def test_level_probs_hidden_start_must_be_a_distribution(h1, start):
-    with pytest.raises(PreconditionError, match="hidden_start"):
-        list(level_probs(h1, 2, hidden_start=start))
-
-
-def test_level_probs_hidden_start_conditions_on_the_state(h1):
-    levels = dict(level_probs(h1, 2, hidden_start=[1.0, 0.0]))
-    assert levels[1].tolist() == pytest.approx([0.9, 0.1], abs=1e-15)
-    assert float(levels[2].sum()) == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -394,7 +394,7 @@ def test_validate_parsing_examples():
     ("lz78", {}),
     ("random_sublinear", {"budget": "sqrt", "seed": 4}),
     ("adversarial", {"budget": 25}),
-    ("counterexample_u", {"K": 4}),
+    ("fixed", {"K": 4}),   # an even K; in this place, the ids of the cases after it stay
     ("counterexample_v", {"K": 4, "epsilon": 0.05}),
     ("counterexample_w", {"K": 4, "epsilon": 0.05}),
 ])
@@ -404,13 +404,6 @@ def test_every_generator_output_validates(m1, family, params):
     for n in (1_000, 2_001, 3_001):
         parsing = make_parsing(spec, n, model=m1, traj=traj, h_ref=entropy_rate(m1).mid)
         assert validate_parsing(parsing, n).passed
-
-
-def test_counterexample_u_is_fixed_with_even_k():
-    spec = ParserSpec("counterexample_u", {"K": 4})
-    assert spec.family == "fixed" and spec.params == {"K": 4}
-    with pytest.raises(ValueError):
-        ParserSpec("counterexample_u", {"K": 3})
 
 
 def test_parser_spec_validation_errors():
@@ -424,6 +417,20 @@ def test_parser_spec_validation_errors():
         ParserSpec("fixed", {"K": 4, "extra": 1})
     with pytest.raises(ValueError):
         ParserSpec("random_sublinear", {"budget": 0, "seed": 1})
+
+
+@pytest.mark.parametrize("family,params,key", [
+    ("fixed", {"K": True}, "K"),
+    ("adversarial", {"budget": True}, "budget"),
+    ("random_sublinear", {"budget": 4, "seed": "x"}, "seed"),
+    ("random_sublinear", {"budget": 4, "seed": -1}, "seed"),
+    ("counterexample_v", {"K": 4, "epsilon": "x"}, "epsilon"),
+    ("counterexample_w", {"K": 4, "epsilon": float("nan")}, "epsilon"),
+    ("counterexample_u", {"K": 4}, "family"),
+])
+def test_parser_spec_types_each_parameter(family, params, key):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        ParserSpec(family, params)
 
 
 def test_serialization_roundtrip_and_bytes():
