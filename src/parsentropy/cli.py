@@ -58,6 +58,7 @@ from .martingale import (
     zmax_tail_check,
 )
 from .parsing import (
+    _PARSERS,
     PERTURBATION_PLANS,
     Parsing,
     ParserSpec,
@@ -134,6 +135,14 @@ def _number(value, where: str, integer: bool = False):
     if type(value) not in ((int,) if integer else (int, float)) or not 0 < value < math.inf:
         raise ConfigError(f"{where}: expected a positive {'integer' if integer else 'number'}, "
                           f"got {value!r}")
+    return value
+
+
+def _ruled(value, rule, where: str):
+    """``value`` if it passes the parser-table ``rule`` (test, description); else ConfigError."""
+    ok, what = rule
+    if not ok(value):
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
     return value
 
 
@@ -250,13 +259,17 @@ def parse_config(path) -> ExperimentConfig:
     cx = _section("counterexample", {"K", "epsilon_schedule"}, {"K", "epsilon_schedule"})
     pert = _section("perturbation", {"plan"}, {"plan"})
     bk = _section("birkhoff", {"observable", "index_family", "depth"}, set())
-    if cx is not None:  # typed here, so that a malformed value is a config error
+    if cx is not None:  # typed by its parser's rules, so that a bad value is a config error
         where, schedule = f"{path}:counterexample", cx["epsilon_schedule"]
         if not isinstance(schedule, list):
             raise ConfigError(f"{where}.epsilon_schedule: expected a list of numbers")
-        cx = {"K": _number(cx["K"], f"{where}.K", integer=True),
-              "epsilon_schedule": [_number(e, f"{where}.epsilon_schedule[{i}]")
+        rules = _PARSERS["counterexample_w"]
+        cx = {"K": _ruled(cx["K"], rules["K"], f"{where}.K"),
+              "epsilon_schedule": [_ruled(e, rules["epsilon"], f"{where}.epsilon_schedule[{i}]")
                                    for i, e in enumerate(schedule)]}
+        if not schedule or any(b > a for a, b in zip(schedule, schedule[1:])):
+            raise ConfigError(f"{where}.epsilon_schedule: expected a non-empty, non-increasing "
+                              f"list, got {schedule!r}")
     if pert is not None:
         _name(pert["plan"], PERTURBATION_PLANS, f"{path}:perturbation.plan")
     if bk is not None:

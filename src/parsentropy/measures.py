@@ -187,21 +187,41 @@ def _chunk_len(n: int) -> int:
     return m + (m ** 3 < n)
 
 
+def _inverse_cdf(rows: np.ndarray, u: np.ndarray):
+    """Every row's inverse CDF at every uniform from one search: ``(table, place)``.
+
+    Row r draws ``table[r, place[i]]`` for u[i]: the count of entries <= u[i]
+    in its cumulative sums without the last one, which caps the draw at the
+    last index (a row may sum to just under 1).  Every such entry is one of
+    the sorted ``edges`` of all rows, so the count depends only on ``place``,
+    the count of edges <= u[i]; the table counts each row's entries at each
+    edge and sums them along the row.
+    """
+    r, k = rows.shape
+    cum = np.cumsum(rows, axis=1)[:, :-1]
+    edges = np.sort(cum, axis=None)
+    edges = edges[np.diff(edges, prepend=-np.inf) > 0]   # not np.unique: it loads numpy.ma
+    table = np.zeros((r, edges.shape[0] + 1), dtype=np.min_scalar_type(k - 1))
+    np.add.at(table, (np.arange(r)[:, None], np.searchsorted(edges, cum) + 1), 1)
+    return np.cumsum(table, axis=1, out=table), np.searchsorted(edges, u, side="right")
+
+
 def _walk_chain(initial: np.ndarray, transition: np.ndarray, u: np.ndarray) -> np.ndarray:
     """States of a chain by inverse CDF, one uniform each, as a blocked walk.
 
-    Step k maps state s to the count of entries <= u[k] in cumulative row s,
-    capped at the last state (step 0 reads ``initial``).  The maps are
-    composed per chunk, the chunk starts walked, and the chunks filled in.
+    Step k maps state s to row s's draw at u[k] (step 0 reads ``initial``).
+    The maps are composed per chunk, the chunk starts walked, and the chunks
+    filled in.
     """
     k, n = transition.shape[0], u.shape[0]
-    rows = np.cumsum(np.vstack((transition, initial)), axis=1)
+    table, place = _inverse_cdf(np.vstack((transition, initial)), u)
     m = _chunk_len(n)
     c = -(-n // m)
-    maps = np.zeros((c * m, k), dtype=np.min_scalar_type(k - 1))   # the padding is never read out
+    maps = np.zeros((c * m, k), dtype=table.dtype)   # the padding is never read out
     for s in range(k):
-        maps[:n, s] = np.minimum(np.searchsorted(rows[s], u, side="right"), k - 1)
-    maps[0] = min(int(np.searchsorted(rows[-1], u[0], side="right")), k - 1)
+        maps[:n, s] = table[s].take(place)
+    maps[0] = table[-1, place[0]]
+    del place
     flat = maps.reshape(-1)
     base = np.arange(c) * (m * k)                # flat index of each chunk's first map
     through = np.broadcast_to(np.arange(k), (c, k))
@@ -493,12 +513,8 @@ class HiddenMarkovModel(_Model):
 
     def _sample(self, n: int, rng: np.random.Generator):
         path = _walk_chain(self.hidden_initial, self.hidden_transition, rng.random(n))
-        ue = rng.random(n)
-        symbols = np.empty(n, dtype=np.int64)
-        for h, row in enumerate(np.cumsum(self.emission, axis=1)):   # inverse CDF per hidden state
-            at = path == h
-            symbols[at] = np.searchsorted(row, ue[at], side="right")
-        return np.minimum(symbols, self.alphabet_size - 1, out=symbols), None
+        table, place = _inverse_cdf(self.emission, rng.random(n))
+        return table[path, place], None
 
     def _levels(self, n_max: int, start: Optional[np.ndarray] = None) -> Iterator:
         """Levels from the hidden initial law, or from the hidden law ``start``."""

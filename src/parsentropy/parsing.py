@@ -210,24 +210,35 @@ def parse_lz78(traj: Trajectory, N: int) -> Parsing:
     The final phrase may repeat an earlier one; it is kept as a normal block
     so the blocks cover the prefix exactly.  The phrase count is
     O(N / log N) for any source, hence sublinear.
+
+    The phrase set is prefix-closed, so whether the next l symbols form a
+    phrase is monotone in l: each phrase is one symbol past the longest that
+    does, found by stepping from the previous phrase's length over the
+    prefix's bytes (one fixed-width item per symbol).
     """
     if not 1 <= N <= len(traj):
         raise PreconditionError(f"need 1 <= N <= trajectory length, got N={N}")
-    symbols = traj.symbols[:N].tolist()
-    children: dict = {}
+    x = traj.symbols[:N]
+    x = x.astype(np.promote_types(np.min_scalar_type(x.min()), np.min_scalar_type(x.max())))
+    word, end, w = x.tobytes(), x.nbytes, x.itemsize
+    phrases = {b""}
     bounds = []
-    node = -1  # root
-    for pos, sym in enumerate(symbols):
-        key = (node, sym)
-        nxt = children.get(key)
-        if nxt is None:
-            children[key] = len(children)
-            bounds.append(pos + 1)
-            node = -1
+    pos = l = 0   # l: a length in bytes, where the search for the next phrase starts
+    while pos < end:
+        if pos + l > end:
+            l = end - pos
+        if word[pos:pos + l] in phrases:
+            while pos + l < end and word[pos:pos + l + w] in phrases:
+                l += w
         else:
-            node = nxt
-    if node != -1:  # unfinished phrase at the end of the prefix
-        bounds.append(N)
+            l -= w
+            while word[pos:pos + l] not in phrases:
+                l -= w
+        if pos + l < end:   # one symbol more: a new phrase (else the rest repeats one)
+            l += w
+        phrases.add(word[pos:pos + l])
+        pos += l
+        bounds.append(pos // w)
     return Parsing(boundaries=np.asarray(bounds, dtype=np.int64))
 
 

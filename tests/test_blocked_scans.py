@@ -1,7 +1,8 @@
 """Blocked scans: sampled bytes pinned, and the hidden-Markov kernel on long words.
 
 The sampler digests were taken from the sequential inverse-CDF walk that the
-blocked walk replaced; the blocked walk must reproduce them to the bit.
+blocked walk replaced; the blocked walk must reproduce them to the bit, and
+the one-search inverse-CDF table must give every row's per-row search.
 
 The kernel checks run words of 1-3000 symbols, long enough to span many
 chunks, against a sequential log-domain forward (and backward) recursion
@@ -12,6 +13,7 @@ suffix and block values agree to 1e-12 relative (absolute near 0), and are
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from parsentropy import (
     suffix_log_probs,
     validate_model,
 )
-from parsentropy.measures import _chunk_len, _walk_chain
+from parsentropy.measures import _chunk_len, _inverse_cdf, _walk_chain
 
 TOL = 1e-12
 
@@ -117,6 +119,49 @@ def test_blocked_walk_matches_sequential_walk_with_clamps(n):
     initial = np.array([0.0, 0.5, 0.1])
     u = rng.random(n)
     assert _walk_chain(initial, transition, u).tolist() == _sequential_walk(initial, transition, u)
+
+
+def _rows_with_zeros(rng, r, k):
+    """r random rows of k entries, about a third of them 0; the rows sum to 1, 0.6, 1 - 1e-13, ..."""
+    rows = rng.random((r, k)) * (rng.random((r, k)) > 0.3)
+    rows[np.arange(r), rng.integers(k, size=r)] += 0.5        # no row is all zeros
+    totals = np.array([1.0, 0.6, 1 - 1e-13])[np.arange(r) % 3]
+    return rows * (totals / rows.sum(axis=1))[:, None]
+
+
+def _uniforms_on_edges(rows, rng, n):
+    """n random uniforms, plus each cumulative entry in [0, 1) and its neighbouring floats."""
+    cum = np.cumsum(rows, axis=1).ravel()
+    near = np.concatenate(([0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)))
+    return np.concatenate((near[near < 1.0], rng.random(n)))
+
+
+def _check_inverse_cdf(rows, u):
+    """The table lookup against a per-row search of each cumulative row, capped at its last index."""
+    table, place = _inverse_cdf(rows, u)
+    for r, row in enumerate(np.cumsum(rows, axis=1)):
+        draws = np.minimum(np.searchsorted(row, u, side="right"), rows.shape[1] - 1)
+        assert table[r].take(place).tolist() == draws.tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("seed", range(5))
+def test_inverse_cdf_matches_per_row_search(k, seed):
+    rng = np.random.default_rng(seed)
+    rows = _rows_with_zeros(rng, k + 1, k)
+    _check_inverse_cdf(rows, _uniforms_on_edges(rows, rng, 1000))
+
+
+def test_inverse_cdf_of_300_symbols_builds_in_well_under_a_second():
+    # 301 rows of 300 entries: about 9e4 edges, a 301 x 9e4 table
+    rng = np.random.default_rng(300)
+    rows = _rows_with_zeros(rng, 301, 300)
+    u = _uniforms_on_edges(rows, rng, 2000)
+    u = np.concatenate((rng.choice(u[:-2000], 2000, replace=False), u[-2000:]))
+    start = time.process_time()
+    _inverse_cdf(rows, u)
+    assert time.process_time() - start < 1.0
+    _check_inverse_cdf(rows, u)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,17 @@ def test_counterexample_rejects_tolerance(tmp_path, m1_file):
                              "birkhoff": {"observable": "abs_log_z"}}),
     ("birkhoff.index_family", {"experiment": "birkhoff", "parser": None,
                                "birkhoff": {"index_family": ["prefix_sqrt"]}}),
+    ("counterexample.K", {"experiment": "counterexample", "parser": None, "tolerance": None,
+                          "counterexample": {"K": 3, "epsilon_schedule": [0.1]}}),
+    ("counterexample.epsilon_schedule[0]", {
+        "experiment": "counterexample", "parser": None, "tolerance": None,
+        "counterexample": {"K": 4, "epsilon_schedule": [0.3]}}),
+    ("counterexample.epsilon_schedule", {
+        "experiment": "counterexample", "parser": None, "tolerance": None,
+        "counterexample": {"K": 4, "epsilon_schedule": [0.05, 0.1]}}),
+    ("counterexample.epsilon_schedule", {
+        "experiment": "counterexample", "parser": None, "tolerance": None,
+        "counterexample": {"K": 4, "epsilon_schedule": []}}),
 ])
 def test_malformed_config_numbers_exit_4_naming_the_key(tmp_path, m1_file, key, overrides):
     config = json.loads(_write_config(tmp_path).read_text())

@@ -105,6 +105,54 @@ def test_parse_lz78_sublinear_on_uniform(iid2):
     assert p.c / 10**6 < 0.08
 
 
+def _lz78_trie_walk(word) -> list:
+    """LZ78 boundaries by a dict trie, one step per symbol: the reference for parse_lz78."""
+    children, bounds, node = {}, [], -1
+    for pos, sym in enumerate(word):
+        nxt = children.get((node, sym))
+        if nxt is None:
+            children[node, sym] = len(children)
+            bounds.append(pos + 1)
+            node = -1
+        else:
+            node = nxt
+    if node != -1:   # the final phrase repeats an earlier one
+        bounds.append(len(word))
+    return bounds
+
+
+# 1-3 symbols, and symbols above 255 and above 65535: items of 1, 2 and 4 bytes
+LZ78_ALPHABETS = [(0,), (0, 1), (2, 0, 1), (7, 255, 300), (0, 65535, 70_000)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(word=st.sampled_from(LZ78_ALPHABETS).flatmap(
+    lambda a: st.lists(st.sampled_from(a), min_size=1, max_size=80)))
+def test_parse_lz78_matches_trie_walk_at_every_length(word):
+    # every N: prefixes ending on a phrase boundary and inside a repeated phrase
+    traj = _traj(word)
+    full = parse_lz78(traj, len(word)).boundaries.tolist()
+    for n in range(1, len(word) + 1):
+        expected = _lz78_trie_walk(word[:n])
+        assert parse_lz78(traj, n).boundaries.tolist() == expected
+        assert expected == [b for b in full if b < n] + [n]   # LZ78 is online
+
+
+@pytest.mark.parametrize("word,repeats", [
+    ([1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 0, 1, 0], False),
+    ([0, 0, 0, 0, 0, 0], False),
+    ([0, 0, 0, 0], True),
+    ([300, 300, 300, 300], True),
+    ([70_000, 300, 70_000, 70_000, 300, 300], False),
+    ([70_000, 300, 70_000], True),
+])
+def test_parse_lz78_final_phrase_new_or_repeated(word, repeats):
+    p = parse_lz78(_traj(word), len(word))
+    phrases = [tuple(word[s:e]) for s, e in zip(p.starts, p.ends)]
+    assert p.boundaries.tolist() == _lz78_trie_walk(word)
+    assert (phrases[-1] in phrases[:-1]) == repeats
+
+
 def test_parse_random_sublinear_edges():
     assert parse_random_sublinear(10, 1, seed=0).boundaries.tolist() == [10]
     assert parse_random_sublinear(10, 10, seed=0).c == 10

@@ -2,9 +2,10 @@
 
 One small config per experiment shape: a convergence run in each mode, a
 perturbation, the two-limit counterexample, a Birkhoff series with the
-section's defaults, and the hidden-Markov greedy adversary.  A change that
-moves any cell of these files changes its sha256 here; such a change has to
-say why in CHANGES.md and re-pin the digest.
+section's defaults, the hidden-Markov greedy adversary, and LZ78 phrases on
+the hidden-Markov source.  A change that moves any cell of these files
+changes its sha256 here; such a change has to say why in CHANGES.md and
+re-pin the digest.
 """
 
 import hashlib
@@ -42,6 +43,9 @@ PINNED = {
         _config("convergence", "h1", [1000, 3000], [7], tolerance=0.02,
                 parser={"family": "adversarial", "budget": "sqrt"}),
         "3e399d499f74fa92be4cabb292dedc84c74a6d75c9c209929935d9cd0afb34e5"),
+    "h1-lz78": (
+        _config("convergence", "h1", [10**3, 10**4, 10**5], [7], parser={"family": "lz78"}),
+        "197c1814bc42afcf25240c3a9d3dd5bd6c84e0421f767ffa0cb9f4ea4f90306f"),
     "mixture-growing-sqrt-l1": (
         _config("convergence", "mixture_m1_uniform", [10**4],
                 {"count": 20, "master_seed": 99}, parser=SQRT, mode="l1", tolerance=0.02),
