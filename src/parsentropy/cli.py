@@ -58,7 +58,9 @@ from .martingale import (
     zmax_tail_check,
 )
 from .parsing import (
+    _K,
     _PARSERS,
+    _SEED,
     PERTURBATION_PLANS,
     Parsing,
     ParserSpec,
@@ -103,11 +105,27 @@ def _round12(x: float) -> float:
 # Configuration
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "schema_version", "experiment", "model", "parser", "n_grid", "seeds",
-    "mode", "tolerance", "counterexample", "perturbation", "birkhoff",
+# A config value's rule: a test and what the value must be, as in parsing._PARSERS.
+_POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive number")
+
+
+def _one_of(names: tuple) -> tuple:
+    """The rule that a value is one of ``names``."""
+    return (lambda v: v in names, f"one of {sorted(names)}")
+
+
+# The section of each single-trajectory experiment: {key: rule}.  Only the
+# birkhoff keys are optional; sublinear_birkhoff_check holds their defaults.
+_SECTIONS = {
+    "counterexample": {"K": _PARSERS["counterexample_w"]["K"],
+                       "epsilon_schedule": (lambda v: isinstance(v, list), "a list of numbers")},
+    "perturbation": {"plan": _one_of(tuple(PERTURBATION_PLANS))},
+    "birkhoff": {"observable": _one_of(BIRKHOFF_OBSERVABLES),
+                 "index_family": _one_of(INDEX_FAMILIES), "depth": _K},
 }
-_EXPERIMENTS = ("convergence", "counterexample", "perturbation", "birkhoff")
+_EXPERIMENTS = ("convergence", *_SECTIONS)
+_TOP_KEYS = {"schema_version", "experiment", "model", "parser", "n_grid", "seeds", "mode",
+             "tolerance", *_SECTIONS}
 
 
 @dataclass(frozen=True)
@@ -120,9 +138,7 @@ class ExperimentConfig:
     seeds: tuple
     mode: str
     tolerance: float
-    counterexample: Optional[dict]
-    perturbation: Optional[dict]
-    birkhoff: Optional[dict]
+    section: dict     # the experiment's own section; {} for convergence
 
     @property
     def config_hash(self) -> str:
@@ -130,32 +146,36 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _number(value, where: str, integer: bool = False):
-    """``value`` if it is a positive finite JSON number (an integer if ``integer``); else ConfigError."""
-    if type(value) not in ((int,) if integer else (int, float)) or not 0 < value < math.inf:
-        raise ConfigError(f"{where}: expected a positive {'integer' if integer else 'number'}, "
-                          f"got {value!r}")
-    return value
-
-
 def _ruled(value, rule, where: str):
-    """``value`` if it passes the parser-table ``rule`` (test, description); else ConfigError."""
+    """``value`` if it passes ``rule``, a (test, description) pair; else ConfigError."""
     ok, what = rule
     if not ok(value):
         raise ConfigError(f"{where}: expected {what}, got {value!r}")
     return value
 
 
-def _name(value, names, where: str) -> None:
-    """ConfigError unless ``value`` is one of ``names``."""
-    if value not in tuple(names):
-        raise ConfigError(f"{where}: expected one of {sorted(names)}, got {value!r}")
+def _closed(section, rules: dict, where: str, optional: bool = False) -> dict:
+    """``section`` if it is an object whose keys have ``rules`` and pass them; else ConfigError.
+
+    Every key of ``rules`` is required unless ``optional``.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object")
+    unknown = set(section) - set(rules)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = set() if optional else set(rules) - set(section)
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    for key, value in section.items():
+        _ruled(value, rules[key], f"{where}.{key}")
+    return section
 
 
 def _expand_grid(spec, where: str) -> tuple:
     if not isinstance(spec, list):
         raise ConfigError(f"{where}: expected a list of lengths, got {spec!r}")
-    grid = sorted({_number(n, f"{where}[{i}]", integer=True) for i, n in enumerate(spec)})
+    grid = sorted({_ruled(n, _K, f"{where}[{i}]") for i, n in enumerate(spec)})
     if not grid:
         raise ConfigError(f"{where}: need at least one length")
     return tuple(grid)
@@ -170,23 +190,14 @@ def derive_seeds(master_seed: int, count: int) -> tuple:
 
 def _expand_seeds(spec, where: str) -> tuple:
     if isinstance(spec, list):
-        if any(type(s) is not int for s in spec):
-            raise ConfigError(f"{where}: seeds must be integers")
-        seeds = tuple(spec)
+        seeds = tuple(_ruled(s, _SEED, f"{where}[{i}]") for i, s in enumerate(spec))
     elif isinstance(spec, dict):
-        unknown = set(spec) - {"count", "master_seed"}
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-        if "count" not in spec or "master_seed" not in spec:
-            raise ConfigError(f"{where}: need 'count' and 'master_seed'")
-        count, master_seed = spec["count"], spec["master_seed"]
-        if not (type(count) is int and type(master_seed) is int and count >= 1 and master_seed >= 0):
-            raise ConfigError(f"{where}: need an integer 'count' >= 1 and 'master_seed' >= 0")
-        seeds = derive_seeds(master_seed, count)
+        _closed(spec, {"count": _K, "master_seed": _SEED}, where)
+        seeds = derive_seeds(spec["master_seed"], spec["count"])
     else:
         raise ConfigError(f"{where}: expected a list or a count/master_seed object")
-    if not seeds or min(seeds) < 0:
-        raise ConfigError(f"{where}: need at least one seed, and seeds must be non-negative")
+    if not seeds:
+        raise ConfigError(f"{where}: need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{where}: seeds must be distinct")
     return seeds
@@ -207,19 +218,15 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     if raw.get("schema_version") != 1:
         raise ConfigError(f"{path}: schema_version must be 1")
-    experiment = raw.get("experiment")
-    if experiment not in _EXPERIMENTS:
-        raise ConfigError(f"{path}: experiment must be one of {_EXPERIMENTS}")
+    experiment = _ruled(raw.get("experiment"), _one_of(_EXPERIMENTS), f"{path}:experiment")
     if "model" not in raw or not isinstance(raw["model"], str):
         raise ConfigError(f"{path}: 'model' must be a file path")
     if "n_grid" not in raw or "seeds" not in raw:
         raise ConfigError(f"{path}: 'n_grid' and 'seeds' are required")
     grid = _expand_grid(raw["n_grid"], f"{path}:n_grid")
     seeds = _expand_seeds(raw["seeds"], f"{path}:seeds")
-    mode = raw.get("mode", "as")
-    if mode not in ("as", "l1"):
-        raise ConfigError(f"{path}: mode must be 'as' or 'l1'")
-    tolerance = float(_number(raw.get("tolerance", 0.01), f"{path}:tolerance"))
+    mode = _ruled(raw.get("mode", "as"), _one_of(("as", "l1")), f"{path}:mode")
+    tolerance = float(_ruled(raw.get("tolerance", 0.01), _POSITIVE, f"{path}:tolerance"))
     if experiment != "convergence" and (len(seeds) != 1 or mode != "as"):
         raise ConfigError(f"{path}: the {experiment} experiment follows one trajectory; "
                           "it needs exactly one seed and mode 'as'")
@@ -240,49 +247,23 @@ def parse_config(path) -> ExperimentConfig:
     elif "parser" in raw:
         raise ConfigError(f"{path}: 'parser' is not used by the {experiment} experiment")
 
-    def _section(name: str, allowed: set, required: set) -> Optional[dict]:
-        if experiment != name:
-            if name in raw:
-                raise ConfigError(f"{path}: '{name}' only applies to the {name} experiment")
-            return None
-        section = raw.get(name, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"{path}:{name}: expected an object")
-        unknown = set(section) - allowed
-        if unknown:
-            raise ConfigError(f"{path}:{name}: unknown keys {sorted(unknown)}")
-        missing = required - set(section)
-        if missing:
-            raise ConfigError(f"{path}:{name}: missing keys {sorted(missing)}")
-        return section
-
-    cx = _section("counterexample", {"K", "epsilon_schedule"}, {"K", "epsilon_schedule"})
-    pert = _section("perturbation", {"plan"}, {"plan"})
-    bk = _section("birkhoff", {"observable", "index_family", "depth"}, set())
-    if cx is not None:  # typed by its parser's rules, so that a bad value is a config error
-        where, schedule = f"{path}:counterexample", cx["epsilon_schedule"]
-        if not isinstance(schedule, list):
-            raise ConfigError(f"{where}.epsilon_schedule: expected a list of numbers")
-        rules = _PARSERS["counterexample_w"]
-        cx = {"K": _ruled(cx["K"], rules["K"], f"{where}.K"),
-              "epsilon_schedule": [_ruled(e, rules["epsilon"], f"{where}.epsilon_schedule[{i}]")
-                                   for i, e in enumerate(schedule)]}
-        if not schedule or any(b > a for a, b in zip(schedule, schedule[1:])):
-            raise ConfigError(f"{where}.epsilon_schedule: expected a non-empty, non-increasing "
-                              f"list, got {schedule!r}")
-    if pert is not None:
-        _name(pert["plan"], PERTURBATION_PLANS, f"{path}:perturbation.plan")
-    if bk is not None:
-        for key, names in (("observable", BIRKHOFF_OBSERVABLES), ("index_family", INDEX_FAMILIES)):
-            if key in bk:
-                _name(bk[key], names, f"{path}:birkhoff.{key}")
-        if "depth" in bk:
-            bk = {**bk, "depth": _number(bk["depth"], f"{path}:birkhoff.depth", integer=True)}
+    for name in _SECTIONS:
+        if name != experiment and name in raw:
+            raise ConfigError(f"{path}: '{name}' only applies to the {name} experiment")
+    section, where = {}, f"{path}:{experiment}"   # convergence has no section
+    if experiment in _SECTIONS:
+        section = _closed(raw.get(experiment, {}), _SECTIONS[experiment], where,
+                          optional=experiment == "birkhoff")
+    if experiment == "counterexample":   # each epsilon by its parser's rule, then their order
+        schedule = section["epsilon_schedule"]
+        for i, e in enumerate(schedule):
+            _ruled(e, _PARSERS["counterexample_w"]["epsilon"], f"{where}.epsilon_schedule[{i}]")
+        _ruled(schedule, (lambda v: v and all(b <= a for a, b in zip(v, v[1:])),
+                          "a non-empty, non-increasing list"), f"{where}.epsilon_schedule")
 
     return ExperimentConfig(
         raw=raw, experiment=experiment, model_path=raw["model"], parser_spec=parser_spec,
-        n_grid=grid, seeds=seeds, mode=mode, tolerance=tolerance,
-        counterexample=cx, perturbation=pert, birkhoff=bk,
+        n_grid=grid, seeds=seeds, mode=mode, tolerance=tolerance, section=section,
     )
 
 
@@ -291,16 +272,16 @@ def parse_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _records_to_csv(records, path) -> None:
+def _records_to_csv(path, header, rows, delimiter: str = ",") -> None:
+    """Write ``header`` and ``rows`` to ``path``, fields split by ``delimiter``, LF line ends.
+
+    Every table the CLI emits goes through here; perfbench's tracer times it
+    by this name as the ``cli.emit`` layer.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in sorted(records, key=lambda r: (r.seed, r.N)):
-            writer.writerow([
-                r.N, r.seed, r.parser_family, r.parser_params,
-                _fmt(r.blockwise_info), _fmt(r.smb_info), _fmt(r.residual),
-                _fmt(r.c_over_N), _fmt(r.target.mid), _fmt(r.deviation),
-            ])
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _target_dict(target) -> dict:
@@ -316,14 +297,14 @@ def _run_experiment(config: ExperimentConfig, model: ProcessModel, map_fn=map):
             target_mode=config.mode, tol=config.tolerance, map_fn=map_fn)
     if config.experiment == "perturbation":
         return perturbation_experiment(
-            model, config.parser_spec, config.perturbation["plan"],
+            model, config.parser_spec, config.section["plan"],
             config.n_grid, config.seeds[0], tol=config.tolerance)
     if config.experiment == "counterexample":
-        cx = config.counterexample
+        cx = config.section
         return counterexample_experiment(model, cx["K"], cx["epsilon_schedule"], config.n_grid,
                                          config.seeds[0])
     return sublinear_birkhoff_check(model, N_grid=config.n_grid, seed=config.seeds[0],
-                                    tol=config.tolerance, **config.birkhoff)
+                                    tol=config.tolerance, **config.section)
 
 
 def _verdict(ok) -> str:
@@ -362,11 +343,9 @@ def _summary_sections(config: ExperimentConfig, report) -> dict:
                 "verdict": _verdict(report.verdict),
             },
         }
-    parser = {"family": config.parser_spec.family, "params": config.parser_spec.params}
-    if config.perturbation is not None:
-        parser["plan"] = config.perturbation["plan"]
-    return {
-        "parser": parser,
+    return {   # a perturbation's section is its plan
+        "parser": {"family": config.parser_spec.family, "params": config.parser_spec.params,
+                   **config.section},
         "oracle": {"target": _target_dict(report.target)},
         "results": {
             "tail_deviation": _round12(report.tail_deviation),
@@ -418,15 +397,15 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
     verdict = _verdict(report.verdict)
     t0 = time.perf_counter()
     if isinstance(report, BirkhoffSeries):
-        with open(out / "results.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["N", "seed", "observable", "index_family", "depth",
-                             "value:estimate"])
-            for n, v in report.rows:
-                writer.writerow([n, config.seeds[0], report.observable,
-                                 report.index_family, report.depth, _fmt(v)])
+        header = ["N", "seed", "observable", "index_family", "depth", "value:estimate"]
+        rows = ([n, config.seeds[0], report.observable, report.index_family, report.depth,
+                 _fmt(v)] for n, v in report.rows)
     else:
-        _records_to_csv(report.series, out / "results.csv")
+        header = CSV_COLUMNS
+        rows = ([r.N, r.seed, r.parser_family, r.parser_params, _fmt(r.blockwise_info),
+                 _fmt(r.smb_info), _fmt(r.residual), _fmt(r.c_over_N), _fmt(r.target.mid),
+                 _fmt(r.deviation)] for r in sorted(report.series, key=lambda r: (r.seed, r.N)))
+    _records_to_csv(out / "results.csv", header, rows)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -626,14 +605,10 @@ def cmd_verify(suite: str = "all", model_files=(), out_dir: Optional[str] = None
     if out_dir is not None:
         outp = Path(out_dir)
         outp.mkdir(parents=True, exist_ok=True)
-        with open(outp / "verify_results.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["check_name", "model_id", "parameters",
-                             "residual", "bound", "pass"])
-            for r in rows:
-                writer.writerow([r.check_name, r.model_id, r.parameters,
-                                 _fmt(r.residual), _fmt(r.bound),
-                                 "pass" if r.passed else "fail"])
+        _records_to_csv(outp / "verify_results.csv",
+                        ["check_name", "model_id", "parameters", "residual", "bound", "pass"],
+                        ([r.check_name, r.model_id, r.parameters, _fmt(r.residual),
+                          _fmt(r.bound), _verdict(r.passed)] for r in rows))
     return 0 if not failed else 2
 
 
@@ -662,10 +637,7 @@ def cmd_report(run_dir: str) -> int:
 
     if manifest.get("experiment") == "birkhoff":
         out = run / f"plot__{mid}__birkhoff.tsv"
-        with open(out, "w") as fh:
-            fh.write("N\tvalue:estimate\n")
-            for row in data:
-                fh.write(f"{row[0]}\t{row[5]}\n")
+        _records_to_csv(out, ["N", "value:estimate"], ([row[0], row[5]] for row in data), "\t")
         print(f"wrote {out}")
         return 0
 
@@ -676,24 +648,17 @@ def cmd_report(run_dir: str) -> int:
         out = run / f"plot__{mid}__{family}.tsv"
         rows = [row for row in data if row[idx["parser_family"]] == family]
         rows.sort(key=lambda row: (int(row[idx["N"]]), int(row[idx["seed"]])))
-        with open(out, "w") as fh:
-            if manifest.get("experiment") == "counterexample":
-                even = oracle.get("limit_even")
-                odd = (oracle.get("limit_odd") or {}).get("mid")
-                fh.write("N\tparity\tblockwise_info:estimate\t"
-                         "limit_even:oracle\tlimit_odd:oracle\n")
-                for row in rows:
-                    n = int(row[idx["N"]])
-                    fh.write(f"{n}\t{'even' if n % 2 == 0 else 'odd'}\t"
-                             f"{row[idx['blockwise_info:estimate']]}\t{even}\t{odd}\n")
-            else:
-                fh.write("N\tseed\tblockwise_info:estimate\ttarget:oracle\t"
-                         "deviation:estimate\n")
-                for row in rows:
-                    fh.write(f"{row[idx['N']]}\t{row[idx['seed']]}\t"
-                             f"{row[idx['blockwise_info:estimate']]}\t"
-                             f"{row[idx['target:oracle']]}\t"
-                             f"{row[idx['deviation:estimate']]}\n")
+        if manifest.get("experiment") == "counterexample":
+            columns = ["N", "parity", "blockwise_info:estimate", "limit_even:oracle",
+                       "limit_odd:oracle"]
+            even, odd = oracle.get("limit_even"), (oracle.get("limit_odd") or {}).get("mid")
+            table = ([row[idx["N"]], "odd" if int(row[idx["N"]]) % 2 else "even",
+                      row[idx["blockwise_info:estimate"]], even, odd] for row in rows)
+        else:
+            columns = ["N", "seed", "blockwise_info:estimate", "target:oracle",
+                       "deviation:estimate"]
+            table = ([row[idx[column]] for column in columns] for row in rows)
+        _records_to_csv(out, columns, table, "\t")
         print(f"wrote {out}")
     return 0
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partialmethod
 from typing import Iterator, Optional, Union
 
@@ -516,10 +516,8 @@ class HiddenMarkovModel(_Model):
         table, place = _inverse_cdf(self.emission, rng.random(n))
         return table[path, place], None
 
-    def _levels(self, n_max: int, start: Optional[np.ndarray] = None) -> Iterator:
-        """Levels from the hidden initial law, or from the hidden law ``start``."""
-        rho = self.hidden_initial if start is None else start
-        fwd = rho[None, :] * self.emission.T  # (A words, S): rho(s) B(s, a)
+    def _levels(self, n_max: int) -> Iterator:
+        fwd = self.hidden_initial[None, :] * self.emission.T  # (A words, S): rho(s) B(s, a)
         yield 1, fwd.sum(axis=1)
         for n in range(2, n_max + 1):
             g = fwd @ self.hidden_transition
@@ -531,7 +529,8 @@ class HiddenMarkovModel(_Model):
         n_max = 1                                # level 1 over the cap: level_probs raises
         while max(a, 2) ** (n_max + 1) <= ENUM_CAP:   # one symbol: the binary depth
             n_max += 1
-        sweeps = [level_probs(self, n_max)] + [self._levels(n_max, start) for start in np.eye(S)]
+        sweeps = [level_probs(self, n_max)] + [   # and from each hidden state
+            level_probs(replace(self, hidden_initial=start), n_max) for start in np.eye(S)]
         rho = self.hidden_initial
         prev_upper_h = 0.0
         prev_lower_h = np.zeros(S)

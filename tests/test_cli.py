@@ -187,6 +187,17 @@ def test_counterexample_rejects_tolerance(tmp_path, m1_file):
     ("counterexample.epsilon_schedule", {
         "experiment": "counterexample", "parser": None, "tolerance": None,
         "counterexample": {"K": 4, "epsilon_schedule": []}}),
+    # names, sections and the seeds object
+    (":experiment:", {"experiment": "blockwise"}),
+    (":mode:", {"mode": "l2"}),
+    ("'perturbation' only applies", {"perturbation": {"plan": "trim1"}}),
+    ("'birkhoff' only applies", {"birkhoff": {}}),
+    (":perturbation: expected an object", {"experiment": "perturbation",
+                                           "perturbation": "trim1"}),
+    (":birkhoff: expected an object", {"experiment": "birkhoff", "parser": None,
+                                       "birkhoff": ["abs_log_z_d"]}),
+    (":seeds: unknown keys ['stride']", {"seeds": {"count": 3, "master_seed": 1, "stride": 2}}),
+    (":seeds: missing keys ['master_seed']", {"seeds": {"count": 3}}),
 ])
 def test_malformed_config_numbers_exit_4_naming_the_key(tmp_path, m1_file, key, overrides):
     config = json.loads(_write_config(tmp_path).read_text())

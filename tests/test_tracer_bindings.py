@@ -35,7 +35,9 @@ def test_tracer_times_enumeration_and_restores_bindings():
         t.uninstall()
     assert all(getattr(module, name) is original for module, name, original in bindings)
     assert [span[1] for span in t.spans] == ["measures.enum"]
-    assert t.counts["measures.enum_atoms"] > 0
+    # h1's sandwich reaches n = 8 (2 + 4 + ... + 256 = 510 atoms) in three sweeps
+    # through level_probs: from the stationary law and from each of the 2 hidden states
+    assert t.counts["measures.enum_atoms"] == 3 * 510
 
 
 def test_tracer_times_sampling_and_lz78_of_a_simulate(tmp_path):
@@ -56,6 +58,7 @@ def test_tracer_times_sampling_and_lz78_of_a_simulate(tmp_path):
         t.uninstall()
     spans = [(span[1], span[2]) for span in t.spans]
     assert ("measures.sample", "sample_trajectory") in spans
+    assert ("cli.emit", "_records_to_csv") in spans
     assert spans.count(("parsing.parse", "lz78")) >= 2       # the run's parse and the direct call
     assert t.counts["measures.sample_symbols"] >= 4100
     assert t.counts["parsing.blocks"] >= lz78.c
