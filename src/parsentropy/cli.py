@@ -11,8 +11,10 @@ Three subcommands:
   CSV regardless of the worker count.
 - ``report DIR`` turns a completed run directory into plot-ready TSV files.
 
-Exit codes: 0 pass, 2 invariant failure, 3 experiment precondition failure,
-4 I/O, config, or manifest error.
+Exit codes: 0 pass; 2 a verify check or model file failed; 3 the experiment
+raised a typed toolkit error (``ParsentropyError``); 4 a config, model file or
+``manifest.json`` that is missing, not JSON or breaks its schema, or a bad
+``--workers`` or suite.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ from .errors import (
     ParsentropyError,
 )
 from .measures import (
+    _K,
+    _closed,
+    _one_of,
+    _read_json,
+    _ruled,
     ProcessModel,
     beta_sequence,
     entropy_rate,
@@ -58,7 +65,6 @@ from .martingale import (
     zmax_tail_check,
 )
 from .parsing import (
-    _K,
     _PARSERS,
     _SEED,
     PERTURBATION_PLANS,
@@ -74,6 +80,7 @@ from .parsing import (
 from .estimator import (
     BIRKHOFF_OBSERVABLES,
     INDEX_FAMILIES,
+    L1_MIN_SEEDS,
     TWO_LIMIT_TOL_REL,
     BirkhoffSeries,
     CounterexampleReport,
@@ -105,14 +112,8 @@ def _round12(x: float) -> float:
 # Configuration
 # ---------------------------------------------------------------------------
 
-# A config value's rule: a test and what the value must be, as in parsing._PARSERS.
+# A config value's rule: a test and what the value must be, as in measures._ruled.
 _POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive number")
-
-
-def _one_of(names: tuple) -> tuple:
-    """The rule that a value is one of ``names``."""
-    return (lambda v: v in names, f"one of {sorted(names)}")
-
 
 # The section of each single-trajectory experiment: {key: rule}.  Only the
 # birkhoff keys are optional; sublinear_birkhoff_check holds their defaults.
@@ -146,36 +147,10 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _ruled(value, rule, where: str):
-    """``value`` if it passes ``rule``, a (test, description) pair; else ConfigError."""
-    ok, what = rule
-    if not ok(value):
-        raise ConfigError(f"{where}: expected {what}, got {value!r}")
-    return value
-
-
-def _closed(section, rules: dict, where: str, optional: bool = False) -> dict:
-    """``section`` if it is an object whose keys have ``rules`` and pass them; else ConfigError.
-
-    Every key of ``rules`` is required unless ``optional``.
-    """
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(section) - set(rules)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set() if optional else set(rules) - set(section)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    for key, value in section.items():
-        _ruled(value, rules[key], f"{where}.{key}")
-    return section
-
-
 def _expand_grid(spec, where: str) -> tuple:
     if not isinstance(spec, list):
         raise ConfigError(f"{where}: expected a list of lengths, got {spec!r}")
-    grid = sorted({_ruled(n, _K, f"{where}[{i}]") for i, n in enumerate(spec)})
+    grid = sorted({_ruled(n, _K, f"{where}[{i}]", ConfigError) for i, n in enumerate(spec)})
     if not grid:
         raise ConfigError(f"{where}: need at least one length")
     return tuple(grid)
@@ -190,9 +165,9 @@ def derive_seeds(master_seed: int, count: int) -> tuple:
 
 def _expand_seeds(spec, where: str) -> tuple:
     if isinstance(spec, list):
-        seeds = tuple(_ruled(s, _SEED, f"{where}[{i}]") for i, s in enumerate(spec))
+        seeds = tuple(_ruled(s, _SEED, f"{where}[{i}]", ConfigError) for i, s in enumerate(spec))
     elif isinstance(spec, dict):
-        _closed(spec, {"count": _K, "master_seed": _SEED}, where)
+        _closed(spec, {"count": _K, "master_seed": _SEED}, where, ConfigError)
         seeds = derive_seeds(spec["master_seed"], spec["count"])
     else:
         raise ConfigError(f"{where}: expected a list or a count/master_seed object")
@@ -204,32 +179,30 @@ def _expand_seeds(spec, where: str) -> tuple:
 
 
 def parse_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
+    raw = _read_json(path, ConfigError)
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     if raw.get("schema_version") != 1:
         raise ConfigError(f"{path}: schema_version must be 1")
-    experiment = _ruled(raw.get("experiment"), _one_of(_EXPERIMENTS), f"{path}:experiment")
+    experiment = _ruled(raw.get("experiment"), _one_of(_EXPERIMENTS), f"{path}:experiment", ConfigError)
     if "model" not in raw or not isinstance(raw["model"], str):
         raise ConfigError(f"{path}: 'model' must be a file path")
     if "n_grid" not in raw or "seeds" not in raw:
         raise ConfigError(f"{path}: 'n_grid' and 'seeds' are required")
     grid = _expand_grid(raw["n_grid"], f"{path}:n_grid")
     seeds = _expand_seeds(raw["seeds"], f"{path}:seeds")
-    mode = _ruled(raw.get("mode", "as"), _one_of(("as", "l1")), f"{path}:mode")
-    tolerance = float(_ruled(raw.get("tolerance", 0.01), _POSITIVE, f"{path}:tolerance"))
+    mode = _ruled(raw.get("mode", "as"), _one_of(("as", "l1")), f"{path}:mode", ConfigError)
+    tolerance = float(_ruled(raw.get("tolerance", 0.01), _POSITIVE, f"{path}:tolerance", ConfigError))
     if experiment != "convergence" and (len(seeds) != 1 or mode != "as"):
         raise ConfigError(f"{path}: the {experiment} experiment follows one trajectory; "
                           "it needs exactly one seed and mode 'as'")
+    if mode == "as" and len(seeds) != 1:
+        raise ConfigError(f"{path}:seeds: mode 'as' follows one trajectory; it needs exactly "
+                          f"one seed, got {len(seeds)}")
+    if mode == "l1" and len(seeds) < L1_MIN_SEEDS:
+        raise ConfigError(f"{path}:seeds: mode 'l1' needs at least {L1_MIN_SEEDS} seeds, "
+                          f"got {len(seeds)}")
     if experiment == "counterexample" and "tolerance" in raw:
         raise ConfigError(f"{path}:tolerance: not used by the counterexample experiment, whose "
                           f"verdict allows {TWO_LIMIT_TOL_REL:.0%} of each limit")
@@ -244,6 +217,9 @@ def parse_config(path) -> ExperimentConfig:
             parser_spec = ParserSpec(family=p["family"], params=params)
         except ValueError as exc:
             raise ConfigError(f"{path}:parser: {exc}") from exc
+        if parser_spec.family == "counterexample_w":   # oracle_target refuses its two limits
+            raise ConfigError(f"{path}:parser.family: counterexample_w has two limits; run it "
+                              "as the counterexample experiment")
     elif "parser" in raw:
         raise ConfigError(f"{path}: 'parser' is not used by the {experiment} experiment")
 
@@ -252,14 +228,14 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}: '{name}' only applies to the {name} experiment")
     section, where = {}, f"{path}:{experiment}"   # convergence has no section
     if experiment in _SECTIONS:
-        section = _closed(raw.get(experiment, {}), _SECTIONS[experiment], where,
+        section = _closed(raw.get(experiment, {}), _SECTIONS[experiment], where, ConfigError,
                           optional=experiment == "birkhoff")
     if experiment == "counterexample":   # each epsilon by its parser's rule, then their order
-        schedule = section["epsilon_schedule"]
+        schedule, where = section["epsilon_schedule"], f"{where}.epsilon_schedule"
         for i, e in enumerate(schedule):
-            _ruled(e, _PARSERS["counterexample_w"]["epsilon"], f"{where}.epsilon_schedule[{i}]")
+            _ruled(e, _PARSERS["counterexample_w"]["epsilon"], f"{where}[{i}]", ConfigError)
         _ruled(schedule, (lambda v: v and all(b <= a for a, b in zip(v, v[1:])),
-                          "a non-empty, non-increasing list"), f"{where}.epsilon_schedule")
+                          "a non-empty, non-increasing list"), where, ConfigError)
 
     return ExperimentConfig(
         raw=raw, experiment=experiment, model_path=raw["model"], parser_spec=parser_spec,
@@ -512,6 +488,10 @@ def _parsing_rows() -> list:
     traj = sample_trajectory(m1, 10_001, seed=7)
     traj_h1 = sample_trajectory(h1, 10_001, seed=7)
     h_mid = entropy_rate(h1).mid
+    n_v, K, eps = 9_999, 4, 0.05   # the counterexample's; the spec loop rebinds n
+    lz = parse_lz78(traj, 10_000)
+    v = parse_counterexample_v(h1, traj_h1, n_v, K, h_mid, eps)
+    base = make_parsing(ParserSpec("growing", {"schedule": "sqrt"}), 10_000)
     rows = []
 
     def check_valid(check: str, mid: str, params: str, parsing: Parsing, n: int):
@@ -520,18 +500,16 @@ def _parsing_rows() -> list:
 
     specs = [
         ("parse_fixed", make_parsing(ParserSpec("fixed", {"K": 4}), 10_000), 10_000, mid_m1, "K=4,N=10000"),
-        ("parse_growing_sqrt", make_parsing(ParserSpec("growing", {"schedule": "sqrt"}), 10_000), 10_000, mid_m1, "N=10000"),
+        ("parse_growing_sqrt", base, 10_000, mid_m1, "N=10000"),
         ("parse_growing_log2", make_parsing(ParserSpec("growing", {"schedule": "log2"}), 10_000), 10_000, mid_m1, "N=10000"),
-        ("parse_lz78", parse_lz78(traj, 10_000), 10_000, mid_m1, "N=10000"),
+        ("parse_lz78", lz, 10_000, mid_m1, "N=10000"),
         ("parse_random_sublinear",
          make_parsing(ParserSpec("random_sublinear", {"budget": "sqrt", "seed": 5}), 10_000),
          10_000, mid_m1, "budget=sqrt,N=10000"),
         ("parse_adversarial",
          make_parsing(ParserSpec("adversarial", {"budget": 32}), 2_000, model=m1, traj=traj),
          2_000, mid_m1, "budget=32,N=2000"),
-        ("parse_counterexample_v",
-         parse_counterexample_v(h1, traj_h1, 9_999, 4, h_mid, 0.05), 9_999, mid_h1,
-         "K=4,eps=0.05,N=9999"),
+        ("parse_counterexample_v", v, n_v, mid_h1, "K=4,eps=0.05,N=9999"),
         ("parse_counterexample_w_even",
          make_parsing(ParserSpec("counterexample_w", {"K": 4, "epsilon": 0.05}), 10_000,
                       model=h1, traj=traj_h1, h_ref=h_mid), 10_000, mid_h1, "K=4,N=10000"),
@@ -539,7 +517,6 @@ def _parsing_rows() -> list:
     for check, parsing, n, mid, params in specs:
         check_valid(check, mid, params, parsing, n)
 
-    lz = parse_lz78(traj, 10_000)
     phrases = set()
     dup = 0
     for s, e in zip(lz.starts[:-1], lz.ends[:-1]):
@@ -548,14 +525,11 @@ def _parsing_rows() -> list:
         phrases.add(key)
     rows.append(_vr("lz78_distinct_phrases", mid_m1, "N=10000", float(dup), 0.0))
 
-    n, K, eps = 9_999, 4, 0.05
-    v = parse_counterexample_v(h1, traj_h1, n, K, h_mid, eps)
-    low = n * (1 - 2 * eps) / K - 1
-    high = n / K + 1
+    low = n_v * (1 - 2 * eps) / K - 1
+    high = n_v / K + 1
     excess = max(0.0, low - v.c, v.c - high)
-    rows.append(_vr("tail_parsing_block_count", mid_h1, f"K=4,eps=0.05,N={n}", excess, 0.0))
+    rows.append(_vr("tail_parsing_block_count", mid_h1, f"K=4,eps=0.05,N={n_v}", excess, 0.0))
 
-    base = make_parsing(ParserSpec("growing", {"schedule": "sqrt"}), 10_000)
     for plan in ("trim1", "extend1"):
         pert = apply_perturbation_plan(base, plan)
         rep = validate_perturbed(pert)
@@ -619,12 +593,11 @@ def cmd_verify(suite: str = "all", model_files=(), out_dir: Optional[str] = None
 
 def cmd_report(run_dir: str) -> int:
     run = Path(run_dir)
-    manifest_path = run / "manifest.json"
-    if not manifest_path.exists():
-        print(f"error: no manifest.json in {run}", file=sys.stderr)
+    try:
+        manifest = _read_json(run / "manifest.json", ParsentropyError)
+    except ParsentropyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 4
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
     results = run / "results.csv"
     if not results.exists():
         print(f"error: no results.csv in {run}", file=sys.stderr)

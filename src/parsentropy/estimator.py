@@ -52,6 +52,7 @@ from .parsing import (
 
 TWO_LIMIT_TOL_REL = 0.02   # the two-limit verdict: each tail average within 2% of its limit
 TWO_LIMIT_MIN_GAP = 1e-3   # nats: the two limits must lie further apart than this
+L1_MIN_SEEDS = 20          # an l1 verdict averages over at least this many seeds
 
 
 @dataclass(frozen=True)
@@ -336,8 +337,8 @@ def convergence_experiment(model: ProcessModel, spec: ParserSpec, N_grid,
         if len(seeds) != 1:
             raise PreconditionError("almost-sure mode follows one trajectory: pass exactly one seed")
     elif target_mode == "l1":
-        if len(seeds) < 20:
-            raise PreconditionError("L1 mode needs at least 20 seeds")
+        if len(seeds) < L1_MIN_SEEDS:
+            raise PreconditionError(f"L1 mode needs at least {L1_MIN_SEEDS} seeds")
         if len(set(seeds)) != len(seeds):
             raise PreconditionError("seeds must be distinct")
     else:

@@ -52,6 +52,12 @@ _LOWEST = np.finfo(float).min
 # Bound the HMM kernel's temporaries to a few MB: blocks per pass, chunks per scan read-out.
 _BLOCKS_PER_PASS = 1 << 15
 _CHUNKS_PER_READ = 1 << 8
+# A JSON value's rule: a test and what the value must be.  JSON true is not an integer.
+_K = (lambda v: type(v) is int and v >= 1, "a positive integer")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_NUMBERS = (lambda v: type(v) is list and all(map(_NUMBER[0], v)), "a list of numbers")
+_MATRIX = (lambda v: type(v) is list and all(map(_NUMBERS[0], v)), "a list of lists of numbers")
+_PAIR = (lambda v: type(v) is list and list(map(type, v)) == [dict, dict], "a list of two objects")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -254,8 +260,8 @@ def _log_sum_exp(t: np.ndarray, axis: int) -> np.ndarray:
 class _Model:
     """What every model type provides; the public functions below call it once.
 
-    A subclass declares ``_VARIANT`` and the ``_KEYS`` of its dict form (the
-    defaults below read the attributes of those names and rebuild a model
+    A subclass declares ``_VARIANT`` and the ``_RULES`` of its dict form's keys
+    (the defaults below read the attributes of those names and rebuild a model
     from its dataclass fields) and implements ``_checks(prefix)``,
     ``_prefix(x)``, ``_suffix(x)``, ``_block(x, s, e)``, ``_sample(n, rng)``,
     ``_levels(n_max)`` and ``_rate()``; a model
@@ -268,7 +274,7 @@ class _Model:
         return None
 
     def _params(self) -> dict:
-        return {key: np.asarray(getattr(self, key)).tolist() for key in self._KEYS}
+        return {key: np.asarray(getattr(self, key)).tolist() for key in self._RULES}
 
     @classmethod
     def _from_params(cls, d: dict, path: str):
@@ -286,7 +292,7 @@ class IIDModel(_Model):
     p: np.ndarray
 
     _VARIANT = "iid"
-    _KEYS = ("p",)
+    _RULES = {"p": _NUMBERS}
 
     def __post_init__(self):
         p = _frozen_array(self.p)
@@ -322,7 +328,7 @@ class MarkovModel(_Model):
     initial: np.ndarray
 
     _VARIANT = "markov"
-    _KEYS = ("transition", "initial")
+    _RULES = {"transition": _MATRIX, "initial": _NUMBERS}
 
     def __post_init__(self):
         t = _frozen_array(self.transition)
@@ -402,7 +408,8 @@ class HiddenMarkovModel(_Model):
     emission: np.ndarray
 
     _VARIANT = "hidden_markov"
-    _KEYS = ("hidden_states", "hidden_transition", "hidden_initial", "emission")
+    _RULES = {"hidden_states": _K, "hidden_transition": _MATRIX, "hidden_initial": _NUMBERS,
+              "emission": _MATRIX}
 
     def __post_init__(self):
         q = _frozen_array(self.hidden_transition)
@@ -570,7 +577,7 @@ class MixtureModel(_Model):
     second: "ProcessModel"
 
     _VARIANT = "mixture"
-    _KEYS = ("weight", "components")
+    _RULES = {"weight": _NUMBER, "components": _PAIR}
 
     @property
     def alphabet_size(self) -> int:
@@ -618,8 +625,6 @@ class MixtureModel(_Model):
     @classmethod
     def _from_params(cls, d: dict, path: str) -> "MixtureModel":
         comps = d["components"]
-        if not isinstance(comps, list) or len(comps) != 2:
-            raise ModelFormatError(f"{path}.components: expected a list of exactly 2 models")
         return cls(weight=float(d["weight"]),
                    first=model_from_dict(comps[0], path=f"{path}.components[0]"),
                    second=model_from_dict(comps[1], path=f"{path}.components[1]"))
@@ -870,24 +875,62 @@ def discrepancy_gap(model: ProcessModel, K: int) -> DiscrepancyGap:
 # ---------------------------------------------------------------------------
 
 
+def _read_json(path, error: type) -> dict:
+    """The JSON object in the file ``path``; else ``error`` naming the file (and line)."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except OSError as exc:
+        raise error(f"{path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise error(f"{path}: expected a JSON object")
+    return raw
+
+
+def _one_of(names: tuple) -> tuple:
+    """The rule that a value is one of ``names``."""
+    return (lambda v: v in names, f"one of {sorted(names)}")
+
+
+def _ruled(value, rule, where: str, error: type):
+    """``value`` if it passes ``rule``, a (test, description) pair; else ``error``."""
+    ok, what = rule
+    if not ok(value):
+        raise error(f"{where}: expected {what}, got {value!r}")
+    return value
+
+
+def _closed(section, rules: dict, where: str, error: type, optional: bool = False) -> dict:
+    """``section`` if it is an object whose keys have ``rules`` and pass them; else ``error``.
+
+    Every key of ``rules`` is required unless ``optional``.
+    """
+    if not isinstance(section, dict):
+        raise error(f"{where}: expected an object")
+    unknown = set(section) - set(rules)
+    if unknown:
+        raise error(f"{where}: unknown keys {sorted(unknown)}")
+    missing = set() if optional else set(rules) - set(section)
+    if missing:
+        raise error(f"{where}: missing keys {sorted(missing)}")
+    for key, value in section.items():
+        _ruled(value, rules[key], f"{where}.{key}", error)
+    return section
+
+
 def model_to_dict(model: ProcessModel) -> dict:
     return {"alphabet_size": model.alphabet_size, "variant": model._VARIANT, **model._params()}
 
 
 def model_from_dict(d: dict, path: str = "$") -> ProcessModel:
-    """Build a model from its dict form; unknown or missing keys are errors."""
+    """Build a model from its dict form, a closed object typed by its variant's rules."""
     if not isinstance(d, dict):
         raise ModelFormatError(f"{path}: expected an object")
-    cls = _VARIANTS.get(d.get("variant"))
-    if cls is None:
-        raise ModelFormatError(f"{path}.variant: expected one of {sorted(_VARIANTS)}, got {d.get('variant')!r}")
-    required = {"alphabet_size", "variant", *cls._KEYS}
-    missing = required - set(d)
-    if missing:
-        raise ModelFormatError(f"{path}: missing keys {sorted(missing)}")
-    unknown = set(d) - required
-    if unknown:
-        raise ModelFormatError(f"{path}: unknown keys {sorted(unknown)}")
+    variant = _one_of(tuple(_VARIANTS))
+    cls = _VARIANTS[_ruled(d.get("variant"), variant, f"{path}.variant", ModelFormatError)]
+    _closed(d, {"alphabet_size": _K, "variant": variant, **cls._RULES}, path, ModelFormatError)
     try:
         model = cls._from_params(d, path)
     except (ValueError, TypeError) as exc:
@@ -899,14 +942,7 @@ def model_from_dict(d: dict, path: str = "$") -> ProcessModel:
 
 def load_model(path) -> ProcessModel:
     """Read and validate a model JSON file; raises ModelFormatError on problems."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except OSError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
-    model = model_from_dict(raw)
+    model = model_from_dict(_read_json(path, ModelFormatError))
     _require_valid(model, str(path))
     return model
 

@@ -26,6 +26,7 @@ from .errors import (
     WindowEmptyError,
 )
 from .measures import (
+    _K,
     ProcessModel,
     Trajectory,
     block_log_probs,
@@ -466,9 +467,8 @@ def apply_perturbation_plan(parsing: Parsing, plan_name: str) -> PerturbedParsin
 # Parser specifications
 # ---------------------------------------------------------------------------
 
-# A parameter's rule: a test of its value and what the value must be.  JSON
-# true is not an integer, and no integer lies in (0, 1/4).
-_K = (lambda v: type(v) is int and v >= 1, "a positive integer")
+# A parameter's rule, as measures._K: a test of its value and what the value
+# must be.  JSON true is not an integer, and no integer lies in (0, 1/4).
 _EVEN_K = (lambda v: type(v) is int and v >= 2 and v % 2 == 0, "an even positive integer")
 _BUDGET = (lambda v: v == "sqrt" or (type(v) is int and v >= 1), "a positive integer or 'sqrt'")
 _SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")

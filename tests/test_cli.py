@@ -3,7 +3,15 @@ import re
 
 import pytest
 
-from parsentropy import ConfigError, estimator, model_to_dict, reference_model, save_model
+from parsentropy import (
+    ConfigError,
+    ModelFormatError,
+    estimator,
+    load_model,
+    model_to_dict,
+    reference_model,
+    save_model,
+)
 from parsentropy.cli import (
     cmd_report,
     cmd_simulate,
@@ -77,10 +85,10 @@ def test_parse_config_rejects_bad_parser(tmp_path):
 
 
 def test_seed_derivation_is_deterministic(tmp_path):
-    path = _write_config(tmp_path, seeds={"count": 5, "master_seed": 99})
+    path = _write_config(tmp_path, mode="l1", seeds={"count": 20, "master_seed": 99})
     config = parse_config(path)
-    assert config.seeds == derive_seeds(99, 5)
-    assert len(set(config.seeds)) == 5
+    assert config.seeds == derive_seeds(99, 20)
+    assert len(set(config.seeds)) == 20
 
 
 @pytest.mark.parametrize("seeds", [
@@ -198,6 +206,16 @@ def test_counterexample_rejects_tolerance(tmp_path, m1_file):
                                        "birkhoff": ["abs_log_z_d"]}),
     (":seeds: unknown keys ['stride']", {"seeds": {"count": 3, "master_seed": 1, "stride": 2}}),
     (":seeds: missing keys ['master_seed']", {"seeds": {"count": 3}}),
+    # the seed count each mode needs, and the parser that has two limits
+    (":seeds: mode 'as' follows one trajectory", {"seeds": [1, 2]}),
+    (":seeds: mode 'l1' needs at least 20 seeds", {"mode": "l1", "seeds": [1, 2, 3, 4, 5]}),
+    (":seeds: mode 'l1' needs at least 20 seeds", {"mode": "l1",
+                                                   "seeds": {"count": 19, "master_seed": 1}}),
+    (":parser.family: counterexample_w has two limits", {
+        "parser": {"family": "counterexample_w", "K": 4, "epsilon": 0.05}}),
+    (":parser.family: counterexample_w has two limits", {
+        "experiment": "perturbation", "perturbation": {"plan": "trim1"},
+        "parser": {"family": "counterexample_w", "K": 4, "epsilon": 0.05}}),
 ])
 def test_malformed_config_numbers_exit_4_naming_the_key(tmp_path, m1_file, key, overrides):
     config = json.loads(_write_config(tmp_path).read_text())
@@ -419,6 +437,36 @@ def test_verify_accepts_valid_model_file(tmp_path, m1_file):
     assert cmd_verify("parsing", model_files=[str(m1_file)]) == 0
 
 
+@pytest.mark.parametrize("name,key,value,what", [
+    ("iid_uniform", "p", [True, False], "a list of numbers"),
+    ("iid_uniform", "p", ["0.5", "0.5"], "a list of numbers"),
+    ("m1", "alphabet_size", 2.0, "a positive integer"),
+    ("m1", "transition", [[0.7, "0.3"], [0.2, 0.8]], "a list of lists of numbers"),
+    ("h1", "hidden_states", 2.0, "a positive integer"),
+    ("mixture_m1_uniform", "weight", "0.5", "a number"),
+    ("mixture_m1_uniform", "components", [model_to_dict(reference_model("m1"))],
+     "a list of two objects"),
+    ("mixture_m1_uniform", "components", ["m1", "iid_uniform"], "a list of two objects"),
+    ("m1", "variant", ["markov"], "one of ['hidden_markov', 'iid', 'markov', 'mixture']"),
+], ids=["p-bools", "p-strings", "alphabet_size-float", "transition-string",
+        "hidden_states-float", "weight-string", "components-one", "components-names",
+        "variant-list"])
+def test_untyped_model_value_fails_naming_the_key(tmp_path, capsys, name, key, value, what):
+    model = model_to_dict(reference_model(name))
+    model[key] = value
+    path = tmp_path / "m1.json"   # the model file the default config names
+    path.write_text(json.dumps(model))
+    with pytest.raises(ModelFormatError, match=re.escape(f"$.{key}: expected {what}, got ")):
+        load_model(path)
+    assert cmd_simulate(str(_write_config(tmp_path)), workers=1, out_dir=str(tmp_path / "o")) == 4
+    assert not (tmp_path / "o").exists()
+    capsys.readouterr()
+    assert cmd_verify("parsing", model_files=[str(path)]) == 2
+    captured = capsys.readouterr()
+    assert re.search(r"^model_file +- .* FAIL$", captured.out, re.M)
+    assert f"$.{key}: expected {what}" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -439,6 +487,27 @@ def test_report_emits_plot_tables(tmp_path, m1_file):
 
 def test_report_missing_manifest_exits_4(tmp_path):
     assert cmd_report(str(tmp_path)) == 4
+
+
+@pytest.mark.parametrize("text,why", [
+    ('{"experiment": "convergence", "model_id"', "invalid JSON at line 1"),
+    ("[1, 2]", "expected a JSON object"),
+    (None, "No such file"),
+], ids=["truncated", "not-an-object", "missing"])
+def test_report_malformed_manifest_exits_4_naming_the_file(tmp_path, m1_file, capsys,
+                                                           text, why):
+    out = tmp_path / "runs"
+    assert cmd_simulate(str(_write_config(tmp_path)), workers=1, out_dir=str(out)) == 0
+    manifest = next(out.iterdir()) / "manifest.json"
+    if text is None:
+        manifest.unlink()
+    else:
+        manifest.write_text(text)
+    capsys.readouterr()
+    assert cmd_report(str(manifest.parent)) == 4
+    err = capsys.readouterr().err
+    assert str(manifest) in err and why in err
+    assert not list(manifest.parent.glob("plot__*.tsv"))
 
 
 def test_main_dispatch(tmp_path, m1_file, capsys):

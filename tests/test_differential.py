@@ -22,8 +22,11 @@ from parsentropy import (
     PreconditionError,
     block_log_probs,
     level_probs,
+    load_model,
     log_cylinder_prob,
+    model_id,
     prefix_log_probs,
+    save_model,
     stationary_distribution,
     suffix_log_probs,
     z_value,
@@ -171,3 +174,13 @@ def test_z_value_matches_naive_on_every_block(case):
         # an initial law stationary only up to round-off can give P(shifted) = 0 < P(full)
         expected = (math.log(shifted) if shifted > 0.0 else -math.inf) - math.log(full)
         assert math.isclose(z_value(model, w[s:e]), expected, rel_tol=TOL, abs_tol=TOL)
+
+
+@SETTINGS
+@given(case=model_and_word())
+def test_saved_model_loads_back_with_its_id(tmp_path_factory, case):
+    # every value save_model writes passes the model file's rules
+    model, _ = case
+    path = tmp_path_factory.getbasetemp() / "random_model.json"
+    save_model(model, path)
+    assert model_id(load_model(path)) == model_id(model)
