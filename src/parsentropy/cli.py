@@ -12,9 +12,9 @@ Three subcommands:
 - ``report DIR`` turns a completed run directory into plot-ready TSV files.
 
 Exit codes: 0 pass; 2 a verify check or model file failed; 3 the experiment
-raised a typed toolkit error (``ParsentropyError``); 4 a config, model file or
-``manifest.json`` that is missing, not JSON or breaks its schema, or a bad
-``--workers`` or suite.
+raised a typed toolkit error (``ParsentropyError``); 4 a config, model file,
+``manifest.json`` or ``results.csv`` that is missing, unreadable or breaks its
+schema, or a bad ``--workers`` or suite.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -41,6 +42,8 @@ from .errors import (
     ParsentropyError,
 )
 from .measures import (
+    _EPSILON,
+    _EVEN_K,
     _K,
     _closed,
     _one_of,
@@ -65,9 +68,8 @@ from .martingale import (
     zmax_tail_check,
 )
 from .parsing import (
-    _PARSERS,
+    _PLAN,
     _SEED,
-    PERTURBATION_PLANS,
     Parsing,
     ParserSpec,
     apply_perturbation_plan,
@@ -78,9 +80,15 @@ from .parsing import (
     validate_perturbed,
 )
 from .estimator import (
-    BIRKHOFF_OBSERVABLES,
-    INDEX_FAMILIES,
-    L1_MIN_SEEDS,
+    _BOTH_PARITIES,
+    _DEPTHS,
+    _EPSILONS,
+    _GRID,
+    _INDEX_FAMILY,
+    _MODE,
+    _OBSERVABLE,
+    _ONE_LIMIT,
+    _SEEDS,
     TWO_LIMIT_TOL_REL,
     BirkhoffSeries,
     CounterexampleReport,
@@ -118,11 +126,11 @@ _POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive
 # The section of each single-trajectory experiment: {key: rule}.  Only the
 # birkhoff keys are optional; sublinear_birkhoff_check holds their defaults.
 _SECTIONS = {
-    "counterexample": {"K": _PARSERS["counterexample_w"]["K"],
+    "counterexample": {"K": _EVEN_K,
                        "epsilon_schedule": (lambda v: isinstance(v, list), "a list of numbers")},
-    "perturbation": {"plan": _one_of(tuple(PERTURBATION_PLANS))},
-    "birkhoff": {"observable": _one_of(BIRKHOFF_OBSERVABLES),
-                 "index_family": _one_of(INDEX_FAMILIES), "depth": _K},
+    "perturbation": {"plan": _PLAN},
+    "birkhoff": {"observable": _OBSERVABLE, "index_family": _INDEX_FAMILY,
+                 "depth": (lambda v: type(v) is int, "an integer")},   # its minimum: _DEPTHS
 }
 _EXPERIMENTS = ("convergence", *_SECTIONS)
 _TOP_KEYS = {"schema_version", "experiment", "model", "parser", "n_grid", "seeds", "mode",
@@ -151,9 +159,7 @@ def _expand_grid(spec, where: str) -> tuple:
     if not isinstance(spec, list):
         raise ConfigError(f"{where}: expected a list of lengths, got {spec!r}")
     grid = sorted({_ruled(n, _K, f"{where}[{i}]", ConfigError) for i, n in enumerate(spec)})
-    if not grid:
-        raise ConfigError(f"{where}: need at least one length")
-    return tuple(grid)
+    return _ruled(tuple(grid), _GRID, where, ConfigError)
 
 
 def derive_seeds(master_seed: int, count: int) -> tuple:
@@ -171,11 +177,7 @@ def _expand_seeds(spec, where: str) -> tuple:
         seeds = derive_seeds(spec["master_seed"], spec["count"])
     else:
         raise ConfigError(f"{where}: expected a list or a count/master_seed object")
-    if not seeds:
-        raise ConfigError(f"{where}: need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{where}: seeds must be distinct")
-    return seeds
+    return _ruled(seeds, (lambda s: len(s) > 0, "at least one seed"), where, ConfigError)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -192,17 +194,12 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: 'n_grid' and 'seeds' are required")
     grid = _expand_grid(raw["n_grid"], f"{path}:n_grid")
     seeds = _expand_seeds(raw["seeds"], f"{path}:seeds")
-    mode = _ruled(raw.get("mode", "as"), _one_of(("as", "l1")), f"{path}:mode", ConfigError)
+    mode = _ruled(raw.get("mode", "as"), _MODE, f"{path}:mode", ConfigError)
     tolerance = float(_ruled(raw.get("tolerance", 0.01), _POSITIVE, f"{path}:tolerance", ConfigError))
     if experiment != "convergence" and (len(seeds) != 1 or mode != "as"):
         raise ConfigError(f"{path}: the {experiment} experiment follows one trajectory; "
                           "it needs exactly one seed and mode 'as'")
-    if mode == "as" and len(seeds) != 1:
-        raise ConfigError(f"{path}:seeds: mode 'as' follows one trajectory; it needs exactly "
-                          f"one seed, got {len(seeds)}")
-    if mode == "l1" and len(seeds) < L1_MIN_SEEDS:
-        raise ConfigError(f"{path}:seeds: mode 'l1' needs at least {L1_MIN_SEEDS} seeds, "
-                          f"got {len(seeds)}")
+    _ruled(seeds, _SEEDS[mode], f"{path}:seeds", ConfigError)
     if experiment == "counterexample" and "tolerance" in raw:
         raise ConfigError(f"{path}:tolerance: not used by the counterexample experiment, whose "
                           f"verdict allows {TWO_LIMIT_TOL_REL:.0%} of each limit")
@@ -217,9 +214,7 @@ def parse_config(path) -> ExperimentConfig:
             parser_spec = ParserSpec(family=p["family"], params=params)
         except ValueError as exc:
             raise ConfigError(f"{path}:parser: {exc}") from exc
-        if parser_spec.family == "counterexample_w":   # oracle_target refuses its two limits
-            raise ConfigError(f"{path}:parser.family: counterexample_w has two limits; run it "
-                              "as the counterexample experiment")
+        _ruled(parser_spec.family, _ONE_LIMIT, f"{path}:parser.family", ConfigError)
     elif "parser" in raw:
         raise ConfigError(f"{path}: 'parser' is not used by the {experiment} experiment")
 
@@ -230,12 +225,17 @@ def parse_config(path) -> ExperimentConfig:
     if experiment in _SECTIONS:
         section = _closed(raw.get(experiment, {}), _SECTIONS[experiment], where, ConfigError,
                           optional=experiment == "birkhoff")
-    if experiment == "counterexample":   # each epsilon by its parser's rule, then their order
+    if experiment == "counterexample":   # each epsilon, their order, then the grid's parities
         schedule, where = section["epsilon_schedule"], f"{where}.epsilon_schedule"
         for i, e in enumerate(schedule):
-            _ruled(e, _PARSERS["counterexample_w"]["epsilon"], f"{where}[{i}]", ConfigError)
-        _ruled(schedule, (lambda v: v and all(b <= a for a, b in zip(v, v[1:])),
-                          "a non-empty, non-increasing list"), where, ConfigError)
+            _ruled(e, _EPSILON, f"{where}[{i}]", ConfigError)
+        _ruled(schedule, _EPSILONS, where, ConfigError)
+        _ruled(grid, _BOTH_PARITIES, f"{path}:n_grid", ConfigError)
+    if experiment == "birkhoff":   # the observable's least depth, defaults as in the call
+        args = inspect.signature(sublinear_birkhoff_check).bind_partial(**section)
+        args.apply_defaults()
+        _ruled(args.arguments["depth"], _DEPTHS[args.arguments["observable"]], f"{where}.depth",
+               ConfigError)
 
     return ExperimentConfig(
         raw=raw, experiment=experiment, model_path=raw["model"], parser_spec=parser_spec,
@@ -593,44 +593,46 @@ def cmd_verify(suite: str = "all", model_files=(), out_dir: Optional[str] = None
 
 def cmd_report(run_dir: str) -> int:
     run = Path(run_dir)
+    results = run / "results.csv"
     try:
         manifest = _read_json(run / "manifest.json", ParsentropyError)
-    except ParsentropyError as exc:
+        experiment = manifest.get("experiment")
+        columns = ["N", "value:estimate"] if experiment == "birkhoff" else CSV_COLUMNS
+        with open(results, newline="") as fh:
+            reader = csv.DictReader(fh)
+            data = list(reader)
+        if not set(columns) <= set(reader.fieldnames or ()):
+            raise ValueError(f"expected the columns {columns}, got {reader.fieldnames}")
+    except ParsentropyError as exc:   # the manifest
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    results = run / "results.csv"
-    if not results.exists():
-        print(f"error: no results.csv in {run}", file=sys.stderr)
+    except (OSError, ValueError, csv.Error) as exc:   # results.csv; ValueError: not UTF-8 too
+        print(f"error: {results}: {exc}", file=sys.stderr)
         return 4
-    with open(results, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = list(reader)
     mid = manifest.get("model_id", "model")
 
-    if manifest.get("experiment") == "birkhoff":
+    if experiment == "birkhoff":
         out = run / f"plot__{mid}__birkhoff.tsv"
-        _records_to_csv(out, ["N", "value:estimate"], ([row[0], row[5]] for row in data), "\t")
+        _records_to_csv(out, columns, ([row[c] for c in columns] for row in data), "\t")
         print(f"wrote {out}")
         return 0
 
-    idx = {name: i for i, name in enumerate(header)}
-    families = sorted({row[idx["parser_family"]] for row in data})
+    families = sorted({row["parser_family"] for row in data})
     oracle = manifest.get("oracle_values") or {}
     for family in families:
         out = run / f"plot__{mid}__{family}.tsv"
-        rows = [row for row in data if row[idx["parser_family"]] == family]
-        rows.sort(key=lambda row: (int(row[idx["N"]]), int(row[idx["seed"]])))
-        if manifest.get("experiment") == "counterexample":
+        rows = [row for row in data if row["parser_family"] == family]
+        rows.sort(key=lambda row: (int(row["N"]), int(row["seed"])))
+        if experiment == "counterexample":
             columns = ["N", "parity", "blockwise_info:estimate", "limit_even:oracle",
                        "limit_odd:oracle"]
             even, odd = oracle.get("limit_even"), (oracle.get("limit_odd") or {}).get("mid")
-            table = ([row[idx["N"]], "odd" if int(row[idx["N"]]) % 2 else "even",
-                      row[idx["blockwise_info:estimate"]], even, odd] for row in rows)
+            table = ([row["N"], "odd" if int(row["N"]) % 2 else "even",
+                      row["blockwise_info:estimate"], even, odd] for row in rows)
         else:
             columns = ["N", "seed", "blockwise_info:estimate", "target:oracle",
                        "deviation:estimate"]
-            table = ([row[idx[column]] for column in columns] for row in rows)
+            table = ([row[column] for column in columns] for row in rows)
         _records_to_csv(out, columns, table, "\t")
         print(f"wrote {out}")
     return 0

@@ -30,6 +30,9 @@ from .errors import (
     PreconditionError,
 )
 from .measures import (
+    _EPSILON,
+    _one_of,
+    _ruled,
     EntropyBracket,
     MixtureModel,
     ProcessModel,
@@ -53,6 +56,26 @@ from .parsing import (
 TWO_LIMIT_TOL_REL = 0.02   # the two-limit verdict: each tail average within 2% of its limit
 TWO_LIMIT_MIN_GAP = 1e-3   # nats: the two limits must lie further apart than this
 L1_MIN_SEEDS = 20          # an l1 verdict averages over at least this many seeds
+
+# Input rules, as measures._ruled takes them; parse_config applies the same objects.
+_GRID = (lambda v: v and all(a < b for a, b in zip(v, v[1:])),
+         "a non-empty, strictly increasing list")
+_BOTH_PARITIES = (lambda grid: {n % 2 for n in grid} == {0, 1}, "even and odd lengths")
+_SEEDS = {"as": (lambda s: len(s) == 1, "exactly one seed"),   # the seeds of each target mode
+          "l1": (lambda s: len(set(s)) == len(s) >= L1_MIN_SEEDS,
+                 f"at least {L1_MIN_SEEDS} distinct seeds")}
+_MODE = _one_of(tuple(_SEEDS))
+_ONE_LIMIT = (lambda family: family != "counterexample_w", "a family with one limit "
+              "(counterexample_w has two: run the counterexample experiment)")
+_EPSILONS = (lambda v: v and all(b <= a for a, b in zip(v, v[1:])),
+             "a non-empty, non-increasing list")
+# Each observable's least depth: |log Z_d| compares the depths d and d - 1.
+_DEPTHS = {"log_zmax_to_depth_d": (lambda d: d >= 1, "at least 1 for log_zmax_to_depth_d"),
+           "abs_log_z_d": (lambda d: d >= 2, "at least 2 for abs_log_z_d")}
+BIRKHOFF_OBSERVABLES = tuple(_DEPTHS)
+INDEX_FAMILIES = ("prefix_sqrt", "random_sqrt")
+_OBSERVABLE = _one_of(BIRKHOFF_OBSERVABLES)
+_INDEX_FAMILY = _one_of(INDEX_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -198,9 +221,7 @@ def oracle_target(model: ProcessModel, spec: ParserSpec) -> OracleTarget:
         k = spec.params["K"]
         h_k = marginal_entropy(model, k)
         return OracleTarget(h_k / k, h_k / k)
-    if spec.family == "counterexample_w":
-        raise PreconditionError(
-            "the alternating family has two limits; run counterexample_experiment")
+    _ruled(spec.family, _ONE_LIMIT, "spec.family", PreconditionError)
     if spec.family == "counterexample_v" and isinstance(model, MixtureModel):
         raise PreconditionError("tail-selecting parsings need an ergodic model")
     rate = entropy_rate(model)
@@ -238,12 +259,7 @@ def _component_targets(model: MixtureModel, spec: ParserSpec) -> tuple:
 
 
 def _check_grid(N_grid) -> list:
-    grid = [int(n) for n in N_grid]
-    if not grid:
-        raise PreconditionError("N_grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise PreconditionError("N_grid must be strictly increasing")
-    return grid
+    return _ruled([int(n) for n in N_grid], _GRID, "N_grid", PreconditionError)
 
 
 def _perturb(plan: Callable, parsings, grid) -> list:
@@ -333,16 +349,8 @@ def convergence_experiment(model: ProcessModel, spec: ParserSpec, N_grid,
     """
     grid = _check_grid(N_grid)
     seeds = [int(s) for s in seeds]
-    if target_mode == "as":
-        if len(seeds) != 1:
-            raise PreconditionError("almost-sure mode follows one trajectory: pass exactly one seed")
-    elif target_mode == "l1":
-        if len(seeds) < L1_MIN_SEEDS:
-            raise PreconditionError(f"L1 mode needs at least {L1_MIN_SEEDS} seeds")
-        if len(set(seeds)) != len(seeds):
-            raise PreconditionError("seeds must be distinct")
-    else:
-        raise PreconditionError("target_mode must be 'as' or 'l1'")
+    _ruled(target_mode, _MODE, "target_mode", PreconditionError)
+    _ruled(seeds, _SEEDS[target_mode], "seeds", PreconditionError)
     return _converge(model, spec, grid, seeds, target_mode, tol, spec.describe(), None, map_fn)
 
 
@@ -361,12 +369,10 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
         raise PreconditionError("the two-limit construction needs an ergodic model; mixtures are not")
     grid = _check_grid(N_grid)
     eps = [float(e) for e in epsilon_schedule]
-    if not eps or any(b > a for a, b in zip(eps, eps[1:])):
-        raise PreconditionError("epsilon_schedule must be non-increasing and non-empty")
-    if any(not 0.0 < e < 0.25 for e in eps):
-        raise PreconditionError("epsilon values must lie in (0, 1/4)")
-    if {n % 2 for n in grid} != {0, 1}:
-        raise PreconditionError("N_grid must contain both even and odd lengths")
+    for i, e in enumerate(eps):
+        _ruled(e, _EPSILON, f"epsilon_schedule[{i}]", PreconditionError)
+    _ruled(eps, _EPSILONS, "epsilon_schedule", PreconditionError)
+    _ruled(grid, _BOTH_PARITIES, "N_grid", PreconditionError)
 
     gap_info = discrepancy_gap(model, K)
     if gap_info.gap <= TWO_LIMIT_MIN_GAP:
@@ -423,10 +429,6 @@ def perturbation_experiment(model: ProcessModel, spec: ParserSpec, plan: str, N_
                      partial(apply_perturbation_plan, plan_name=plan), map)
 
 
-BIRKHOFF_OBSERVABLES = ("log_zmax_to_depth_d", "abs_log_z_d")
-INDEX_FAMILIES = ("prefix_sqrt", "random_sqrt")
-
-
 def sublinear_birkhoff_check(model: ProcessModel, observable: str = "abs_log_z_d",
                              index_family: str = "prefix_sqrt", N_grid=(10_000, 100_000, 1_000_000),
                              seed: int = 0, depth: int = 8,
@@ -439,13 +441,9 @@ def sublinear_birkhoff_check(model: ProcessModel, observable: str = "abs_log_z_d
     normalized sum must vanish like |A_N|/N, i.e. by a factor of about
     sqrt(10) per decade of N.
     """
-    if observable not in BIRKHOFF_OBSERVABLES:
-        raise PreconditionError(f"observable must be one of {BIRKHOFF_OBSERVABLES}")
-    if index_family not in INDEX_FAMILIES:
-        raise PreconditionError(f"index_family must be one of {INDEX_FAMILIES}")
-    min_depth = 2 if observable == "abs_log_z_d" else 1
-    if depth < min_depth:
-        raise PreconditionError(f"{observable} needs depth >= {min_depth}, got {depth}")
+    _ruled(observable, _OBSERVABLE, "observable", PreconditionError)
+    _ruled(index_family, _INDEX_FAMILY, "index_family", PreconditionError)
+    _ruled(depth, _DEPTHS[observable], "depth", PreconditionError)
     grid = _check_grid(N_grid)
     traj = sample_trajectory(model, grid[-1] + depth, seed)
     x = traj.symbols

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import partialmethod
 from typing import Iterator, Optional, Union
@@ -54,6 +55,10 @@ _BLOCKS_PER_PASS = 1 << 15
 _CHUNKS_PER_READ = 1 << 8
 # A JSON value's rule: a test and what the value must be.  JSON true is not an integer.
 _K = (lambda v: type(v) is int and v >= 1, "a positive integer")
+# Rules Python arguments meet too: numpy scalars pass; true is odd, and no integer is in (0, 1/4).
+_EVEN_K = (lambda v: isinstance(v, numbers.Integral) and v >= 2 and v % 2 == 0,
+           "an even positive integer")
+_EPSILON = (lambda v: isinstance(v, numbers.Real) and 0.0 < v < 0.25, "a number in (0, 1/4)")
 _NUMBER = (lambda v: type(v) in (int, float), "a number")
 _NUMBERS = (lambda v: type(v) is list and all(map(_NUMBER[0], v)), "a list of numbers")
 _MATRIX = (lambda v: type(v) is list and all(map(_NUMBERS[0], v)), "a list of lists of numbers")
@@ -861,8 +866,7 @@ def discrepancy_gap(model: ProcessModel, K: int) -> DiscrepancyGap:
     Zero (up to the reported bracket width) exactly when the model is Markov
     of order <= K; strictly positive otherwise.
     """
-    if K % 2 != 0 or K < 2:
-        raise PreconditionError("K must be a positive even integer")
+    _ruled(K, _EVEN_K, "K", PreconditionError)
     h_k = marginal_entropy(model, K)
     h_half = marginal_entropy(model, K // 2)
     bracket = entropy_rate(model)
@@ -882,7 +886,7 @@ def _read_json(path, error: type) -> dict:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # ValueError: the file is not UTF-8 text
         raise error(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise error(f"{path}: expected a JSON object")
@@ -942,7 +946,7 @@ def model_from_dict(d: dict, path: str = "$") -> ProcessModel:
 
 def load_model(path) -> ProcessModel:
     """Read and validate a model JSON file; raises ModelFormatError on problems."""
-    model = model_from_dict(_read_json(path, ModelFormatError))
+    model = model_from_dict(_read_json(path, ModelFormatError), f"{path}:$")
     _require_valid(model, str(path))
     return model
 

@@ -26,7 +26,11 @@ from .errors import (
     WindowEmptyError,
 )
 from .measures import (
+    _EPSILON,
+    _EVEN_K,
     _K,
+    _one_of,
+    _ruled,
     ProcessModel,
     Trajectory,
     block_log_probs,
@@ -132,11 +136,10 @@ class ParsingValidation:
 
 def validate_parsing(parsing: Parsing, N: int) -> ParsingValidation:
     """Check monotone boundaries, exact coverage of 1..N, and c <= N."""
-    failures = []
     b = parsing.boundaries
     if b.ndim != 1 or b.shape[0] == 0:
-        failures.append("boundary list is empty")
-        return ParsingValidation(False, tuple(failures))
+        return ParsingValidation(False, ("boundary list is empty",))
+    failures = []
     if int(b[0]) < 1:
         failures.append("first boundary must be >= 1")
     if np.any(np.diff(b) <= 0):
@@ -150,12 +153,11 @@ def validate_parsing(parsing: Parsing, N: int) -> ParsingValidation:
 
 def validate_perturbed(perturbed: PerturbedParsing) -> ParsingValidation:
     """Re-check the containment/neighbor-overlap constraints independently."""
-    failures = []
     o = perturbed.origin
     s, e = perturbed.starts, perturbed.ends
     if perturbed.c != o.c:
-        failures.append("perturbation must keep one interval per original block")
-        return ParsingValidation(False, tuple(failures))
+        return ParsingValidation(False, ("perturbation must keep one interval per original block",))
+    failures = []
     if np.any(perturbed.lengths < 1):
         failures.append("every interval must keep at least one symbol")
     if s.min(initial=0) < 0 or e.max(initial=0) > o.N:
@@ -330,10 +332,8 @@ def parse_counterexample_v(model: ProcessModel, traj: Trajectory, N: int, K: int
     from ``h_ref`` (smallest k on ties); any short pre-block sits immediately
     before the tail.  The block count lands in [N(1-2 eps)/K - 1, N/K + 1].
     """
-    if K < 2 or K % 2 != 0:
-        raise PreconditionError("K must be an even integer >= 2")
-    if not 0.0 < epsilon < 0.25:
-        raise PreconditionError("epsilon must lie in (0, 1/4)")
+    _ruled(K, _EVEN_K, "K", PreconditionError)
+    _ruled(epsilon, _EPSILON, "epsilon", PreconditionError)
     if N > len(traj):
         raise PreconditionError("trajectory shorter than requested prefix")
     if N < 2 * K:
@@ -451,11 +451,11 @@ PERTURBATION_PLANS: dict = {
     "trim_half": ("sub", trim_plan_half),
     "extend1": ("super", extend_plan_right_one),
 }
+_PLAN = _one_of(tuple(PERTURBATION_PLANS))
 
 
 def apply_perturbation_plan(parsing: Parsing, plan_name: str) -> PerturbedParsing:
-    if plan_name not in PERTURBATION_PLANS:
-        raise PreconditionError(f"unknown perturbation plan {plan_name!r}")
+    _ruled(plan_name, _PLAN, "plan_name", PreconditionError)
     kind, builder = PERTURBATION_PLANS[plan_name]
     plan = builder(parsing)
     if kind == "sub":
@@ -468,11 +468,9 @@ def apply_perturbation_plan(parsing: Parsing, plan_name: str) -> PerturbedParsin
 # ---------------------------------------------------------------------------
 
 # A parameter's rule, as measures._K: a test of its value and what the value
-# must be.  JSON true is not an integer, and no integer lies in (0, 1/4).
-_EVEN_K = (lambda v: type(v) is int and v >= 2 and v % 2 == 0, "an even positive integer")
+# must be.  JSON true is not an integer.
 _BUDGET = (lambda v: v == "sqrt" or (type(v) is int and v >= 1), "a positive integer or 'sqrt'")
 _SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
-_EPSILON = (lambda v: isinstance(v, float) and 0.0 < v < 0.25, "a number in (0, 1/4)")
 _SCHEDULE = (lambda v: v in ("sqrt", "log2"), "'sqrt' or 'log2'")
 
 _PARSERS = {   # family: {parameter: rule}
@@ -495,15 +493,12 @@ class ParserSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in PARSER_FAMILIES:
-            raise ValueError(f"family must be one of {PARSER_FAMILIES}, got {self.family!r}")
-        rules = _PARSERS[self.family]
+        rules = _PARSERS[_ruled(self.family, _one_of(PARSER_FAMILIES), "family", ValueError)]
         if set(self.params) != set(rules):
             raise ValueError(f"family {self.family!r} takes parameters {sorted(rules)}, "
                              f"got {sorted(self.params)}")
-        for key, (ok, what) in rules.items():
-            if not ok(self.params[key]):
-                raise ValueError(f"{key} must be {what}, got {self.params[key]!r}")
+        for key, rule in rules.items():
+            _ruled(self.params[key], rule, key, ValueError)
 
     def describe(self) -> str:
         return json.dumps(self.params, sort_keys=True, separators=(",", ":"))

@@ -6,11 +6,20 @@ import pytest
 from parsentropy import (
     ConfigError,
     ModelFormatError,
+    ParserSpec,
+    PreconditionError,
+    apply_perturbation_plan,
+    convergence_experiment,
+    counterexample_experiment,
+    discrepancy_gap,
     estimator,
     load_model,
     model_to_dict,
+    oracle_target,
+    parse_fixed,
     reference_model,
     save_model,
+    sublinear_birkhoff_check,
 )
 from parsentropy.cli import (
     cmd_report,
@@ -115,7 +124,7 @@ def test_config_has_no_workers_or_output_dir_keys(tmp_path, m1_file, key, value)
 # What makes a valid config of each single-trajectory experiment; None deletes the key.
 _SINGLE_TRAJECTORY = {
     "perturbation": {"perturbation": {"plan": "trim1"}},
-    "counterexample": {"parser": None, "tolerance": None,
+    "counterexample": {"parser": None, "tolerance": None, "n_grid": [500, 2001],
                        "counterexample": {"K": 4, "epsilon_schedule": [0.1]}},
     "birkhoff": {"parser": None, "birkhoff": {"depth": 8}},
 }
@@ -207,15 +216,25 @@ def test_counterexample_rejects_tolerance(tmp_path, m1_file):
     (":seeds: unknown keys ['stride']", {"seeds": {"count": 3, "master_seed": 1, "stride": 2}}),
     (":seeds: missing keys ['master_seed']", {"seeds": {"count": 3}}),
     # the seed count each mode needs, and the parser that has two limits
-    (":seeds: mode 'as' follows one trajectory", {"seeds": [1, 2]}),
-    (":seeds: mode 'l1' needs at least 20 seeds", {"mode": "l1", "seeds": [1, 2, 3, 4, 5]}),
-    (":seeds: mode 'l1' needs at least 20 seeds", {"mode": "l1",
-                                                   "seeds": {"count": 19, "master_seed": 1}}),
-    (":parser.family: counterexample_w has two limits", {
+    (":seeds: expected exactly one seed", {"seeds": [1, 2]}),
+    (":seeds: expected at least 20 distinct seeds", {"mode": "l1", "seeds": [1, 2, 3, 4, 5]}),
+    (":seeds: expected at least 20 distinct seeds", {"mode": "l1",
+                                                     "seeds": {"count": 19, "master_seed": 1}}),
+    (":parser.family: expected a family with one limit", {
         "parser": {"family": "counterexample_w", "K": 4, "epsilon": 0.05}}),
-    (":parser.family: counterexample_w has two limits", {
+    (":parser.family: expected a family with one limit", {
         "experiment": "perturbation", "perturbation": {"plan": "trim1"},
         "parser": {"family": "counterexample_w", "K": 4, "epsilon": 0.05}}),
+    # the library's rules that reach config time: each observable's least depth (the
+    # default observable needs 2) and both parities in a two-limit grid
+    ("birkhoff.depth: expected at least 2", {"experiment": "birkhoff", "parser": None,
+                                             "birkhoff": {"observable": "abs_log_z_d",
+                                                          "depth": 1}}),
+    ("birkhoff.depth: expected at least 2", {"experiment": "birkhoff", "parser": None,
+                                             "birkhoff": {"depth": 1}}),
+    (":n_grid: expected even and odd lengths", {
+        "experiment": "counterexample", "parser": None, "tolerance": None,
+        "n_grid": [1000, 2000, 4000], "counterexample": {"K": 4, "epsilon_schedule": [0.1]}}),
 ])
 def test_malformed_config_numbers_exit_4_naming_the_key(tmp_path, m1_file, key, overrides):
     config = json.loads(_write_config(tmp_path).read_text())
@@ -226,6 +245,70 @@ def test_malformed_config_numbers_exit_4_naming_the_key(tmp_path, m1_file, key, 
         parse_config(path)
     assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 4
     assert not (tmp_path / "o").exists()
+
+
+_TWO_LIMIT = {"experiment": "counterexample", "parser": None, "tolerance": None,
+              "n_grid": [1000, 1001]}
+
+
+# A config value and a library argument that break one rule: (config overrides, its
+# key, the library call, its argument).  Each rule is one object, so both errors say
+# the same after the key.
+@pytest.mark.parametrize("overrides,key,call,argument", [
+    ({"mode": "l2"}, "mode", lambda m1, h1: convergence_experiment(
+        m1, ParserSpec("lz78"), [100], [1], target_mode="l2"), "target_mode"),
+    ({"seeds": [1, 2]}, "seeds", lambda m1, h1: convergence_experiment(
+        m1, ParserSpec("lz78"), [100], [1, 2]), "seeds"),
+    ({"mode": "l1", "seeds": [1, 2, 3]}, "seeds", lambda m1, h1: convergence_experiment(
+        m1, ParserSpec("lz78"), [100], [1, 2, 3], target_mode="l1"), "seeds"),
+    ({"parser": {"family": "counterexample_w", "K": 4, "epsilon": 0.05}}, "parser.family",
+     lambda m1, h1: oracle_target(h1, ParserSpec("counterexample_w", {"K": 4, "epsilon": 0.05})),
+     "spec.family"),
+    ({**_TWO_LIMIT, "counterexample": {"K": 4.0, "epsilon_schedule": [0.1]}},
+     "counterexample.K", lambda m1, h1: discrepancy_gap(h1, 4.0), "K"),
+    ({**_TWO_LIMIT, "counterexample": {"K": 3, "epsilon_schedule": [0.1]}},
+     "counterexample.K", lambda m1, h1: discrepancy_gap(h1, 3), "K"),
+    ({**_TWO_LIMIT, "counterexample": {"K": 4, "epsilon_schedule": [0.1, 0.25]}},
+     "counterexample.epsilon_schedule[1]",
+     lambda m1, h1: counterexample_experiment(h1, 4, [0.1, 0.25], [1000, 1001], 7),
+     "epsilon_schedule[1]"),
+    ({**_TWO_LIMIT, "counterexample": {"K": 4, "epsilon_schedule": [0.05, 0.1]}},
+     "counterexample.epsilon_schedule",
+     lambda m1, h1: counterexample_experiment(h1, 4, [0.05, 0.1], [1000, 1001], 7),
+     "epsilon_schedule"),
+    ({**_TWO_LIMIT, "n_grid": [1001, 2001], "counterexample": {"K": 4, "epsilon_schedule": [0.1]}},
+     "n_grid", lambda m1, h1: counterexample_experiment(h1, 4, [0.1], [1001, 2001], 7), "N_grid"),
+    ({"n_grid": []}, "n_grid", lambda m1, h1: convergence_experiment(
+        m1, ParserSpec("lz78"), [], [1]), "N_grid"),
+    ({"experiment": "perturbation", "perturbation": {"plan": "trim2"}}, "perturbation.plan",
+     lambda m1, h1: apply_perturbation_plan(parse_fixed(10, 2), "trim2"), "plan_name"),
+    ({"experiment": "birkhoff", "parser": None, "birkhoff": {"observable": "abs_log_z"}},
+     "birkhoff.observable", lambda m1, h1: sublinear_birkhoff_check(m1, "abs_log_z"),
+     "observable"),
+    ({"experiment": "birkhoff", "parser": None, "birkhoff": {"index_family": "sqrt"}},
+     "birkhoff.index_family",
+     lambda m1, h1: sublinear_birkhoff_check(m1, index_family="sqrt"), "index_family"),
+    ({"experiment": "birkhoff", "parser": None,
+      "birkhoff": {"observable": "log_zmax_to_depth_d", "depth": 0}}, "birkhoff.depth",
+     lambda m1, h1: sublinear_birkhoff_check(m1, "log_zmax_to_depth_d", depth=0), "depth"),
+    ({"experiment": "birkhoff", "parser": None, "birkhoff": {"depth": 1}}, "birkhoff.depth",
+     lambda m1, h1: sublinear_birkhoff_check(m1, depth=1), "depth"),
+], ids=["mode", "as-seeds", "l1-seeds", "two-limits", "K-float", "K-odd", "epsilon",
+        "epsilon-order", "parities", "empty-grid", "plan", "observable", "index_family",
+        "depth-log_zmax", "depth-default"])
+def test_config_and_library_apply_one_rule(tmp_path, m1_file, m1, h1, overrides, key, call,
+                                           argument):
+    config = json.loads(_write_config(tmp_path).read_text())
+    config.update(overrides)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+    with pytest.raises(ConfigError, match=re.escape(f":{key}: expected ")) as config_error:
+        parse_config(path)
+    with pytest.raises(PreconditionError, match=f"^{re.escape(argument)}: expected ") as error:
+        call(m1, h1)
+    expected = [str(e.value).split(": expected ", 1)[1].split(", got ")[0]
+                for e in (config_error, error)]
+    assert expected[0] == expected[1]
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -456,15 +539,32 @@ def test_untyped_model_value_fails_naming_the_key(tmp_path, capsys, name, key, v
     model[key] = value
     path = tmp_path / "m1.json"   # the model file the default config names
     path.write_text(json.dumps(model))
-    with pytest.raises(ModelFormatError, match=re.escape(f"$.{key}: expected {what}, got ")):
+    named = f"{path}:$.{key}: expected {what}"   # the file, then the key
+    with pytest.raises(ModelFormatError, match=re.escape(f"{named}, got ")):
         load_model(path)
+    capsys.readouterr()
     assert cmd_simulate(str(_write_config(tmp_path)), workers=1, out_dir=str(tmp_path / "o")) == 4
     assert not (tmp_path / "o").exists()
-    capsys.readouterr()
+    assert named in capsys.readouterr().err
     assert cmd_verify("parsing", model_files=[str(path)]) == 2
     captured = capsys.readouterr()
     assert re.search(r"^model_file +- .* FAIL$", captured.out, re.M)
-    assert f"$.{key}: expected {what}" in captured.err
+    assert named in captured.err
+
+
+def test_non_utf8_config_or_model_file_exits_4_naming_the_file(tmp_path, m1_file, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match=re.escape(f"{bad}: ")):
+        parse_config(bad)
+    with pytest.raises(ModelFormatError, match=re.escape(f"{bad}: ")):
+        load_model(bad)
+    capsys.readouterr()
+    assert cmd_simulate(str(bad), workers=1, out_dir=str(tmp_path / "o")) == 4
+    assert cmd_simulate(str(_write_config(tmp_path, model="bad.json")), workers=1,
+                        out_dir=str(tmp_path / "o")) == 4
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err.count(f"error: {bad}: ") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +608,28 @@ def test_report_malformed_manifest_exits_4_naming_the_file(tmp_path, m1_file, ca
     err = capsys.readouterr().err
     assert str(manifest) in err and why in err
     assert not list(manifest.parent.glob("plot__*.tsv"))
+
+
+@pytest.mark.parametrize("experiment,text", [
+    ("convergence", b""),
+    ("convergence", b"N,seed,blockwise_info:estimate,target:oracle,deviation:estimate\n"
+                    b"500,7,0.5,0.5,0\n"),
+    ("birkhoff", b"N,seed,observable,index_family,depth\n500,7,abs_log_z_d,prefix_sqrt,8\n"),
+    ("convergence", b"\xff\xfe"),
+], ids=["empty", "no-parser_family", "birkhoff-no-value", "not-utf8"])
+def test_report_malformed_results_exits_4_naming_the_file(tmp_path, m1_file, capsys,
+                                                          experiment, text):
+    out = tmp_path / "runs"
+    config = (_write_config(tmp_path) if experiment == "convergence"
+              else _experiment_config(tmp_path, experiment))
+    assert cmd_simulate(str(config), workers=1, out_dir=str(out)) == 0
+    results = next(out.iterdir()) / "results.csv"
+    results.write_bytes(text)
+    capsys.readouterr()
+    assert cmd_report(str(results.parent)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results}: ") and err.count("\n") == 1
+    assert not list(results.parent.glob("plot__*.tsv"))
 
 
 def test_main_dispatch(tmp_path, m1_file, capsys):

@@ -16,6 +16,7 @@ from parsentropy import (
     blockwise_info,
     convergence_experiment,
     counterexample_experiment,
+    discrepancy_gap,
     entropy_rate,
     estimator,
     factorization_residual,
@@ -270,6 +271,12 @@ def test_counterexample_rejects_mixture(mixture):
 def test_counterexample_requires_both_parities(h1):
     with pytest.raises(ValueError):
         counterexample_experiment(h1, 4, [0.1], N_grid=[1000, 2000, 3000 - 1000], seed=1)
+
+
+def test_discrepancy_gap_and_birkhoff_take_numpy_integers(m1, h1):
+    assert discrepancy_gap(h1, np.int64(4)) == discrepancy_gap(h1, 4)
+    assert (sublinear_birkhoff_check(m1, N_grid=[1000], seed=4, depth=np.int64(3)).rows
+            == sublinear_birkhoff_check(m1, N_grid=[1000], seed=4, depth=3).rows)
 
 
 def test_perturbation_trim_half_rejected(m1):

@@ -14,6 +14,7 @@ from parsentropy import (
     OverlapViolationError,
     Parsing,
     ParserSpec,
+    PerturbedParsing,
     PreconditionError,
     Trajectory,
     TrimTooLargeError,
@@ -435,6 +436,49 @@ def test_validate_parsing_examples():
     assert not validate_parsing(Parsing(boundaries=[3, 6]), 8).passed
 
 
+# One hand-built bad input per failure message; the constructors do not check.
+@pytest.mark.parametrize("boundaries,n,message", [
+    ([], 3, "boundary list is empty"),
+    ([0, 3], 3, "first boundary must be >= 1"),
+    ([2, 2, 3], 3, "boundaries must be strictly increasing"),
+    ([1, 2], 3, "blocks cover 1..2 but N = 3"),
+    ([1, 2, 3], 2, "more blocks than symbols"),
+], ids=["empty", "first-below-1", "not-increasing", "short", "more-blocks"])
+def test_validate_parsing_names_each_failure(boundaries, n, message):
+    report = validate_parsing(Parsing(boundaries=np.array(boundaries, dtype=np.int64)), n)
+    assert not report.passed and message in report.failures
+
+
+@pytest.mark.parametrize("kind,starts,lengths,message", [
+    ("sub", [0], [2], "perturbation must keep one interval per original block"),
+    ("sub", [0, 2, 4], [2, 0, 2], "every interval must keep at least one symbol"),
+    ("sub", [0, 2, 4], [2, 2, 3], "intervals must stay inside the parsed prefix"),
+    ("sub", [0, 1, 4], [2, 2, 2], "a sub-block leaves its origin block"),
+    ("super", [0, 2, 1], [2, 2, 5], "a super-block reaches beyond the neighboring blocks"),
+    ("super", [0, 3, 4], [2, 1, 2], "a super-block must contain its origin block"),
+], ids=["block-count", "empty-interval", "outside", "sub-leaves", "super-beyond",
+        "super-inside"])
+def test_validate_perturbed_names_each_failure(kind, starts, lengths, message):
+    origin = Parsing(boundaries=[2, 4, 6])   # blocks [0, 2), [2, 4), [4, 6)
+    perturbed = PerturbedParsing(starts=starts, lengths=lengths, origin=origin, modification=0,
+                                 kind=kind)
+    report = validate_perturbed(perturbed)
+    assert not report.passed and message in report.failures
+
+
+def test_counterexample_rules_let_numpy_scalars_through(h1):
+    # K and epsilon have one rule each, shared with the config, that numpy scalars meet
+    traj = sample_trajectory(h1, 400, seed=3)
+    plain = parse_counterexample_v(h1, traj, 399, 4, 0.5, 0.05)
+    numpy = parse_counterexample_v(h1, traj, 399, np.int64(4), 0.5, np.float64(0.05))
+    assert np.array_equal(plain.boundaries, numpy.boundaries)
+    assert parse_counterexample_v(h1, traj, 399, np.int32(4), 0.5, np.float32(0.05)).N == 399
+    for K, epsilon, where in [(3, 0.05, "K"), (True, 0.05, "K"), (4.0, 0.05, "K"),
+                              (4, 0.25, "epsilon"), (4, True, "epsilon"), (4, "x", "epsilon")]:
+        with pytest.raises(PreconditionError, match=f"^{where}: expected "):
+            parse_counterexample_v(h1, traj, 399, K, 0.5, epsilon)
+
+
 @pytest.mark.parametrize("family,params", [
     ("fixed", {"K": 7}),
     ("growing", {"schedule": "sqrt"}),
@@ -477,7 +521,7 @@ def test_parser_spec_validation_errors():
     ("counterexample_u", {"K": 4}, "family"),
 ])
 def test_parser_spec_types_each_parameter(family, params, key):
-    with pytest.raises(ValueError, match=f"^{key} must be"):
+    with pytest.raises(ValueError, match=f"^{key}: expected "):
         ParserSpec(family, params)
 
 
