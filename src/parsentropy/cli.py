@@ -52,7 +52,6 @@ from .measures import (
     ProcessModel,
     beta_sequence,
     entropy_rate,
-    level_probs,
     load_model,
     marginal_entropy,
     model_id,
@@ -61,6 +60,7 @@ from .measures import (
     validate_model,
 )
 from .martingale import (
+    _levels,
     chain_rule_decomposition,
     expected_logz_check,
     truncated_decomposition,
@@ -426,59 +426,51 @@ def _vr(check: str, mid: str, params: str, residual: float, bound: float) -> Ver
                      float(residual) <= float(bound))
 
 
-def _measures_rows(name: str, model: ProcessModel) -> list:
+def _model_rows(model: ProcessModel, params: str) -> list:
+    """One ``model.<check>`` row per validation check of ``model``."""
     mid = model_id(model)
-    rows = []
-    for check in validate_model(model).checks:
-        rows.append(_vr(f"model.{check.name}", mid, name, check.residual, check.bound))
-    levels = {}
-    for n, level in level_probs(model, 11):
-        levels[n] = level
-    rows.append(_vr("normalization", mid, f"{name},n=11",
-                    abs(float(levels[11].sum()) - 1.0), 1e-10))
-    a = model.alphabet_size
-    child_sum = levels[11].reshape(-1, a).sum(axis=1)
-    rows.append(_vr("kolmogorov_consistency", mid, f"{name},n=10",
-                    float(np.abs(child_sum - levels[10]).max()), 1e-12))
-    shift_sum = levels[11].reshape(a, -1).sum(axis=0)
-    rows.append(_vr("shift_stationarity", mid, f"{name},n=10",
-                    float(np.abs(shift_sum - levels[10]).max()), 1e-12))
-    ext = levels[11].reshape(-1, a)
-    rows.append(_vr("cylinder_monotonicity", mid, f"{name},n=10",
-                    max(0.0, float((ext - levels[10][:, None]).max())), 1e-15))
+    return [_vr(f"model.{check.name}", mid, params, check.residual, check.bound)
+            for check in validate_model(model).checks]
+
+
+def _measures_rows(name: str) -> list:
+    model = reference_model(name)
+    mid, a = model_id(model), model.alphabet_size
+    p10, p11 = _levels(model, 10, 11)
     betas = beta_sequence(model, 8)
-    rows.append(_vr("beta_nonincreasing", mid, f"{name},n_max=8",
-                    max(0.0, float(np.diff(betas).max())), 1e-9))
-    bracket = entropy_rate(model)
-    rows.append(_vr("beta_final_above_rate", mid, f"{name},n_max=8",
-                    max(0.0, bracket.lower - float(betas[-1])), 1e-9))
     ratios = [marginal_entropy(model, n) / n for n in range(1, 9)]
-    rows.append(_vr("entropy_per_symbol_nonincreasing", mid, name,
-                    max(0.0, float(np.diff(ratios).max())), 1e-9))
-    return rows
-
-
-def _martingale_rows(name: str, model: ProcessModel) -> list:
-    mid = model_id(model)
-    rows = [
-        _vr("martingale_one_step", mid, f"{name},n=6",
-            verify_martingale_property(model, 6), 1e-10),
-        _vr("expected_logz", mid, f"{name},n=6", expected_logz_check(model, 6), 1e-10),
+    return _model_rows(model, name) + [
+        _vr("normalization", mid, f"{name},n=11", abs(float(p11.sum()) - 1.0), 1e-10),
+        _vr("kolmogorov_consistency", mid, f"{name},n=10",
+            float(np.abs(p11.reshape(-1, a).sum(axis=1) - p10).max()), 1e-12),
+        _vr("shift_stationarity", mid, f"{name},n=10",
+            float(np.abs(p11.reshape(a, -1).sum(axis=0) - p10).max()), 1e-12),
+        _vr("cylinder_monotonicity", mid, f"{name},n=10",
+            max(0.0, float((p11.reshape(-1, a) - p10[:, None]).max())), 1e-15),
+        _vr("beta_nonincreasing", mid, f"{name},n_max=8",
+            max(0.0, float(np.diff(betas).max())), 1e-9),
+        _vr("beta_final_above_rate", mid, f"{name},n_max=8",
+            max(0.0, entropy_rate(model).lower - float(betas[-1])), 1e-9),
+        _vr("entropy_per_symbol_nonincreasing", mid, name,
+            max(0.0, float(np.diff(ratios).max())), 1e-9),
     ]
-    excess = 0.0
-    for row in zmax_tail_check(model, 10, (1.5, 2.0, 3.0, 5.0)):
-        excess = max(excess, row.tail_prob - row.ratio_bound,
-                     row.log_tail_prob - row.exp_bound)
-    rows.append(_vr("zmax_tail_bounds", mid, f"{name},n=10,t=(1.5,2,3,5)",
-                    max(0.0, excess), 0.0))
+
+
+def _martingale_rows(name: str) -> list:
+    model = reference_model(name)
+    mid = model_id(model)
+    excess = max(0.0, *(max(row.tail_prob - row.ratio_bound, row.log_tail_prob - row.exp_bound)
+                        for row in zmax_tail_check(model, 10, (1.5, 2.0, 3.0, 5.0))))
     traj = sample_trajectory(model, 10_001, seed=7)
-    dec = chain_rule_decomposition(model, traj, 10_000)
-    rows.append(_vr("chain_rule_identity", mid, f"{name},n=10000",
-                    abs(dec.identity_residual), 1e-9))
-    trunc = truncated_decomposition(model, traj, 1000, 2)
-    rows.append(_vr("truncated_identity", mid, f"{name},n=1000,M=2",
-                    abs(trunc.identity_residual), 1e-9))
-    return rows
+    return [
+        _vr("martingale_one_step", mid, f"{name},n=6", verify_martingale_property(model, 6), 1e-10),
+        _vr("expected_logz", mid, f"{name},n=6", expected_logz_check(model, 6), 1e-10),
+        _vr("zmax_tail_bounds", mid, f"{name},n=10,t=(1.5,2,3,5)", excess, 0.0),
+        _vr("chain_rule_identity", mid, f"{name},n=10000",
+            abs(chain_rule_decomposition(model, traj, 10_000).identity_residual), 1e-9),
+        _vr("truncated_identity", mid, f"{name},n=1000,M=2",
+            abs(truncated_decomposition(model, traj, 1000, 2).identity_residual), 1e-9),
+    ]
 
 
 def _parsing_rows() -> list:
@@ -543,20 +535,21 @@ def _parsing_rows() -> list:
     return rows
 
 
+_REFERENCE = ("iid_uniform", "m1", "h1")
+# verify's suites, each a function that builds its rows; "all" runs them in this order
+_SUITES = {
+    "measures": lambda: [row for name in (*_REFERENCE, "mixture_m1_uniform")
+                         for row in _measures_rows(name)],
+    "martingale": lambda: [row for name in _REFERENCE for row in _martingale_rows(name)],
+    "parsing": _parsing_rows,
+}
+
+
 def cmd_verify(suite: str = "all", model_files=(), out_dir: Optional[str] = None) -> int:
-    rows: list = []
-    reference = [(name, reference_model(name)) for name in ("iid_uniform", "m1", "h1")]
-    if suite in ("measures", "all"):
-        for name, model in reference + [("mixture_m1_uniform", reference_model("mixture_m1_uniform"))]:
-            rows.extend(_measures_rows(name, model))
-    if suite in ("martingale", "all"):
-        for name, model in reference:
-            rows.extend(_martingale_rows(name, model))
-    if suite in ("parsing", "all"):
-        rows.extend(_parsing_rows())
-    if suite not in ("measures", "martingale", "parsing", "all"):
+    if suite != "all" and suite not in _SUITES:
         print(f"error: unknown suite {suite!r}", file=sys.stderr)
         return 4
+    rows = [row for name in (_SUITES if suite == "all" else [suite]) for row in _SUITES[name]()]
     for path in model_files:
         try:
             model = load_model(path)
@@ -564,9 +557,7 @@ def cmd_verify(suite: str = "all", model_files=(), out_dir: Optional[str] = None
             rows.append(VerifyRow("model_file", "-", str(path), 1.0, 0.0, False))
             print(f"model file invalid: {exc}", file=sys.stderr)
             continue
-        for check in validate_model(model).checks:
-            rows.append(_vr(f"model.{check.name}", model_id(model), str(path),
-                            check.residual, check.bound))
+        rows.extend(_model_rows(model, str(path)))
 
     width = max(len(r.check_name) for r in rows) + 2
     print(f"{'check':<{width}}{'model':<14}{'residual':>12}  {'bound':>9}  status")
@@ -591,6 +582,16 @@ def cmd_verify(suite: str = "all", model_files=(), out_dir: Optional[str] = None
 # ---------------------------------------------------------------------------
 
 
+def _results_row(row: dict, line: int) -> dict:
+    """A row of results.csv, refused unless it fills the header and N and seed are integers."""
+    if None in row or None in row.values():   # DictReader's marks of a long or a short row
+        raise ValueError(f"line {line}: the row's field count differs from the header's")
+    for column in ("N", "seed"):
+        if not row.get(column, "0").isdecimal():   # digits only, as simulate writes them
+            raise ValueError(f"line {line}: {column} is {row[column]!r}, not an integer >= 0")
+    return row
+
+
 def cmd_report(run_dir: str) -> int:
     run = Path(run_dir)
     results = run / "results.csv"
@@ -600,9 +601,9 @@ def cmd_report(run_dir: str) -> int:
         columns = ["N", "value:estimate"] if experiment == "birkhoff" else CSV_COLUMNS
         with open(results, newline="") as fh:
             reader = csv.DictReader(fh)
-            data = list(reader)
-        if not set(columns) <= set(reader.fieldnames or ()):
-            raise ValueError(f"expected the columns {columns}, got {reader.fieldnames}")
+            if not set(columns) <= set(reader.fieldnames or ()):
+                raise ValueError(f"expected the columns {columns}, got {reader.fieldnames}")
+            data = [_results_row(row, reader.line_num) for row in reader]
     except ParsentropyError as exc:   # the manifest
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -652,8 +653,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run exact verification suites")
-    p_verify.add_argument("--suite", default="all",
-                          choices=["martingale", "measures", "parsing", "all"])
+    p_verify.add_argument("--suite", default="all", choices=[*_SUITES, "all"])
     p_verify.add_argument("--model", action="append", default=[],
                           help="additional model JSON file to validate (repeatable)")
     p_verify.add_argument("--out", default=None, help="directory for verify_results.csv")

@@ -45,6 +45,7 @@ from .measures import (
     prefix_log_probs,
     sample_trajectory,
 )
+from .martingale import _log_z_windows
 from .parsing import (
     Parsing,
     ParserSpec,
@@ -445,8 +446,7 @@ def sublinear_birkhoff_check(model: ProcessModel, observable: str = "abs_log_z_d
     _ruled(index_family, _INDEX_FAMILY, "index_family", PreconditionError)
     _ruled(depth, _DEPTHS[observable], "depth", PreconditionError)
     grid = _check_grid(N_grid)
-    traj = sample_trajectory(model, grid[-1] + depth, seed)
-    x = traj.symbols
+    x = sample_trajectory(model, grid[-1] + depth, seed).symbols
     rows = []
     for n in grid:
         m = math.isqrt(n)
@@ -456,16 +456,9 @@ def sublinear_birkhoff_check(model: ProcessModel, observable: str = "abs_log_z_d
             rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
             ks = np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)
         if observable == "abs_log_z_d":
-            full = block_log_probs(model, x, ks, ks + depth)
-            shifted = block_log_probs(model, x, ks + 1, ks + depth)
-            values = np.abs(shifted - full)
+            values = np.abs(_log_z_windows(model, x, ks, depth))
         else:
-            stack = np.empty((depth, m))
-            for d in range(1, depth + 1):
-                full = block_log_probs(model, x, ks, ks + d)
-                shifted = block_log_probs(model, x, ks + 1, ks + d) if d > 1 else np.zeros(m)
-                stack[d - 1] = shifted - full
-            values = stack.max(axis=0)
+            values = np.max([_log_z_windows(model, x, ks, d) for d in range(1, depth + 1)], axis=0)
         rows.append((n, float(values.sum()) / n))
     return BirkhoffSeries(rows=tuple(rows), observable=observable,
                           index_family=index_family, depth=depth, tol=tol)

@@ -7,11 +7,12 @@ telescopes the information content of a prefix:
 
     -log P([x_1^n]) = sum_{k=0}^{n-1} log Z_{n-k} evaluated along the shifts.
 
-This module exposes single-word evaluations of log Z, the
-untruncated and depth-M-truncated splits of that telescoping identity, and
-three exact enumeration verifiers: the one-step martingale identity, the
-maximal-ratio tail bound, and the expectation identity
-E[log Z_n] = H(P_n) - H(P_{n-1}).
+This module exposes single-word evaluations of log Z, the one evaluator of
+log Z_d over trajectory windows (``_log_z_windows``, which the Birkhoff
+observables share), the untruncated and depth-M-truncated splits of that
+telescoping identity, and three exact enumeration verifiers: the one-step
+martingale identity, the maximal-ratio tail bound, and the expectation
+identity E[log Z_n] = H(P_n) - H(P_{n-1}).
 
 The almost-sure limit of Z_n has no finite representation; it is exposed
 only through deep truncations.  First-order Markov models reach the limit
@@ -99,6 +100,24 @@ def _levels(model: ProcessModel, lo: int, hi: int) -> list:
     return [levels[k] for k in range(lo, hi + 1)]
 
 
+def _shifted(prev: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """P([w_2..w_n]) for each word w of ``level`` = P_n, by rank, from ``prev`` = P_{n-1}."""
+    return prev[np.arange(level.shape[0], dtype=np.int64) % prev.shape[0]]
+
+
+def _log_z_windows(model: ProcessModel, symbols, starts, d: int) -> np.ndarray:
+    """log Z_d of each window ``symbols[s:s + d]``; at d = 1 the shifted word is empty.
+
+    A window of probability zero raises OutOfSupportError.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    full = block_log_probs(model, symbols, starts, starts + d)
+    if not np.all(np.isfinite(full)):
+        raise OutOfSupportError(f"a depth-{d} window has probability zero under the model")
+    shifted = 0.0 if d == 1 else block_log_probs(model, symbols, starts + 1, starts + d)
+    return shifted - full
+
+
 def verify_martingale_property(model: ProcessModel, n: int) -> float:
     """Max residual of the one-step identity, over every length-n word in support.
 
@@ -110,11 +129,9 @@ def verify_martingale_property(model: ProcessModel, n: int) -> float:
         raise ValueError("n must be >= 1")
     a = model.alphabet_size
     p_prev, p_n, p_next = _levels(model, n - 1, n + 1)
-    shift_rank = np.arange(p_n.shape[0], dtype=np.int64) % p_prev.shape[0]
     ext = p_next.reshape(-1, a)                      # P([u a])
-    shifted_ext = p_n[shift_rank[:, None] * a + np.arange(a, dtype=np.int64)[None, :]]
-    contrib = np.where(ext > 0, shifted_ext, 0.0).sum(axis=1)
-    target = p_prev[shift_rank]
+    contrib = np.where(ext > 0, _shifted(p_n, p_next).reshape(-1, a), 0.0).sum(axis=1)
+    target = _shifted(p_prev, p_n)
     in_support = p_n > 0
     if not in_support.any():
         return 0.0
@@ -126,9 +143,8 @@ def expected_logz_check(model: ProcessModel, n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     p_prev, p_n = _levels(model, n - 1, n)
-    shift_rank = np.arange(p_n.shape[0], dtype=np.int64) % p_prev.shape[0]
     mask = p_n > 0
-    z_log = _safe_log(p_prev[shift_rank[mask]]) - _safe_log(p_n[mask])
+    z_log = _safe_log(_shifted(p_prev, p_n)[mask]) - _safe_log(p_n[mask])
     expectation = float((p_n[mask] * z_log).sum())
     increment = _entropy_of(p_n) - _entropy_of(p_prev)
     return abs(expectation - increment)
@@ -145,43 +161,45 @@ def zmax_tail_check(model: ProcessModel, n: int, t_grid):
     if any(t <= 0 for t in thresholds):
         raise ValueError("thresholds must be positive")
     a = model.alphabet_size
-    prev = np.ones(1)
-    running = None
-    level_n = None
-    for k, level in level_probs(model, n):
-        shift_rank = np.arange(level.shape[0], dtype=np.int64) % prev.shape[0]
+    prev, running = np.ones(1), np.full(1, -np.inf)   # P_0 and the running max of log Z
+    for _, level in level_probs(model, n):
         with np.errstate(invalid="ignore"):
-            z_log = np.where(level > 0, _safe_log(prev[shift_rank]) - _safe_log(level), -np.inf)
-        running = z_log if running is None else np.maximum(np.repeat(running, a), z_log)
-        prev = level
-        level_n = level
+            z_log = np.where(level > 0, _safe_log(_shifted(prev, level)) - _safe_log(level),
+                             -np.inf)
+        prev, running = level, np.maximum(np.repeat(running, a), z_log)
     rows = []
-    for t in thresholds:
-        tail = float(level_n[running > math.log(t)].sum())
-        log_tail = float(level_n[running > t].sum())
+    for t in thresholds:   # level is P_n
+        tail = float(level[running > math.log(t)].sum())
+        log_tail = float(level[running > t].sum())
         rows.append(TailCheckRow(threshold=t, tail_prob=tail, ratio_bound=a / t,
                                  log_tail_prob=log_tail, exp_bound=a * math.exp(-t)))
     return rows
 
 
+def _split(model: ProcessModel, traj: Trajectory, n: int, reach: int = 0) -> tuple:
+    """-log P([x_1^n]) by a forward pass and log Z_{n-k} at each shift k < n by a backward one.
+
+    The split reads ``reach`` symbols past x_n.
+    """
+    if n < 1 or n + reach > len(traj):
+        raise InsufficientLengthError(f"need 1 <= n <= {len(traj) - reach}, got {n}")
+    x = traj.symbols[:n]
+    forward = prefix_log_probs(model, x)
+    if not np.isfinite(forward[-1]):
+        raise OutOfSupportError("prefix has probability zero under the model")
+    return -float(forward[-1]), np.diff(suffix_log_probs(model, x))
+
+
 def chain_rule_decomposition(model: ProcessModel, traj: Trajectory, n: int) -> DecompositionResult:
     """Telescoping split of -log P([x_1^n]) along the shifts of one trajectory.
 
-    The two sides are evaluated by different recursions (a forward pass for
-    the information content, a backward pass for the per-shift ratios), so
-    ``identity_residual`` genuinely cross-checks the identity.  The i-term
-    sums the deepest ratio available at each shift given the trajectory
-    length (the limit proxy); the j-term collects what remains.
+    The i-term sums the deepest ratio available at each shift given the
+    trajectory length (the limit proxy); the j-term collects what remains,
+    so ``identity_residual`` is the gap between the forward and backward
+    passes of ``_split``.
     """
-    if n < 1 or n > len(traj):
-        raise InsufficientLengthError(f"need 1 <= n <= {len(traj)}, got {n}")
-    x = traj.symbols
-    forward = prefix_log_probs(model, x[:n])
-    if not np.isfinite(forward[-1]):
-        raise OutOfSupportError("prefix has probability zero under the model")
-    neg_log_prob = -float(forward[-1])
-    tele = np.diff(suffix_log_probs(model, x[:n]))        # log Z_{n-k} at shift k
-    proxy = np.diff(suffix_log_probs(model, x))[:n]        # deepest available ratio
+    neg_log_prob, tele = _split(model, traj, n)
+    proxy = np.diff(suffix_log_probs(model, traj.symbols))[:n]   # deepest available ratio
     i_term = float(np.sum(proxy))
     j_term = float(np.sum(tele - proxy))
     return DecompositionResult(neg_log_prob=neg_log_prob, i_term=i_term,
@@ -197,27 +215,11 @@ def truncated_decomposition(model: ProcessModel, traj: Trajectory, n: int, M: in
     """
     if M < 1:
         raise ValueError("truncation depth M must be >= 1")
-    if n < 1 or n + M > len(traj):
-        raise InsufficientLengthError(
-            f"need n + M <= trajectory length ({len(traj)}), got n={n}, M={M}"
-        )
-    x = traj.symbols
-    starts = np.arange(n, dtype=np.int64)
-    full = block_log_probs(model, x, starts, starts + M)
-    if M == 1:
-        shifted = np.zeros(n)
-    else:
-        shifted = block_log_probs(model, x, starts + 1, starts + M)
-    z_m = shifted - full
-    if not np.all(np.isfinite(z_m)):
-        raise OutOfSupportError("a depth-M window has probability zero under the model")
-    forward = prefix_log_probs(model, x[:n])
-    if not np.isfinite(forward[-1]):
-        raise OutOfSupportError("prefix has probability zero under the model")
-    neg_log_prob = -float(forward[-1])
+    neg_log_prob, tele = _split(model, traj, n, M)
+    z_m = _log_z_windows(model, traj.symbols, np.arange(n, dtype=np.int64), M)
     i_term = float(np.sum(z_m))
     j_term = neg_log_prob - i_term
-    direct = float(np.sum(np.diff(suffix_log_probs(model, x[:n])) - z_m))
+    direct = float(np.sum(tele - z_m))
     if abs(direct - j_term) > 1e-8 * max(1.0, abs(neg_log_prob)):
         raise RuntimeError(
             f"truncated split inconsistent: by-identity j={j_term!r}, direct j={direct!r}"

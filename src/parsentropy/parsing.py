@@ -361,6 +361,8 @@ def parse_counterexample_v(model: ProcessModel, traj: Trajectory, N: int, K: int
 def parse_counterexample_w(model: ProcessModel, traj: Trajectory, N: int, K: int,
                            h_ref: float, epsilon: float) -> Parsing:
     """Alternating construction: fixed-K blocks at even N, tail parsing at odd N."""
+    _ruled(K, _EVEN_K, "K", PreconditionError)
+    _ruled(epsilon, _EPSILON, "epsilon", PreconditionError)
     if N % 2 == 0:
         return parse_fixed(N, K)
     return parse_counterexample_v(model, traj, N, K, h_ref, epsilon)

@@ -21,7 +21,9 @@ from parsentropy import (
     save_model,
     sublinear_birkhoff_check,
 )
+from parsentropy import cli
 from parsentropy.cli import (
+    CSV_COLUMNS,
     cmd_report,
     cmd_simulate,
     cmd_verify,
@@ -501,6 +503,20 @@ def test_verify_suites_pass(suite, capsys):
     assert "checks passed" in out
 
 
+def test_verify_refuses_an_unknown_suite_before_any_runs(capsys, monkeypatch):
+    def never():
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "_SUITES", {name: never for name in cli._SUITES})
+    assert cmd_verify("bogus") == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown suite 'bogus'" in captured.err
+    with pytest.raises(SystemExit):   # argparse offers the same table
+        main(["verify", "--suite", "bogus"])
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err and all(s in err for s in (*cli._SUITES, "all"))
+
+
 def test_verify_writes_csv(tmp_path, capsys):
     assert cmd_verify("parsing", out_dir=str(tmp_path)) == 0
     lines = (tmp_path / "verify_results.csv").read_text().splitlines()
@@ -610,15 +626,32 @@ def test_report_malformed_manifest_exits_4_naming_the_file(tmp_path, m1_file, ca
     assert not list(manifest.parent.glob("plot__*.tsv"))
 
 
-@pytest.mark.parametrize("experiment,text", [
-    ("convergence", b""),
+def _results(*row: str) -> bytes:
+    """A results.csv with the full header and one row."""
+    return ",".join(CSV_COLUMNS).encode() + b"\n" + ",".join(row).encode() + b"\n"
+
+
+ROW = ("500", "7", "growing", "sqrt", "0.5", "0.5", "0", "0.1", "0.5", "0")
+
+
+@pytest.mark.parametrize("experiment,text,why", [
+    ("convergence", b"", "expected the columns"),
     ("convergence", b"N,seed,blockwise_info:estimate,target:oracle,deviation:estimate\n"
-                    b"500,7,0.5,0.5,0\n"),
-    ("birkhoff", b"N,seed,observable,index_family,depth\n500,7,abs_log_z_d,prefix_sqrt,8\n"),
-    ("convergence", b"\xff\xfe"),
-], ids=["empty", "no-parser_family", "birkhoff-no-value", "not-utf8"])
+                    b"500,7,0.5,0.5,0\n", "expected the columns"),
+    ("birkhoff", b"N,seed,observable,index_family,depth\n500,7,abs_log_z_d,prefix_sqrt,8\n",
+     "expected the columns"),
+    ("convergence", b"\xff\xfe", ""),   # the message is the locale codec's
+    ("convergence", _results("x", *ROW[1:]), "line 2: N is 'x', not an integer >= 0"),
+    ("convergence", _results(ROW[0], "seven", *ROW[2:]),
+     "line 2: seed is 'seven', not an integer >= 0"),
+    ("birkhoff", b"N,seed,observable,index_family,depth,value:estimate\n"
+                 b"1e4,7,abs_log_z_d,prefix_sqrt,8,0.01\n", "line 2: N is '1e4'"),
+    ("convergence", _results(*ROW[:3]), "line 2: the row's field count differs"),
+    ("convergence", _results(*ROW, "extra"), "line 2: the row's field count differs"),
+], ids=["empty", "no-parser_family", "birkhoff-no-value", "not-utf8", "N-not-integer",
+        "seed-not-integer", "birkhoff-N-not-integer", "short-row", "long-row"])
 def test_report_malformed_results_exits_4_naming_the_file(tmp_path, m1_file, capsys,
-                                                          experiment, text):
+                                                          experiment, text, why):
     out = tmp_path / "runs"
     config = (_write_config(tmp_path) if experiment == "convergence"
               else _experiment_config(tmp_path, experiment))
@@ -629,6 +662,7 @@ def test_report_malformed_results_exits_4_naming_the_file(tmp_path, m1_file, cap
     assert cmd_report(str(results.parent)) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"error: {results}: ") and err.count("\n") == 1
+    assert why in err
     assert not list(results.parent.glob("plot__*.tsv"))
 
 

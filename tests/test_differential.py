@@ -31,6 +31,7 @@ from parsentropy import (
     suffix_log_probs,
     z_value,
 )
+from parsentropy.martingale import _log_z_windows
 
 from conftest import naive_word_prob
 
@@ -163,17 +164,22 @@ def test_level_probs_match_naive_on_every_block(case):
 @given(model_and_word())
 @example(NEAR_STATIONARY)
 def test_z_value_matches_naive_on_every_block(case):
+    # z_value and the window evaluator of the truncated split and the Birkhoff observables
     model, w = case
     for s, e in _blocks(len(w)):
         full = naive_word_prob(model, w[s:e])
         if full == 0.0:
             with pytest.raises(OutOfSupportError):
                 z_value(model, w[s:e])
+            with pytest.raises(OutOfSupportError):
+                _log_z_windows(model, w, [s], e - s)
             continue
         shifted = naive_word_prob(model, w[s + 1:e]) if e - s > 1 else 1.0
         # an initial law stationary only up to round-off can give P(shifted) = 0 < P(full)
         expected = (math.log(shifted) if shifted > 0.0 else -math.inf) - math.log(full)
         assert math.isclose(z_value(model, w[s:e]), expected, rel_tol=TOL, abs_tol=TOL)
+        window = float(_log_z_windows(model, w, [s], e - s)[0])
+        assert math.isclose(window, expected, rel_tol=TOL, abs_tol=TOL)
 
 
 @SETTINGS

@@ -29,6 +29,7 @@ from parsentropy import (
     sample_trajectory,
     smb_info,
     sublinear_birkhoff_check,
+    truncated_decomposition,
 )
 from parsentropy.cli import derive_seeds
 
@@ -324,6 +325,19 @@ def test_birkhoff_uniform_prefix_is_exact(iid2):
     for n, value in series.rows:
         assert value == pytest.approx(math.isqrt(n) * LN2 / n, abs=1e-15)
     assert series.rows[-1][1] == pytest.approx(0.000693147, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["iid2", "m1", "h1"])
+@pytest.mark.parametrize("depth", [2, 3, 8])
+def test_birkhoff_row_is_the_truncated_i_term(request, name, depth):
+    # one window evaluator serves both, and verify's truncated_identity row cross-checks it
+    model = request.getfixturevalue(name)
+    n, seed = 10_000, 7
+    series = sublinear_birkhoff_check(model, "abs_log_z_d", "prefix_sqrt",
+                                      N_grid=[n], seed=seed, depth=depth)
+    trunc = truncated_decomposition(model, sample_trajectory(model, n + depth, seed),
+                                    math.isqrt(n), depth)
+    assert series.rows == ((n, trunc.i_term / n),)
 
 
 def test_birkhoff_random_indices_bounded(m1):

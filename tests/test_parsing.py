@@ -364,6 +364,14 @@ def test_counterexample_w_parity_dispatch(h1):
     assert odd.to_text() == direct.to_text()
 
 
+@pytest.mark.parametrize("N", [100, 101])
+@pytest.mark.parametrize("K,epsilon,where", [(3, 0.05, "K"), (4, 0.5, "epsilon")])
+def test_counterexample_w_checks_k_and_epsilon_at_both_parities(h1, N, K, epsilon, where):
+    traj = sample_trajectory(h1, 101, seed=13)
+    with pytest.raises(PreconditionError, match=f"^{where}: expected "):
+        parse_counterexample_w(h1, traj, N, K, 0.5, epsilon)
+
+
 # ---------------------------------------------------------------------------
 # Perturbations
 # ---------------------------------------------------------------------------
