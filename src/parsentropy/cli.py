@@ -46,21 +46,22 @@ from .measures import (
     _EVEN_K,
     _K,
     _closed,
+    _entropy_of,
+    _levels,
     _one_of,
     _read_json,
     _ruled,
+    RATE_TOL,
+    EntropyBracket,
     ProcessModel,
-    beta_sequence,
     entropy_rate,
     load_model,
-    marginal_entropy,
     model_id,
     reference_model,
     sample_trajectory,
     validate_model,
 )
 from .martingale import (
-    _levels,
     chain_rule_decomposition,
     expected_logz_check,
     truncated_decomposition,
@@ -265,6 +266,15 @@ def _target_dict(target) -> dict:
             "mid": _round12(target.mid)}
 
 
+def _rate_section(bracket: Optional[EntropyBracket]) -> dict:
+    """``oracle.rate``: the entropy-rate bracket a target was built from; none for exact ones."""
+    if bracket is None:
+        return {}
+    return {"rate": {"lower": _round12(bracket.lower), "upper": _round12(bracket.upper),
+                     "width": _round12(bracket.width), "n_used": bracket.n_used,
+                     "converged": bracket.converged}}
+
+
 def _run_experiment(config: ExperimentConfig, model: ProcessModel, map_fn=map):
     """Run the configured experiment; ``map_fn`` spreads convergence seeds over workers."""
     if config.experiment == "convergence":
@@ -305,6 +315,7 @@ def _summary_sections(config: ExperimentConfig, report) -> dict:
                 "limit_odd": _target_dict(report.limit_odd),
                 "gap": _round12(report.gap),
                 "h_bracket_width": _round12(report.h_bracket.width),
+                **_rate_section(report.h_bracket),
             },
             "results": {
                 "even_tail_avg": _round12(report.even_tail_avg),
@@ -322,7 +333,7 @@ def _summary_sections(config: ExperimentConfig, report) -> dict:
     return {   # a perturbation's section is its plan
         "parser": {"family": config.parser_spec.family, "params": config.parser_spec.params,
                    **config.section},
-        "oracle": {"target": _target_dict(report.target)},
+        "oracle": {"target": _target_dict(report.target), **_rate_section(report.target.rate)},
         "results": {
             "tail_deviation": _round12(report.tail_deviation),
             "l1_deviation": _round12(report.l1_deviation),
@@ -371,6 +382,13 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
     if config.experiment != "counterexample":   # its verdict writes its own tolerances
         summary["tolerance"] = _round12(config.tolerance)
     verdict = _verdict(report.verdict)
+    rate = summary.get("oracle", {}).get("rate")
+    warnings = [] if rate is None or rate["converged"] else [
+        f"the entropy-rate bracket did not converge: width {rate['width']:.3e} nats > "
+        f"{RATE_TOL:.0e} at n_used = {rate['n_used']}; the verdict counts every value inside "
+        "it as on target"]
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     t0 = time.perf_counter()
     if isinstance(report, BirkhoffSeries):
         header = ["N", "seed", "observable", "index_family", "depth", "value:estimate"]
@@ -394,6 +412,7 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
         "seed_algorithm": SEED_ALGORITHM,
         "oracle_values": summary.get("oracle", summary.get("birkhoff")),
         "verdicts": {config.experiment: verdict},
+        "warnings": warnings,
         "wall_clock_s": {k: round(v, 3) for k, v in wall.items()},
         "workers": pool_size,
         "emitted": ["results.csv", "summary.json"],
@@ -436,9 +455,10 @@ def _model_rows(model: ProcessModel, params: str) -> list:
 def _measures_rows(name: str) -> list:
     model = reference_model(name)
     mid, a = model_id(model), model.alphabet_size
-    p10, p11 = _levels(model, 10, 11)
-    betas = beta_sequence(model, 8)
-    ratios = [marginal_entropy(model, n) / n for n in range(1, 9)]
+    *levels, p10, p11 = _levels(model, 0, 11)
+    entropies = [_entropy_of(level) for level in levels[:9]]   # H(P_0), ..., H(P_8)
+    betas = np.diff(entropies)
+    ratios = [h / n for n, h in enumerate(entropies) if n]
     return _model_rows(model, name) + [
         _vr("normalization", mid, f"{name},n=11", abs(float(p11.sum()) - 1.0), 1e-10),
         _vr("kolmogorov_consistency", mid, f"{name},n=10",

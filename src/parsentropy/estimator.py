@@ -31,15 +31,16 @@ from .errors import (
 )
 from .measures import (
     _EPSILON,
+    _levels,
     _one_of,
     _ruled,
+    _tail_parsing_limit,
     EntropyBracket,
     MixtureModel,
     ProcessModel,
     Trajectory,
     block_log_probs,
     entropy_rate,
-    level_probs,
     marginal_entropy,
     discrepancy_gap,
     prefix_log_probs,
@@ -68,6 +69,8 @@ _SEEDS = {"as": (lambda s: len(s) == 1, "exactly one seed"),   # the seeds of ea
 _MODE = _one_of(tuple(_SEEDS))
 _ONE_LIMIT = (lambda family: family != "counterexample_w", "a family with one limit "
               "(counterexample_w has two: run the counterexample experiment)")
+# Tail selection needs one rate per realization; the rule reads the model's class name.
+_ERGODIC = (lambda name: name != MixtureModel.__name__, "an ergodic model (a mixture is not)")
 _EPSILONS = (lambda v: v and all(b <= a for a, b in zip(v, v[1:])),
              "a non-empty, non-increasing list")
 # Each observable's least depth: |log Z_d| compares the depths d and d - 1.
@@ -212,8 +215,8 @@ def factorization_residual(model: ProcessModel, traj: Trajectory,
 
 def _tail_limit(h_half: float, K: int, bracket: EntropyBracket) -> OracleTarget:
     """Tail-parsing limit (2 H(P_{K/2})/K + h)/2 over the rate bracket of h."""
-    short = 2.0 * h_half / K
-    return OracleTarget(0.5 * (short + bracket.lower), 0.5 * (short + bracket.upper), rate=bracket)
+    return OracleTarget(_tail_parsing_limit(h_half, K, bracket.lower),
+                        _tail_parsing_limit(h_half, K, bracket.upper), rate=bracket)
 
 
 def oracle_target(model: ProcessModel, spec: ParserSpec) -> OracleTarget:
@@ -223,13 +226,12 @@ def oracle_target(model: ProcessModel, spec: ParserSpec) -> OracleTarget:
         h_k = marginal_entropy(model, k)
         return OracleTarget(h_k / k, h_k / k)
     _ruled(spec.family, _ONE_LIMIT, "spec.family", PreconditionError)
-    if spec.family == "counterexample_v" and isinstance(model, MixtureModel):
-        raise PreconditionError("tail-selecting parsings need an ergodic model")
-    rate = entropy_rate(model)
-    if spec.family == "counterexample_v":
-        k = spec.params["K"]
-        return _tail_limit(marginal_entropy(model, k // 2), k, rate)
-    return OracleTarget(rate.lower, rate.upper, rate=rate)
+    if spec.family != "counterexample_v":
+        rate = entropy_rate(model)
+        return OracleTarget(rate.lower, rate.upper, rate=rate)
+    _ruled(type(model).__name__, _ERGODIC, "model", PreconditionError)
+    k = spec.params["K"]
+    return _tail_limit(marginal_entropy(model, k // 2), k, entropy_rate(model))
 
 
 def _component_targets(model: MixtureModel, spec: ParserSpec) -> tuple:
@@ -244,10 +246,10 @@ def _component_targets(model: MixtureModel, spec: ParserSpec) -> tuple:
     if spec.family != "fixed":
         return tuple(oracle_target(comp, spec) for comp in model.components)
     k = spec.params["K"]
-    *_, (_, mixed) = level_probs(model, k)
+    [mixed] = _levels(model, k, k)
     targets = []
     for comp in model.components:
-        *_, (_, own) = level_probs(comp, k)
+        [own] = _levels(comp, k, k)
         support = own > 0
         cross = -float(own[support] @ np.log(mixed[support])) / k
         targets.append(OracleTarget(cross, cross))
@@ -366,8 +368,7 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
     diagonal refinement of the tail-selection window; ``TWO_LIMIT_TOL_REL``
     sets the verdict.
     """
-    if isinstance(model, MixtureModel):
-        raise PreconditionError("the two-limit construction needs an ergodic model; mixtures are not")
+    _ruled(type(model).__name__, _ERGODIC, "model", PreconditionError)
     grid = _check_grid(N_grid)
     eps = [float(e) for e in epsilon_schedule]
     for i, e in enumerate(eps):

@@ -32,6 +32,7 @@ from .measures import (
     ProcessModel,
     Trajectory,
     _entropy_of,
+    _levels,
     _safe_log,
     block_log_probs,
     level_probs,
@@ -89,15 +90,6 @@ def z_value(model: ProcessModel, word) -> float:
         raise OutOfSupportError("word has probability zero under the model")
     shifted = 0.0 if w.shape[0] == 1 else log_cylinder_prob(model, w[1:])
     return shifted - full
-
-
-def _levels(model: ProcessModel, lo: int, hi: int) -> list:
-    """[P_lo, ..., P_hi] as rank-indexed arrays, with P_0 = [1]."""
-    levels = {0: np.ones(1)}
-    for k, level in level_probs(model, hi):
-        if k >= lo:
-            levels[k] = level
-    return [levels[k] for k in range(lo, hi + 1)]
 
 
 def _shifted(prev: np.ndarray, level: np.ndarray) -> np.ndarray:
@@ -162,7 +154,7 @@ def zmax_tail_check(model: ProcessModel, n: int, t_grid):
         raise ValueError("thresholds must be positive")
     a = model.alphabet_size
     prev, running = np.ones(1), np.full(1, -np.inf)   # P_0 and the running max of log Z
-    for _, level in level_probs(model, n):
+    for _, level in level_probs(model, n):   # every level once: streamed, not collected
         with np.errstate(invalid="ignore"):
             z_log = np.where(level > 0, _safe_log(_shifted(prev, level)) - _safe_log(level),
                              -np.inf)

@@ -541,6 +541,7 @@ class HiddenMarkovModel(_Model):
         n_max = 1                                # level 1 over the cap: level_probs raises
         while max(a, 2) ** (n_max + 1) <= ENUM_CAP:   # one symbol: the binary depth
             n_max += 1
+        # The sweeps run in lockstep and stop at the first narrow bracket, so they stream.
         sweeps = [level_probs(self, n_max)] + [   # and from each hidden state
             level_probs(replace(self, hidden_initial=start), n_max) for start in np.eye(S)]
         rho = self.hidden_initial
@@ -811,12 +812,14 @@ def level_probs(model: ProcessModel, n_max: int) -> Iterator:
     yield from model._levels(n_max)
 
 
+def _levels(model: ProcessModel, lo: int, hi: int) -> list:
+    """[P_lo, ..., P_hi] from one walk to ``hi``, with P_0 = [1]; no other level is kept."""
+    return [np.ones(1)][lo:] + [level for k, level in level_probs(model, hi) if k >= lo]
+
+
 def marginal_entropy(model: ProcessModel, n: int) -> float:
     """Exact Shannon entropy of the n-th marginal, by full enumeration (nats)."""
-    for k, level in level_probs(model, n):
-        if k == n:
-            return _entropy_of(level)
-    raise AssertionError("unreachable")
+    return _entropy_of(*_levels(model, n, n))
 
 
 def beta_sequence(model: ProcessModel, n_max: int) -> np.ndarray:
@@ -825,10 +828,7 @@ def beta_sequence(model: ProcessModel, n_max: int) -> np.ndarray:
     Non-increasing, and flat from n = m+1 on exactly for Markov sources of
     order <= m; the limit is the entropy rate.
     """
-    entropies = [0.0]
-    for _, level in level_probs(model, n_max):
-        entropies.append(_entropy_of(level))
-    return np.diff(np.asarray(entropies))
+    return np.diff([_entropy_of(level) for level in _levels(model, 0, n_max)])
 
 
 def entropy_rate(model: ProcessModel) -> EntropyBracket:
@@ -844,6 +844,11 @@ def entropy_rate(model: ProcessModel) -> EntropyBracket:
     per-realization rate is not constant).
     """
     return model._rate()
+
+
+def _tail_parsing_limit(h_half: float, K: int, h: float) -> float:
+    """The tail parsing's limit (2 H(P_{K/2})/K + h)/2 at the rate value ``h``."""
+    return 0.5 * (2.0 * h_half / K + h)
 
 
 @dataclass(frozen=True)
@@ -867,10 +872,10 @@ def discrepancy_gap(model: ProcessModel, K: int) -> DiscrepancyGap:
     of order <= K; strictly positive otherwise.
     """
     _ruled(K, _EVEN_K, "K", PreconditionError)
-    h_k = marginal_entropy(model, K)
-    h_half = marginal_entropy(model, K // 2)
+    levels = _levels(model, K // 2, K)
+    h_k, h_half = _entropy_of(levels[-1]), _entropy_of(levels[0])
     bracket = entropy_rate(model)
-    gap = h_k / K - 0.5 * (2.0 * h_half / K + bracket.mid)
+    gap = h_k / K - _tail_parsing_limit(h_half, K, bracket.mid)
     return DiscrepancyGap(gap=gap, h_bracket=bracket, h_k=h_k, h_half=h_half)
 
 

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    OutOfSupportError,
     OverlapViolationError,
     PreconditionError,
     TrimTooLargeError,
@@ -278,7 +279,7 @@ def _block_split_entry(model: ProcessModel, x: np.ndarray, s: int, e: int,
 
 def _require_support(log_prob: float, N: int) -> None:
     if log_prob == -np.inf:
-        raise PreconditionError(f"the word x[0:{N}] has probability 0 under the model, "
+        raise OutOfSupportError(f"the word x[0:{N}] has probability 0 under the model, "
                                 "so its factorization penalties are undefined")
 
 
@@ -294,7 +295,7 @@ def parse_adversarial(model: ProcessModel, traj: Trajectory, N: int, budget: int
     each block's best split with the block's prefix and suffix scans; the
     left child of a split keeps the parent's prefix values, the right child
     its suffix values, and each scans the other direction only.  Raises
-    PreconditionError when the word has probability 0 under the model.
+    OutOfSupportError when the word has probability 0 under the model.
     Deterministic in all inputs.
     """
     if not 1 <= budget <= N:

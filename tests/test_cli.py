@@ -1,10 +1,12 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from parsentropy import (
     ConfigError,
+    HiddenMarkovModel,
     ModelFormatError,
     ParserSpec,
     PreconditionError,
@@ -12,6 +14,7 @@ from parsentropy import (
     convergence_experiment,
     counterexample_experiment,
     discrepancy_gap,
+    entropy_rate,
     estimator,
     load_model,
     model_to_dict,
@@ -31,6 +34,7 @@ from parsentropy.cli import (
     main,
     parse_config,
 )
+from parsentropy.measures import RATE_TOL
 
 
 @pytest.fixture()
@@ -402,12 +406,18 @@ def test_summary_sections_perturbation(tmp_path, m1_file):
     assert set(summary) == TOP_KEYS | {"parser", "oracle", "results"}
     assert summary["parser"] == {"family": "growing", "params": {"schedule": "sqrt"},
                                  "plan": "trim1"}
-    assert set(summary["oracle"]) == {"target"}
+    assert set(summary["oracle"]) == {"target", "rate"}
     assert set(summary["oracle"]["target"]) == {"lower", "upper", "mid"}
+    # m1's rate is exact: a converged bracket of width 0, from levels 1 and 2
+    assert summary["oracle"]["rate"] == {
+        "lower": summary["oracle"]["target"]["lower"],
+        "upper": summary["oracle"]["target"]["upper"],
+        "width": 0.0, "n_used": 2, "converged": True}
     assert set(summary["results"]) == {"tail_deviation", "l1_deviation",
                                        "effective_tolerance", "verdict"}
     assert manifest["verdicts"] == {"perturbation": summary["results"]["verdict"]}
     assert manifest["oracle_values"] == summary["oracle"]
+    assert manifest["warnings"] == []
 
 
 def test_summary_sections_counterexample(tmp_path):
@@ -422,7 +432,11 @@ def test_summary_sections_counterexample(tmp_path):
     summary, manifest = _run_summary(path, tmp_path / "o")
     # the verdict's own tolerances replace the unused top-level one
     assert set(summary) == TOP_KEYS - {"tolerance"} | {"oracle", "results"}
-    assert set(summary["oracle"]) == {"limit_even", "limit_odd", "gap", "h_bracket_width"}
+    assert set(summary["oracle"]) == {"limit_even", "limit_odd", "gap", "h_bracket_width",
+                                      "rate"}
+    rate = summary["oracle"]["rate"]
+    assert (rate["width"], rate["n_used"], rate["converged"]) == (
+        summary["oracle"]["h_bracket_width"], 8, True)
     assert set(summary["results"]) == {"even_tail_avg", "odd_tail_avg", "parity_gap",
                                        "tol_even", "tol_odd", "tol_gap",
                                        "even", "odd", "gap", "verdict"}
@@ -433,6 +447,48 @@ def test_summary_sections_counterexample(tmp_path):
                                                rel=1e-10)
     assert manifest["verdicts"] == {"counterexample": summary["results"]["verdict"]}
     assert manifest["oracle_values"] == summary["oracle"]
+    assert manifest["warnings"] == []
+
+
+def test_summary_of_a_fixed_k_target_has_no_rate(tmp_path, m1_file):
+    # H(P_K)/K is exact: no entropy-rate bracket lies behind it
+    path = _write_config(tmp_path, parser={"family": "fixed", "K": 4})
+    summary, manifest = _run_summary(path, tmp_path / "o")
+    assert set(summary["oracle"]) == {"target"}
+    assert manifest["warnings"] == []
+
+
+def test_a_rate_bracket_that_did_not_converge_is_flagged(tmp_path, capsys):
+    # 16 symbols: the sandwich stops at n_used = 5, the deepest level under ENUM_CAP
+    emission = np.full((2, 16), 0.5 / 15)
+    emission[0, 0] = emission[1, 1] = 0.5
+    model = HiddenMarkovModel([[0.99, 0.01], [0.01, 0.99]], [0.5, 0.5], emission)
+    save_model(model, tmp_path / "sticky.json")
+    path = _write_config(tmp_path, model="sticky.json", n_grid=[1000, 10_000])
+    capsys.readouterr()
+    summary, manifest = _run_summary(path, tmp_path / "o")
+    bracket = entropy_rate(model)
+    rate = summary["oracle"]["rate"]
+    assert rate == {"lower": cli._round12(bracket.lower), "upper": cli._round12(bracket.upper),
+                    "width": cli._round12(bracket.width), "n_used": 5, "converged": False}
+    assert rate["width"] > RATE_TOL
+    # the verdict keeps its meaning: the estimate lies inside the wide bracket, so it
+    # passes at deviation 0, and the flag next to it says how sharp that pass is
+    assert (summary["results"]["tail_deviation"], summary["results"]["verdict"]) == (0.0, "pass")
+    assert manifest["verdicts"] == {"convergence": summary["results"]["verdict"]}
+    assert len(manifest["warnings"]) == 1
+    assert "did not converge" in manifest["warnings"][0]
+    warned = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert warned == [f"warning: {manifest['warnings'][0]}"]
+
+
+def test_simulate_tail_selection_on_a_mixture_exit_code(tmp_path, capsys):
+    save_model(reference_model("mixture_m1_uniform"), tmp_path / "mix.json")
+    path = _write_config(tmp_path, model="mix.json",
+                         parser={"family": "counterexample_v", "K": 4, "epsilon": 0.1})
+    assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 3
+    assert "expected an ergodic model (a mixture is not)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_summary_sections_birkhoff(tmp_path, m1_file):

@@ -12,6 +12,7 @@ from parsentropy import (
     OutOfSupportError,
     ParserSpec,
     Parsing,
+    PreconditionError,
     Trajectory,
     blockwise_info,
     convergence_experiment,
@@ -264,9 +265,21 @@ def test_counterexample_rejects_small_gap(m1, iid2):
         counterexample_experiment(iid2, 2, [0.1], N_grid=[1000, 1001, 2000, 2001], seed=1)
 
 
+# One rule refuses a mixture wherever tail selection needs one rate per realization.
+ERGODIC_REFUSAL = r"^model: expected an ergodic model \(a mixture is not\), got 'MixtureModel'$"
+
+
 def test_counterexample_rejects_mixture(mixture):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match=ERGODIC_REFUSAL):
         counterexample_experiment(mixture, 4, [0.1], N_grid=[1000, 1001], seed=1)
+
+
+def test_tail_selection_target_rejects_mixture(mixture):
+    spec = ParserSpec("counterexample_v", {"K": 4, "epsilon": 0.1})
+    with pytest.raises(PreconditionError, match=ERGODIC_REFUSAL):
+        oracle_target(mixture, spec)
+    with pytest.raises(PreconditionError, match=ERGODIC_REFUSAL):
+        convergence_experiment(mixture, spec, [1000, 2000], [7])
 
 
 def test_counterexample_requires_both_parities(h1):

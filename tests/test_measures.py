@@ -42,7 +42,7 @@ from parsentropy import (
     verify_martingale_property,
     zmax_tail_check,
 )
-from parsentropy.measures import RATE_TOL
+from parsentropy.measures import RATE_TOL, _levels
 
 from conftest import naive_marginal_entropy, naive_word_prob
 
@@ -492,6 +492,18 @@ def test_cylinder_monotonicity(all_reference_models, name):
         # stationarity: P([uv]) <= P([v]) with u one symbol
         tail = np.tile(levels[n], a)
         assert float((levels[n + 1] - tail).max()) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["iid_uniform", "m1", "h1", "mixture"])
+@pytest.mark.parametrize("lo,hi", [(0, 1), (0, 6), (1, 1), (2, 5), (6, 6)])
+def test_levels_returns_exactly_the_levels_asked_for(all_reference_models, name, lo, hi):
+    model = all_reference_models[name]
+    streamed = {0: np.ones(1), **dict(level_probs(model, 6))}
+    levels = _levels(model, lo, hi)
+    assert len(levels) == hi - lo + 1
+    for n, level in zip(range(lo, hi + 1), levels):
+        assert level.shape == (model.alphabet_size ** n,)
+        assert np.array_equal(level, streamed[n])
 
 
 def test_entropy_per_symbol_subadditive(all_reference_models):

@@ -11,6 +11,7 @@ from parsentropy import (
     HiddenMarkovModel,
     IIDModel,
     MarkovModel,
+    OutOfSupportError,
     OverlapViolationError,
     Parsing,
     ParserSpec,
@@ -298,7 +299,7 @@ def test_adversarial_scans_at_most_once_per_child(monkeypatch, m1, h1):
     (REDUCIBLE_HMM, [2, 2, 1, 2]),
 ])
 def test_adversarial_rejects_a_word_of_probability_zero(model, word):
-    with pytest.raises(PreconditionError, match="probability 0"):
+    with pytest.raises(OutOfSupportError, match="probability 0"):
         parse_adversarial(model, _traj(word), len(word), 3)
 
 

@@ -62,15 +62,15 @@ PINNED_REPORTS = {
     "h1-adversarial-sqrt": {
         "plot__a89b940ff9cb__adversarial.tsv":
             "910819bdfd3b038fa4fccd991769391eeeda7305533d47be3561e3f735dbf632",
-        "summary.json": "d9ba51ceeee04f94491612ddc995f6f797d479d8424fe730382c5636308d882d"},
+        "summary.json": "6d1ab06adf49fc308e011d7d0a403f176011c94f443a847ee290605eda4a89e7"},
     "h1-lz78": {
         "plot__a89b940ff9cb__lz78.tsv":
             "010e5917f2e376801b496a527b354ab66d13212696268fefb7ac3cce532e7dc5",
-        "summary.json": "d20982f649144218dddc301b860318a812be37686fdeb69142e9330cf191de0a"},
+        "summary.json": "1fd8849a945033e9a2adf53ca62890e1d32926fb9a60d808147c64a4b10f0b70"},
     "h1-two-limit": {
         "plot__a89b940ff9cb__counterexample_w.tsv":
             "a6e3db79bf11d8de7a427b9221e027d4a40c257d700e9967b6e1e6535f122777",
-        "summary.json": "802113ad88f3ae6ff8deb79ce692db4e5b83cf448d2a3c3b07f3f0fd649da51b"},
+        "summary.json": "363bcd9d6009bb959f18934b2dbd4716b9fb0e218e31d415dea7eeed045db8a8"},
     "m1-birkhoff-defaults": {
         "plot__1607aad86c0f__birkhoff.tsv":
             "2c791a4094be82a1aa1581c43d29bc7b7ab259fbbed2ddb46bb708564d7f5e61",
@@ -78,15 +78,15 @@ PINNED_REPORTS = {
     "m1-growing-sqrt": {
         "plot__1607aad86c0f__growing.tsv":
             "3f7056991c65fa9b1ac7ab049f7be504f9fc2ac8a313dcec98b1063200e7ae12",
-        "summary.json": "36647146ed111c897ab9e1045c271c7488c2caae3ef532e2969d004965ddf347"},
+        "summary.json": "2ab7d444ffddf3d95c903c0894aa0f6764a76ea30cedab396e44e00e24476c9d"},
     "m1-trim1": {
         "plot__1607aad86c0f__growing.tsv":
             "d92c01ec6b011f7ee4ea4580a077321e78f3ea6e5e3283c7ab4cef7cc2de3293",
-        "summary.json": "6019f6cefde51e9a664075288134bfe1d76518eed08a962fb2f0a40ff658796f"},
+        "summary.json": "55f4462a7eb5db07771044e9a0d0a50e658932c9ddc0fb0370d553110fe1bc88"},
     "mixture-growing-sqrt-l1": {
         "plot__9a095316671b__growing.tsv":
             "f3fb2589c50ae3fa17a6f3ddc0f37ecdefb43ec1c25c42dae6e3864837fb8099",
-        "summary.json": "fe07a1f1042d34ce300b670b81d4222ed911e79714425e7578d65986f950234b"},
+        "summary.json": "7d7832f3c2d63f6205c133c378970db2775c1f72818658ba8c22f9a9f5c7931b"},
 }
 VERIFY_RESULTS_CSV = "003b9e49391a2016d228c81f8a532309470bb0d0d74a9c70d29e3d3a4998b227"
 VERIFY_STDOUT = "d546d0bd3e82ec384edd8346de67158b832dcd49e93e4825980fae48b1a65722"

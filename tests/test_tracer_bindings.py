@@ -6,7 +6,9 @@ only the work done inside a rebound function reaches its layer.  This loads
 the tracer from its file without changing it.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
@@ -38,6 +40,29 @@ def test_tracer_times_enumeration_and_restores_bindings():
     # h1's sandwich reaches n = 8 (2 + 4 + ... + 256 = 510 atoms) in three sweeps
     # through level_probs: from the stationary law and from each of the 2 hidden states
     assert t.counts["measures.enum_atoms"] == 3 * 510
+
+
+def _enum_atoms(call) -> int:
+    """The enumeration atoms that ``call()`` draws from level_probs, as the tracer counts them."""
+    t = _load_tracer().Tracer()
+    t.install()
+    try:
+        call()
+    finally:
+        t.uninstall()
+    return t.counts["measures.enum_atoms"]
+
+
+def test_discrepancy_gap_walks_each_level_once():
+    # levels 1..4 in one walk (2 + 4 + 8 + 16 = 30 atoms) and h1's sandwich (3 x 510)
+    assert _enum_atoms(lambda: parsentropy.discrepancy_gap(reference_model("h1"), 4)) == 1560
+
+
+def test_verify_measures_walks_each_reference_model_once():
+    # one walk to n = 11 per reference model (2 + 4 + ... + 2048 = 4094 atoms, 4 models)
+    # and h1's sandwich (3 x 510)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert _enum_atoms(lambda: cli.cmd_verify("measures")) == 4 * 4094 + 3 * 510
 
 
 def test_tracer_times_sampling_and_lz78_of_a_simulate(tmp_path):
