@@ -23,7 +23,6 @@ import argparse
 import csv
 import hashlib
 import inspect
-import json
 import math
 import os
 import sys
@@ -45,12 +44,14 @@ from .measures import (
     _EPSILON,
     _EVEN_K,
     _K,
+    _canonical,
     _closed,
     _entropy_of,
     _levels,
     _one_of,
     _read_json,
     _ruled,
+    _write_json,
     RATE_TOL,
     EntropyBracket,
     ProcessModel,
@@ -91,8 +92,6 @@ from .estimator import (
     _ONE_LIMIT,
     _SEEDS,
     TWO_LIMIT_TOL_REL,
-    BirkhoffSeries,
-    CounterexampleReport,
     convergence_experiment,
     counterexample_experiment,
     perturbation_experiment,
@@ -152,8 +151,7 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        payload = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return hashlib.sha256(_canonical(self.raw).encode()).hexdigest()
 
 
 def _expand_grid(spec, where: str) -> tuple:
@@ -275,41 +273,37 @@ def _rate_section(bracket: Optional[EntropyBracket]) -> dict:
                      "converged": bracket.converged}}
 
 
-def _run_experiment(config: ExperimentConfig, model: ProcessModel, map_fn=map):
-    """Run the configured experiment; ``map_fn`` spreads convergence seeds over workers."""
-    if config.experiment == "convergence":
-        return convergence_experiment(
-            model, config.parser_spec, config.n_grid, config.seeds,
-            target_mode=config.mode, tol=config.tolerance, map_fn=map_fn)
-    if config.experiment == "perturbation":
-        return perturbation_experiment(
-            model, config.parser_spec, config.section["plan"],
-            config.n_grid, config.seeds[0], tol=config.tolerance)
-    if config.experiment == "counterexample":
-        cx = config.section
-        return counterexample_experiment(model, cx["K"], cx["epsilon_schedule"], config.n_grid,
-                                         config.seeds[0])
-    return sublinear_birkhoff_check(model, N_grid=config.n_grid, seed=config.seeds[0],
-                                    tol=config.tolerance, **config.section)
-
-
 def _verdict(ok) -> str:
     return "pass" if ok else "fail"
 
 
-def _summary_sections(config: ExperimentConfig, report) -> dict:
-    """The report-specific sections of summary.json."""
-    if isinstance(report, BirkhoffSeries):
-        return {"birkhoff": {
+def _experiment(config: ExperimentConfig, model: ProcessModel, map_fn=map) -> tuple:
+    """Run the configured experiment: (verdict, summary.json sections, results.csv header, rows).
+
+    ``map_fn`` spreads convergence seeds over workers.  The rows are a
+    generator, so they are formatted as they are written.
+    """
+    tolerance = {"tolerance": _round12(config.tolerance)}
+    if config.experiment == "birkhoff":
+        report = sublinear_birkhoff_check(model, N_grid=config.n_grid, seed=config.seeds[0],
+                                          tol=config.tolerance, **config.section)
+        sections = {"birkhoff": {
             "observable": report.observable,
             "index_family": report.index_family,
             "depth": report.depth,
             "rows": [[n, _round12(v)] for n, v in report.rows],
             "final_value": _round12(report.final_value),
             "verdict": _verdict(report.verdict),
-        }}
-    if isinstance(report, CounterexampleReport):
-        return {
+        }, **tolerance}
+        header = ["N", "seed", "observable", "index_family", "depth", "value:estimate"]
+        rows = ([n, config.seeds[0], report.observable, report.index_family, report.depth,
+                 _fmt(v)] for n, v in report.rows)
+        return report.verdict, sections, header, rows
+    if config.experiment == "counterexample":   # its verdict writes its own tolerances
+        cx = config.section
+        report = counterexample_experiment(model, cx["K"], cx["epsilon_schedule"], config.n_grid,
+                                           config.seeds[0])
+        sections = {
             "oracle": {
                 "limit_even": _round12(report.limit_even),
                 "limit_odd": _target_dict(report.limit_odd),
@@ -330,17 +324,31 @@ def _summary_sections(config: ExperimentConfig, report) -> dict:
                 "verdict": _verdict(report.verdict),
             },
         }
-    return {   # a perturbation's section is its plan
-        "parser": {"family": config.parser_spec.family, "params": config.parser_spec.params,
-                   **config.section},
-        "oracle": {"target": _target_dict(report.target), **_rate_section(report.target.rate)},
-        "results": {
-            "tail_deviation": _round12(report.tail_deviation),
-            "l1_deviation": _round12(report.l1_deviation),
-            "effective_tolerance": _round12(report.effective_tol),
-            "verdict": _verdict(report.verdict),
-        },
-    }
+    else:   # one report shape for convergence and perturbation
+        if config.experiment == "convergence":
+            report = convergence_experiment(
+                model, config.parser_spec, config.n_grid, config.seeds,
+                target_mode=config.mode, tol=config.tolerance, map_fn=map_fn)
+        else:
+            report = perturbation_experiment(
+                model, config.parser_spec, config.section["plan"],
+                config.n_grid, config.seeds[0], tol=config.tolerance)
+        sections = {   # a perturbation's section is its plan
+            "parser": {"family": config.parser_spec.family, "params": config.parser_spec.params,
+                       **config.section},
+            "oracle": {"target": _target_dict(report.target), **_rate_section(report.target.rate)},
+            "results": {
+                "tail_deviation": _round12(report.tail_deviation),
+                "l1_deviation": _round12(report.l1_deviation),
+                "effective_tolerance": _round12(report.effective_tol),
+                "verdict": _verdict(report.verdict),
+            },
+            **tolerance,
+        }
+    rows = ([r.N, r.seed, r.parser_family, r.parser_params, _fmt(r.blockwise_info),
+             _fmt(r.smb_info), _fmt(r.residual), _fmt(r.c_over_N), _fmt(r.target.mid),
+             _fmt(r.deviation)] for r in sorted(report.series, key=lambda r: (r.seed, r.N)))
+    return report.verdict, sections, CSV_COLUMNS, rows
 
 
 def cmd_simulate(config_path: str, workers: Optional[int] = None,
@@ -362,9 +370,9 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
         pool_size = min(n_workers, len(config.seeds)) if config.mode == "l1" else 1
         if pool_size > 1:
             with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                report = _run_experiment(config, model, pool.map)
+                ok, sections, header, rows = _experiment(config, model, pool.map)
         else:
-            report = _run_experiment(config, model)
+            ok, sections, header, rows = _experiment(config, model)
         wall["estimation"] = time.perf_counter() - t0
     except ParsentropyError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
@@ -377,11 +385,9 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
         "model_id": model_id(model),
         "mode": config.mode,
         "units": "nats",
-        **_summary_sections(config, report),
+        **sections,
     }
-    if config.experiment != "counterexample":   # its verdict writes its own tolerances
-        summary["tolerance"] = _round12(config.tolerance)
-    verdict = _verdict(report.verdict)
+    verdict = _verdict(ok)
     rate = summary.get("oracle", {}).get("rate")
     warnings = [] if rate is None or rate["converged"] else [
         f"the entropy-rate bracket did not converge: width {rate['width']:.3e} nats > "
@@ -390,21 +396,10 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     t0 = time.perf_counter()
-    if isinstance(report, BirkhoffSeries):
-        header = ["N", "seed", "observable", "index_family", "depth", "value:estimate"]
-        rows = ([n, config.seeds[0], report.observable, report.index_family, report.depth,
-                 _fmt(v)] for n, v in report.rows)
-    else:
-        header = CSV_COLUMNS
-        rows = ([r.N, r.seed, r.parser_family, r.parser_params, _fmt(r.blockwise_info),
-                 _fmt(r.smb_info), _fmt(r.residual), _fmt(r.c_over_N), _fmt(r.target.mid),
-                 _fmt(r.deviation)] for r in sorted(report.series, key=lambda r: (r.seed, r.N)))
     _records_to_csv(out / "results.csv", header, rows)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     wall["emission"] = time.perf_counter() - t0
-    manifest = {
+    _write_json(out / "manifest.json", {
         "tool_version": __version__,
         "config_hash": config.config_hash,
         "experiment": config.experiment,
@@ -416,10 +411,7 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
         "wall_clock_s": {k: round(v, 3) for k, v in wall.items()},
         "workers": pool_size,
         "emitted": ["results.csv", "summary.json"],
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"run complete: {out}")
     print(f"  {config.experiment}: {verdict}")
     return 0

@@ -15,7 +15,6 @@ records, so a report never compares one estimate against another.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -31,6 +30,8 @@ from .errors import (
 )
 from .measures import (
     _EPSILON,
+    _canonical,
+    _entropy_of,
     _levels,
     _one_of,
     _ruled,
@@ -235,16 +236,20 @@ def oracle_target(model: ProcessModel, spec: ParserSpec) -> OracleTarget:
 
 
 def _component_targets(model: MixtureModel, spec: ParserSpec) -> tuple:
-    """One limit per mixture component, in the order of ``model.components``.
+    """The mixture's own limit, and one limit per component in the order of ``model.components``.
 
     A sublinear parsing of a realization of component j tends to that
-    component's rate.  Fixed-K blocks are scored under the mixture, so they
-    tend to the cross-entropy E_j[-log P(X_1^K)]/K of the component's
-    K-marginal against the mixture's; the weighted mean of these is the
-    headline H(P_K)/K.
+    component's rate; the hull of their brackets is ``entropy_rate(model)``.
+    Fixed-K blocks are scored under the mixture, so they tend to the
+    cross-entropy E_j[-log P(X_1^K)]/K of the component's K-marginal against
+    the mixture's; the weighted mean of these is the mixture's H(P_K)/K.
     """
+    if spec.family == "counterexample_v":   # oracle_target refuses counterexample_w
+        _ruled(type(model).__name__, _ERGODIC, "model", PreconditionError)
     if spec.family != "fixed":
-        return tuple(oracle_target(comp, spec) for comp in model.components)
+        first, second = (oracle_target(comp, spec) for comp in model.components)
+        rate = first.rate.hull(second.rate)
+        return OracleTarget(rate.lower, rate.upper, rate=rate), (first, second)
     k = spec.params["K"]
     [mixed] = _levels(model, k, k)
     targets = []
@@ -253,7 +258,8 @@ def _component_targets(model: MixtureModel, spec: ParserSpec) -> tuple:
         support = own > 0
         cross = -float(own[support] @ np.log(mixed[support])) / k
         targets.append(OracleTarget(cross, cross))
-    return tuple(targets)
+    h_k = _entropy_of(mixed)
+    return OracleTarget(h_k / k, h_k / k), tuple(targets)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +317,8 @@ def _seed_cell(args) -> list:
 
 def _converge(model, spec, grid, seeds, mode, tol, params, plan, map_fn) -> ConvergenceReport:
     """Score every seed against the oracle limit of (model, spec); as or l1 verdict."""
-    headline = oracle_target(model, spec)
-    target = _component_targets(model, spec) if isinstance(model, MixtureModel) else headline
+    headline, target = (_component_targets(model, spec) if isinstance(model, MixtureModel)
+                        else (oracle_target(model, spec),) * 2)
     # Tail selection compares suffix information rates against the entropy
     # rate itself, not against the experiment's limit value.
     h_ref = headline.rate.mid if spec.family == "counterexample_v" else None
@@ -426,7 +432,7 @@ def perturbation_experiment(model: ProcessModel, spec: ParserSpec, plan: str, N_
     as in ``convergence_experiment``.
     """
     grid = _check_grid(N_grid)
-    params = json.dumps({**spec.params, "plan": plan}, sort_keys=True, separators=(",", ":"))
+    params = _canonical({**spec.params, "plan": plan})
     return _converge(model, spec, grid, [int(seed)], "as", tol, params,
                      partial(apply_perturbation_plan, plan_name=plan), map)
 

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientLengthError, OutOfSupportError
+from .errors import InsufficientLengthError, OutOfSupportError, PreconditionError
 from .measures import (
     ProcessModel,
     Trajectory,
@@ -118,7 +118,7 @@ def verify_martingale_property(model: ProcessModel, n: int) -> float:
     P([u_2..u_n]); the residual is the absolute gap, exactly enumerated.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionError(f"n: expected a word length >= 1, got {n}")
     a = model.alphabet_size
     p_prev, p_n, p_next = _levels(model, n - 1, n + 1)
     ext = p_next.reshape(-1, a)                      # P([u a])
@@ -133,7 +133,7 @@ def verify_martingale_property(model: ProcessModel, n: int) -> float:
 def expected_logz_check(model: ProcessModel, n: int) -> float:
     """|E[log Z_n] - (H(P_n) - H(P_{n-1}))| with both sides exactly enumerated."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionError(f"n: expected a word length >= 1, got {n}")
     p_prev, p_n = _levels(model, n - 1, n)
     mask = p_n > 0
     z_log = _safe_log(_shifted(p_prev, p_n)[mask]) - _safe_log(p_n[mask])
@@ -151,7 +151,7 @@ def zmax_tail_check(model: ProcessModel, n: int, t_grid):
     """
     thresholds = [float(t) for t in t_grid]
     if any(t <= 0 for t in thresholds):
-        raise ValueError("thresholds must be positive")
+        raise PreconditionError(f"t_grid: expected positive thresholds, got {thresholds}")
     a = model.alphabet_size
     prev, running = np.ones(1), np.full(1, -np.inf)   # P_0 and the running max of log Z
     for _, level in level_probs(model, n):   # every level once: streamed, not collected
@@ -206,7 +206,7 @@ def truncated_decomposition(model: ProcessModel, traj: Trajectory, n: int, M: in
     against the direct summation of the per-shift differences.
     """
     if M < 1:
-        raise ValueError("truncation depth M must be >= 1")
+        raise PreconditionError(f"M: expected a truncation depth >= 1, got {M}")
     neg_log_prob, tele = _split(model, traj, n, M)
     z_m = _log_z_windows(model, traj.symbols, np.arange(n, dtype=np.int64), M)
     i_term = float(np.sum(z_m))

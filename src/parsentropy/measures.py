@@ -707,7 +707,7 @@ def log_cylinder_prob(model: ProcessModel, word) -> float:
     """Exact log-probability of the cylinder of ``word``; -inf off support."""
     w = np.asarray(word, dtype=np.int64)
     if w.ndim != 1 or w.shape[0] == 0:
-        raise ValueError("word must be a non-empty 1-d sequence of symbols")
+        raise PreconditionError(f"word: expected a non-empty 1-d sequence, got shape {w.shape}")
     return float(prefix_log_probs(model, w)[-1])
 
 
@@ -744,11 +744,11 @@ def block_log_probs(model: ProcessModel, symbols, starts, ends) -> np.ndarray:
     s = np.asarray(starts, dtype=np.int64)
     e = np.asarray(ends, dtype=np.int64)
     if s.shape != e.shape:
-        raise ValueError("starts and ends must have equal shape")
+        raise PreconditionError(f"starts, ends: expected equal shapes, got {s.shape}, {e.shape}")
     if s.shape[0] == 0:
         return np.empty(0)
     if (e <= s).any() or s.min() < 0 or e.max() > x.shape[0]:
-        raise ValueError("blocks must be non-empty and inside the symbol array")
+        raise PreconditionError(f"starts, ends: expected non-empty blocks in {x.shape[0]} symbols")
     return model._block(_symbols(model, x[:e.max()]), s, e)
 
 
@@ -772,8 +772,7 @@ def cut_penalties(model: ProcessModel, symbols) -> Optional[np.ndarray]:
 
 def model_id(model: ProcessModel) -> str:
     """Stable 12-hex digest of the model parameters (canonical JSON)."""
-    payload = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+    return hashlib.sha256(_canonical(model_to_dict(model)).encode()).hexdigest()[:12]
 
 
 def sample_trajectory(model: ProcessModel, n: int, seed: int) -> Trajectory:
@@ -787,7 +786,7 @@ def sample_trajectory(model: ProcessModel, n: int, seed: int) -> Trajectory:
     then delegate to it with the same generator.
     """
     if n < 1:
-        raise ValueError("trajectory length must be >= 1")
+        raise PreconditionError(f"n: expected a trajectory length >= 1, got {n}")
     _require_valid(model, "cannot sample")
     symbols, comp = model._sample(n, np.random.default_rng(seed))
     return Trajectory(symbols=symbols, seed=int(seed), model_id=model_id(model), component=comp)
@@ -805,7 +804,7 @@ def level_probs(model: ProcessModel, n_max: int) -> Iterator:
     Over ``ENUM_CAP`` atoms, CapExceededError comes first.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise PreconditionError(f"n_max: expected a length >= 1, got {n_max}")
     a = model.alphabet_size
     if a ** n_max > ENUM_CAP:
         raise CapExceededError(f"enumeration of {a}^{n_max} atoms exceeds the cap of {ENUM_CAP}")
@@ -898,6 +897,18 @@ def _read_json(path, error: type) -> dict:
     return raw
 
 
+def _write_json(path, obj) -> None:
+    """Write ``obj`` to ``path``: JSON indented by 2, sorted keys, an LF at the end."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _canonical(obj) -> str:
+    """``obj`` as compact JSON with sorted keys: the text behind every id, hash and params cell."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _one_of(names: tuple) -> tuple:
     """The rule that a value is one of ``names``."""
     return (lambda v: v in names, f"one of {sorted(names)}")
@@ -957,9 +968,7 @@ def load_model(path) -> ProcessModel:
 
 
 def save_model(model: ProcessModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, model_to_dict(model))
 
 
 # ---------------------------------------------------------------------------
@@ -976,6 +985,7 @@ def reference_model(name: str) -> ProcessModel:
     - ``iid_uniform``: fair-coin product measure
     - ``mixture_m1_uniform``: equal-weight mixture of ``m1`` and ``iid_uniform``
     """
+    _ruled(name, _one_of(REFERENCE_MODEL_NAMES), "name", PreconditionError)
     if name == "m1":
         return MarkovModel(transition=[[0.7, 0.3], [0.2, 0.8]], initial=[0.4, 0.6])
     if name == "h1":
@@ -984,10 +994,8 @@ def reference_model(name: str) -> ProcessModel:
                                  emission=[[0.9, 0.1], [0.1, 0.9]])
     if name == "iid_uniform":
         return IIDModel(p=[0.5, 0.5])
-    if name == "mixture_m1_uniform":
-        return MixtureModel(weight=0.5, first=reference_model("m1"),
-                            second=reference_model("iid_uniform"))
-    raise ValueError(f"unknown reference model {name!r}")
+    return MixtureModel(weight=0.5, first=reference_model("m1"),   # mixture_m1_uniform
+                        second=reference_model("iid_uniform"))
 
 
 REFERENCE_MODEL_NAMES = ("m1", "h1", "iid_uniform", "mixture_m1_uniform")

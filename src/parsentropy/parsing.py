@@ -12,7 +12,6 @@ subextensive-modification robustness checks.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,6 +29,8 @@ from .measures import (
     _EPSILON,
     _EVEN_K,
     _K,
+    _canonical,
+    _frozen_array,
     _one_of,
     _ruled,
     ProcessModel,
@@ -48,9 +49,7 @@ class Parsing:
     boundaries: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.boundaries, dtype=np.int64)
-        b.setflags(write=False)
-        object.__setattr__(self, "boundaries", b)
+        object.__setattr__(self, "boundaries", _frozen_array(self.boundaries, dtype=np.int64))
 
     @property
     def N(self) -> int:
@@ -104,12 +103,8 @@ class PerturbedParsing:
     kind: str
 
     def __post_init__(self):
-        s = np.array(self.starts, dtype=np.int64)
-        l = np.array(self.lengths, dtype=np.int64)
-        s.setflags(write=False)
-        l.setflags(write=False)
-        object.__setattr__(self, "starts", s)
-        object.__setattr__(self, "lengths", l)
+        object.__setattr__(self, "starts", _frozen_array(self.starts, dtype=np.int64))
+        object.__setattr__(self, "lengths", _frozen_array(self.lengths, dtype=np.int64))
 
     @property
     def ends(self) -> np.ndarray:
@@ -193,12 +188,10 @@ def parse_fixed(N: int, K: int) -> Parsing:
 
 
 def growing_block_length(N: int, schedule: str) -> int:
-    if schedule == "sqrt":
-        k = math.isqrt(N)
-        return k if k * k == N else k + 1
-    if schedule == "log2":
+    if _ruled(schedule, _SCHEDULE, "schedule", PreconditionError) == "log2":
         return max(1, (N - 1).bit_length())
-    raise ValueError(f"unknown schedule {schedule!r} (expected 'sqrt' or 'log2')")
+    k = math.isqrt(N)
+    return k if k * k == N else k + 1
 
 
 def parse_growing(N: int, schedule: str) -> Parsing:
@@ -374,18 +367,18 @@ def parse_counterexample_w(model: ProcessModel, traj: Trajectory, N: int, K: int
 # ---------------------------------------------------------------------------
 
 
-def _as_plan(plan, c: int) -> np.ndarray:
+def _as_plan(plan, c: int, name: str) -> np.ndarray:
     arr = np.asarray(plan, dtype=np.int64)
     if arr.shape != (c, 2):
-        raise ValueError(f"plan must have shape ({c}, 2)")
+        raise PreconditionError(f"{name}: expected shape ({c}, 2), got {arr.shape}")
     if arr.min() < 0:
-        raise ValueError("plan entries must be non-negative")
+        raise PreconditionError(f"{name}: expected non-negative entries, got {int(arr.min())}")
     return arr
 
 
 def perturb_subblocks(parsing: Parsing, trim_plan) -> PerturbedParsing:
     """Shrink each block by (left_trim, right_trim) symbols; blocks must survive."""
-    plan = _as_plan(trim_plan, parsing.c)
+    plan = _as_plan(trim_plan, parsing.c, "trim_plan")
     lengths = parsing.lengths
     removed = plan.sum(axis=1)
     if np.any(removed >= lengths):
@@ -408,7 +401,7 @@ def perturb_superblocks(parsing: Parsing, extend_plan) -> PerturbedParsing:
     Every extended interval must stay inside [1, N] and may reach into the
     immediately neighboring blocks only.
     """
-    plan = _as_plan(extend_plan, parsing.c)
+    plan = _as_plan(extend_plan, parsing.c, "extend_plan")
     starts = parsing.starts - plan[:, 0]
     ends = parsing.ends + plan[:, 1]
     if starts.min() < 0 or ends.max() > parsing.N:
@@ -504,7 +497,7 @@ class ParserSpec:
             _ruled(self.params[key], rule, key, ValueError)
 
     def describe(self) -> str:
-        return json.dumps(self.params, sort_keys=True, separators=(",", ":"))
+        return _canonical(self.params)
 
 
 def resolve_budget(budget, N: int) -> int:
@@ -531,15 +524,15 @@ def make_parsing(spec: ParserSpec, N: int, model: Optional[ProcessModel] = None,
         derived = int(np.random.SeedSequence([spec.params["seed"], N]).generate_state(1)[0])
         return parse_random_sublinear(N, budget, seed=derived)
     if traj is None:
-        raise ValueError(f"family {fam!r} needs a trajectory")
+        raise PreconditionError(f"traj: family {fam!r} needs a trajectory")
     if fam == "lz78":
         return parse_lz78(traj, N)
     if model is None:
-        raise ValueError(f"family {fam!r} needs a model")
+        raise PreconditionError(f"model: family {fam!r} needs a model")
     if fam == "adversarial":
         return parse_adversarial(model, traj, N, resolve_budget(spec.params["budget"], N))
     if h_ref is None:
-        raise ValueError(f"family {fam!r} needs a reference rate h_ref")
+        raise PreconditionError(f"h_ref: family {fam!r} needs a reference rate")
     if fam == "counterexample_v":
         return parse_counterexample_v(model, traj, N, spec.params["K"], h_ref,
                                       spec.params["epsilon"])

@@ -9,6 +9,7 @@ from parsentropy import (
     BudgetNotSubextensiveError,
     GapTooSmallError,
     IIDModel,
+    MixtureModel,
     OutOfSupportError,
     ParserSpec,
     Parsing,
@@ -27,12 +28,15 @@ from parsentropy import (
     parse_growing,
     parse_random_sublinear,
     perturbation_experiment,
+    reference_model,
     sample_trajectory,
     smb_info,
     sublinear_birkhoff_check,
     truncated_decomposition,
 )
 from parsentropy.cli import derive_seeds
+
+from test_tracer_bindings import _enum_atoms
 
 LN2 = math.log(2.0)
 H_M1 = 0.4 * (-(0.3 * math.log(0.3) + 0.7 * math.log(0.7))) + \
@@ -364,3 +368,36 @@ def test_birkhoff_zmax_observable_runs(m1):
                                       N_grid=[10_000], seed=4, depth=6, tol=0.1)
     assert series.verdict
     assert series.rows[0][1] > 0
+
+
+# ---------------------------------------------------------------------------
+# Mixture oracles, counted by the benchmark's layer tracer (perfbench/tracer.py)
+# ---------------------------------------------------------------------------
+
+
+H1_COIN = MixtureModel(weight=0.5, first=reference_model("h1"), second=reference_model("iid_uniform"))
+
+
+@pytest.mark.parametrize("spec,atoms", [
+    # h1's rate sandwich once (3 sweeps of 2 + 4 + ... + 256 = 510 atoms); the coin's is closed
+    (ParserSpec("growing", {"schedule": "sqrt"}), 3 * 510),
+    # level 4 (2 + 4 + 8 + 16 = 30 atoms) of the mixture once and of each component once
+    (ParserSpec("fixed", {"K": 4}), 3 * 30),
+])
+def test_mixture_run_walks_each_oracle_level_once(spec, atoms):
+    reports = []
+    assert _enum_atoms(lambda: reports.append(
+        convergence_experiment(H1_COIN, spec, [1000], [7]))) == atoms
+    assert reports[0].target == oracle_target(H1_COIN, spec)   # the headline, bit for bit
+    assert reports[0].target.rate == (None if spec.family == "fixed" else entropy_rate(H1_COIN))
+
+
+@pytest.mark.parametrize("spec,message", [
+    (ParserSpec("counterexample_w", {"K": 4, "epsilon": 0.05}), "^spec.family: expected a family "),
+    (ParserSpec("counterexample_v", {"K": 4, "epsilon": 0.05}), ERGODIC_REFUSAL),
+])
+def test_mixture_run_refuses_before_any_enumeration(spec, message):
+    def run():
+        with pytest.raises(PreconditionError, match=message):
+            convergence_experiment(H1_COIN, spec, [1000, 2000], [7])
+    assert _enum_atoms(run) == 0

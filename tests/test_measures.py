@@ -18,6 +18,7 @@ from parsentropy import (
     ModelFormatError,
     ParserSpec,
     PreconditionError,
+    Trajectory,
     beta_sequence,
     block_log_probs,
     cut_penalties,
@@ -27,22 +28,28 @@ from parsentropy import (
     level_probs,
     load_model,
     log_cylinder_prob,
+    make_parsing,
     marginal_entropy,
     model_from_dict,
     model_id,
     model_to_dict,
     oracle_target,
     parse_growing,
+    perturb_subblocks,
+    perturb_superblocks,
     prefix_log_probs,
+    reference_model,
     sample_trajectory,
     save_model,
     stationary_distribution,
     suffix_log_probs,
+    truncated_decomposition,
     validate_model,
     verify_martingale_property,
     zmax_tail_check,
 )
 from parsentropy.measures import RATE_TOL, _levels
+from parsentropy.parsing import growing_block_length
 
 from conftest import naive_marginal_entropy, naive_word_prob
 
@@ -614,3 +621,44 @@ def test_model_id_is_stable_and_distinguishes(m1, h1):
     assert model_id(m1) == model_id(MarkovModel(transition=[[0.7, 0.3], [0.2, 0.8]],
                                                 initial=[0.4, 0.6]))
     assert model_id(m1) != model_id(h1)
+
+
+# ---------------------------------------------------------------------------
+# Typed argument errors
+# ---------------------------------------------------------------------------
+
+_M1 = MarkovModel(transition=[[0.7, 0.3], [0.2, 0.8]], initial=[0.4, 0.6])
+_TRAJ = Trajectory(symbols=np.zeros(100, dtype=np.int64), seed=0, model_id=model_id(_M1))
+_SQRT = parse_growing(100, "sqrt")   # 10 blocks
+
+# (call, the argument its message names), one per bad-argument check of a public function
+BAD_ARGUMENTS = {
+    "log_cylinder_prob": (lambda: log_cylinder_prob(_M1, []), "word"),
+    "block_log_probs.shape": (lambda: block_log_probs(_M1, [0, 1], [0], [1, 2]), "starts, ends"),
+    "block_log_probs.inside": (lambda: block_log_probs(_M1, [0, 1], [0], [3]), "starts, ends"),
+    "sample_trajectory": (lambda: sample_trajectory(_M1, 0, seed=1), "n"),
+    "level_probs": (lambda: next(level_probs(_M1, 0)), "n_max"),
+    "reference_model": (lambda: reference_model("m2"), "name"),
+    "verify_martingale_property": (lambda: verify_martingale_property(_M1, 0), "n"),
+    "expected_logz_check": (lambda: expected_logz_check(_M1, 0), "n"),
+    "zmax_tail_check": (lambda: zmax_tail_check(_M1, 4, (1.5, 0.0)), "t_grid"),
+    "truncated_decomposition": (lambda: truncated_decomposition(_M1, _TRAJ, 10, 0), "M"),
+    "growing_block_length": (lambda: growing_block_length(100, "cuberoot"), "schedule"),
+    "perturb_subblocks.shape": (lambda: perturb_subblocks(_SQRT, np.zeros((9, 2))), "trim_plan"),
+    "perturb_superblocks.sign": (lambda: perturb_superblocks(_SQRT, -np.ones((10, 2))),
+                                 "extend_plan"),
+    "make_parsing.traj": (lambda: make_parsing(ParserSpec("lz78", {}), 100), "traj"),
+    "make_parsing.model": (lambda: make_parsing(ParserSpec("adversarial", {"budget": 4}), 100,
+                                                traj=_TRAJ), "model"),
+    "make_parsing.h_ref": (lambda: make_parsing(ParserSpec("counterexample_v",
+                                                           {"K": 4, "epsilon": 0.1}),
+                                                100, model=_M1, traj=_TRAJ), "h_ref"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BAD_ARGUMENTS))
+def test_bad_arguments_raise_precondition_errors_naming_them(site):
+    call, argument = BAD_ARGUMENTS[site]
+    with pytest.raises(PreconditionError, match=f"^{argument}: ") as caught:
+        call()
+    assert isinstance(caught.value, ValueError)   # every `except ValueError` still catches it

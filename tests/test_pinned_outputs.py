@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from parsentropy import reference_model, save_model
+from parsentropy import ParserSpec, model_id, reference_model, save_model
 from parsentropy.cli import cmd_report, cmd_simulate, cmd_verify
 
 SQRT = {"family": "growing", "schedule": "sqrt"}
@@ -91,6 +91,20 @@ PINNED_REPORTS = {
 VERIFY_RESULTS_CSV = "003b9e49391a2016d228c81f8a532309470bb0d0d74a9c70d29e3d3a4998b227"
 VERIFY_STDOUT = "d546d0bd3e82ec384edd8346de67158b832dcd49e93e4825980fae48b1a65722"
 
+# The canonical JSON text behind ids, run directories and the parser_params cell.
+MODEL_IDS = {"m1": "1607aad86c0f", "h1": "a89b940ff9cb", "iid_uniform": "1a9e6768a8f6",
+             "mixture_m1_uniform": "9a095316671b"}
+RUN_DIR = ("m1-growing-sqrt", "1fc7e60dc8ad")   # a PINNED config and its config_hash[:12]
+DESCRIBED = {   # one ParserSpec per family: (params, describe())
+    "fixed": ({"K": 4}, '{"K":4}'),
+    "growing": ({"schedule": "sqrt"}, '{"schedule":"sqrt"}'),
+    "lz78": ({}, "{}"),
+    "random_sublinear": ({"seed": 5, "budget": "sqrt"}, '{"budget":"sqrt","seed":5}'),
+    "adversarial": ({"budget": 32}, '{"budget":32}'),
+    "counterexample_v": ({"epsilon": 0.05, "K": 4}, '{"K":4,"epsilon":0.05}'),
+    "counterexample_w": ({"K": 4, "epsilon": 0.05}, '{"K":4,"epsilon":0.05}'),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -138,3 +152,19 @@ def test_verify_all_bytes_are_pinned(tmp_path):
         assert cmd_verify("all", (), str(tmp_path)) == 0
     assert _sha256(stdout.getvalue().encode()) == VERIFY_STDOUT
     assert _sha256((tmp_path / "verify_results.csv").read_bytes()) == VERIFY_RESULTS_CSV
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_IDS))
+def test_reference_model_ids_are_pinned(name):
+    assert model_id(reference_model(name)) == MODEL_IDS[name]
+
+
+def test_run_directory_name_is_pinned(run_dir):
+    name, config_hash = RUN_DIR
+    assert run_dir(name).name == config_hash
+
+
+@pytest.mark.parametrize("family", sorted(DESCRIBED))
+def test_parser_params_text_is_pinned(family):
+    params, text = DESCRIBED[family]
+    assert ParserSpec(family, params).describe() == text

@@ -8,10 +8,11 @@ Runs, in this process and with one worker, every step of both workloads in
 ``verify --suite all``.  It writes:
 
 - ``OUT/<workload>/<step>/`` and ``OUT/pinned/<name>/``: each run's
-  results.csv, summary.json and report TSVs (not manifest.json, which holds
-  wall times);
+  results.csv, summary.json, report TSVs and manifest.json, the last
+  without its ``wall_clock_s`` object (wall times differ from run to run);
 - ``OUT/<workload>/<step>/`` for a verify step, and ``OUT/verify-all/``:
   verify's stdout (``stdout.txt``) and ``verify_results.csv``;
+- ``OUT/models/``: the reference model files that the runs read;
 - ``OUT/exit_codes.tsv``: the exit code of every command.
 
 Two trees from two versions of the code compare with ``diff -r``.  The
@@ -26,6 +27,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import re
 import shutil
 import sys
 import tempfile
@@ -55,7 +57,7 @@ def _quiet(fn, *args) -> tuple:
 
 
 def _simulate(config: dict, work: Path, dest: Path) -> tuple:
-    """Run ``config`` and ``report`` on its run; copy what they wrote but the manifest."""
+    """Run ``config`` and ``report`` on its run; copy what they wrote, the manifest without wall times."""
     path = work / "config.json"
     path.write_text(json.dumps(config))
     out = work / "out"
@@ -67,8 +69,10 @@ def _simulate(config: dict, work: Path, dest: Path) -> tuple:
     report_code, _ = _quiet(cmd_report, str(run))
     dest.mkdir(parents=True)
     for f in sorted(run.iterdir()):
-        if f.name != "manifest.json":
-            shutil.copy(f, dest / f.name)
+        shutil.copy(f, dest / f.name)
+    # Cut the wall-time object out of the text as written: any other change of layout shows.
+    manifest = dest / "manifest.json"
+    manifest.write_text(re.sub(r'\n  "wall_clock_s": \{[^{}]*\},', "", manifest.read_text()))
     return code, report_code
 
 
@@ -96,8 +100,10 @@ def main(argv=None) -> int:
     codes = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        (out / "models").mkdir()
         for name in REFERENCE_MODEL_NAMES:
             save_model(reference_model(name), work / f"{name}.json")
+            shutil.copy(work / f"{name}.json", out / "models")
         for name, kind, body in runs:
             if kind == "verify":
                 codes.append((name, "verify", _verify(body, out / name)))
