@@ -45,6 +45,7 @@ from .measures import (
     _EVEN_K,
     _K,
     _canonical,
+    _check,
     _closed,
     _entropy_of,
     _levels,
@@ -60,7 +61,6 @@ from .measures import (
     model_id,
     reference_model,
     sample_trajectory,
-    validate_model,
 )
 from .martingale import (
     chain_rule_decomposition,
@@ -76,8 +76,6 @@ from .parsing import (
     ParserSpec,
     apply_perturbation_plan,
     make_parsing,
-    parse_counterexample_v,
-    parse_lz78,
     validate_parsing,
     validate_perturbed,
 )
@@ -422,26 +420,11 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyRow:
-    check_name: str
-    model_id: str
-    parameters: str
-    residual: float
-    bound: float
-    passed: bool
-
-
-def _vr(check: str, mid: str, params: str, residual: float, bound: float) -> VerifyRow:
-    return VerifyRow(check, mid, params, float(residual), float(bound),
-                     float(residual) <= float(bound))
-
-
+# A verify row is (model id, parameters, ValidationCheck); measures._check decides its pass.
 def _model_rows(model: ProcessModel, params: str) -> list:
     """One ``model.<check>`` row per validation check of ``model``."""
     mid = model_id(model)
-    return [_vr(f"model.{check.name}", mid, params, check.residual, check.bound)
-            for check in validate_model(model).checks]
+    return [(mid, params, check) for check in model._checks("model.")]
 
 
 def _measures_rows(name: str) -> list:
@@ -451,21 +434,21 @@ def _measures_rows(name: str) -> list:
     entropies = [_entropy_of(level) for level in levels[:9]]   # H(P_0), ..., H(P_8)
     betas = np.diff(entropies)
     ratios = [h / n for n, h in enumerate(entropies) if n]
-    return _model_rows(model, name) + [
-        _vr("normalization", mid, f"{name},n=11", abs(float(p11.sum()) - 1.0), 1e-10),
-        _vr("kolmogorov_consistency", mid, f"{name},n=10",
-            float(np.abs(p11.reshape(-1, a).sum(axis=1) - p10).max()), 1e-12),
-        _vr("shift_stationarity", mid, f"{name},n=10",
-            float(np.abs(p11.reshape(a, -1).sum(axis=0) - p10).max()), 1e-12),
-        _vr("cylinder_monotonicity", mid, f"{name},n=10",
-            max(0.0, float((p11.reshape(-1, a) - p10[:, None]).max())), 1e-15),
-        _vr("beta_nonincreasing", mid, f"{name},n_max=8",
-            max(0.0, float(np.diff(betas).max())), 1e-9),
-        _vr("beta_final_above_rate", mid, f"{name},n_max=8",
-            max(0.0, entropy_rate(model).lower - float(betas[-1])), 1e-9),
-        _vr("entropy_per_symbol_nonincreasing", mid, name,
-            max(0.0, float(np.diff(ratios).max())), 1e-9),
-    ]
+    checks = (   # (check, parameters, residual, bound)
+        ("normalization", f"{name},n=11", abs(float(p11.sum()) - 1.0), 1e-10),
+        ("kolmogorov_consistency", f"{name},n=10",
+         float(np.abs(p11.reshape(-1, a).sum(axis=1) - p10).max()), 1e-12),
+        ("shift_stationarity", f"{name},n=10",
+         float(np.abs(p11.reshape(a, -1).sum(axis=0) - p10).max()), 1e-12),
+        ("cylinder_monotonicity", f"{name},n=10",
+         max(0.0, float((p11.reshape(-1, a) - p10[:, None]).max())), 1e-15),
+        ("beta_nonincreasing", f"{name},n_max=8", max(0.0, float(np.diff(betas).max())), 1e-9),
+        ("beta_final_above_rate", f"{name},n_max=8",
+         max(0.0, entropy_rate(model).lower - float(betas[-1])), 1e-9),
+        ("entropy_per_symbol_nonincreasing", name, max(0.0, float(np.diff(ratios).max())), 1e-9),
+    )
+    return _model_rows(model, name) + [(mid, params, _check(check, residual, bound))
+                                       for check, params, residual, bound in checks]
 
 
 def _martingale_rows(name: str) -> list:
@@ -474,76 +457,70 @@ def _martingale_rows(name: str) -> list:
     excess = max(0.0, *(max(row.tail_prob - row.ratio_bound, row.log_tail_prob - row.exp_bound)
                         for row in zmax_tail_check(model, 10, (1.5, 2.0, 3.0, 5.0))))
     traj = sample_trajectory(model, 10_001, seed=7)
-    return [
-        _vr("martingale_one_step", mid, f"{name},n=6", verify_martingale_property(model, 6), 1e-10),
-        _vr("expected_logz", mid, f"{name},n=6", expected_logz_check(model, 6), 1e-10),
-        _vr("zmax_tail_bounds", mid, f"{name},n=10,t=(1.5,2,3,5)", excess, 0.0),
-        _vr("chain_rule_identity", mid, f"{name},n=10000",
-            abs(chain_rule_decomposition(model, traj, 10_000).identity_residual), 1e-9),
-        _vr("truncated_identity", mid, f"{name},n=1000,M=2",
-            abs(truncated_decomposition(model, traj, 1000, 2).identity_residual), 1e-9),
-    ]
+    checks = (   # (check, parameters, residual, bound)
+        ("martingale_one_step", f"{name},n=6", verify_martingale_property(model, 6), 1e-10),
+        ("expected_logz", f"{name},n=6", expected_logz_check(model, 6), 1e-10),
+        ("zmax_tail_bounds", f"{name},n=10,t=(1.5,2,3,5)", excess, 0.0),
+        ("chain_rule_identity", f"{name},n=10000",
+         abs(chain_rule_decomposition(model, traj, 10_000).identity_residual), 1e-9),
+        ("truncated_identity", f"{name},n=1000,M=2",
+         abs(truncated_decomposition(model, traj, 1000, 2).identity_residual), 1e-9),
+    )
+    return [(mid, params, _check(check, residual, bound))
+            for check, params, residual, bound in checks]
+
+
+# The parsing suite's parsings: check -> (source model, family, params, N, parameters text).
+# Each source gives make_parsing its model, a 10001-symbol trajectory (seed 7) and its rate.
+_PARSINGS = {
+    "parse_fixed": ("m1", "fixed", {"K": 4}, 10_000, "K=4,N=10000"),
+    "parse_growing_sqrt": ("m1", "growing", {"schedule": "sqrt"}, 10_000, "N=10000"),
+    "parse_growing_log2": ("m1", "growing", {"schedule": "log2"}, 10_000, "N=10000"),
+    "parse_lz78": ("m1", "lz78", {}, 10_000, "N=10000"),
+    "parse_random_sublinear": ("m1", "random_sublinear", {"budget": "sqrt", "seed": 5}, 10_000,
+                               "budget=sqrt,N=10000"),
+    "parse_adversarial": ("m1", "adversarial", {"budget": 32}, 2_000, "budget=32,N=2000"),
+    "parse_counterexample_v": ("h1", "counterexample_v", {"K": 4, "epsilon": 0.05}, 9_999,
+                               "K=4,eps=0.05,N=9999"),
+    "parse_counterexample_w_even": ("h1", "counterexample_w", {"K": 4, "epsilon": 0.05}, 10_000,
+                                    "K=4,N=10000"),
+}
 
 
 def _parsing_rows() -> list:
-    m1 = reference_model("m1")
-    h1 = reference_model("h1")
-    mid_m1, mid_h1 = model_id(m1), model_id(h1)
-    traj = sample_trajectory(m1, 10_001, seed=7)
-    traj_h1 = sample_trajectory(h1, 10_001, seed=7)
-    h_mid = entropy_rate(h1).mid
-    n_v, K, eps = 9_999, 4, 0.05   # the counterexample's; the spec loop rebinds n
-    lz = parse_lz78(traj, 10_000)
-    v = parse_counterexample_v(h1, traj_h1, n_v, K, h_mid, eps)
-    base = make_parsing(ParserSpec("growing", {"schedule": "sqrt"}), 10_000)
-    rows = []
+    sources = {}   # source: (model id, make_parsing's model, traj and h_ref)
+    for name in ("m1", "h1"):
+        model = reference_model(name)
+        sources[name] = (model_id(model), model, sample_trajectory(model, 10_001, seed=7),
+                         entropy_rate(model).mid)
+    rows, parsings = [], {}   # a yes/no check's residual is 1.0 when it fails
+    for check, (source, family, params, n, text) in _PARSINGS.items():
+        mid, *inputs = sources[source]
+        parsing = parsings[check] = make_parsing(ParserSpec(family, params), n, *inputs)
+        rows.append((mid, text, _check(check, not validate_parsing(parsing, n).passed, 0.0)))
 
-    def check_valid(check: str, mid: str, params: str, parsing: Parsing, n: int):
-        rep = validate_parsing(parsing, n)
-        rows.append(_vr(check, mid, params, 0.0 if rep.passed else 1.0, 0.0))
+    mid_m1, _, traj, _ = sources["m1"]
+    lz = parsings["parse_lz78"]
+    phrases = [traj.symbols[s:e].tobytes() for s, e in zip(lz.starts[:-1], lz.ends[:-1])]
+    rows.append((mid_m1, "N=10000",
+                 _check("lz78_distinct_phrases", len(phrases) - len(set(phrases)), 0.0)))
 
-    specs = [
-        ("parse_fixed", make_parsing(ParserSpec("fixed", {"K": 4}), 10_000), 10_000, mid_m1, "K=4,N=10000"),
-        ("parse_growing_sqrt", base, 10_000, mid_m1, "N=10000"),
-        ("parse_growing_log2", make_parsing(ParserSpec("growing", {"schedule": "log2"}), 10_000), 10_000, mid_m1, "N=10000"),
-        ("parse_lz78", lz, 10_000, mid_m1, "N=10000"),
-        ("parse_random_sublinear",
-         make_parsing(ParserSpec("random_sublinear", {"budget": "sqrt", "seed": 5}), 10_000),
-         10_000, mid_m1, "budget=sqrt,N=10000"),
-        ("parse_adversarial",
-         make_parsing(ParserSpec("adversarial", {"budget": 32}), 2_000, model=m1, traj=traj),
-         2_000, mid_m1, "budget=32,N=2000"),
-        ("parse_counterexample_v", v, n_v, mid_h1, "K=4,eps=0.05,N=9999"),
-        ("parse_counterexample_w_even",
-         make_parsing(ParserSpec("counterexample_w", {"K": 4, "epsilon": 0.05}), 10_000,
-                      model=h1, traj=traj_h1, h_ref=h_mid), 10_000, mid_h1, "K=4,N=10000"),
-    ]
-    for check, parsing, n, mid, params in specs:
-        check_valid(check, mid, params, parsing, n)
+    source, _, tail, n_v, text = _PARSINGS["parse_counterexample_v"]
+    c = parsings["parse_counterexample_v"].c
+    low = n_v * (1 - 2 * tail["epsilon"]) / tail["K"] - 1
+    high = n_v / tail["K"] + 1
+    rows.append((sources[source][0], text,
+                 _check("tail_parsing_block_count", max(0.0, low - c, c - high), 0.0)))
 
-    phrases = set()
-    dup = 0
-    for s, e in zip(lz.starts[:-1], lz.ends[:-1]):
-        key = tuple(traj.symbols[s:e].tolist())
-        dup += key in phrases
-        phrases.add(key)
-    rows.append(_vr("lz78_distinct_phrases", mid_m1, "N=10000", float(dup), 0.0))
-
-    low = n_v * (1 - 2 * eps) / K - 1
-    high = n_v / K + 1
-    excess = max(0.0, low - v.c, v.c - high)
-    rows.append(_vr("tail_parsing_block_count", mid_h1, f"K=4,eps=0.05,N={n_v}", excess, 0.0))
-
+    base = parsings["parse_growing_sqrt"]
     for plan in ("trim1", "extend1"):
-        pert = apply_perturbation_plan(base, plan)
-        rep = validate_perturbed(pert)
-        rows.append(_vr(f"perturbation_{plan}", mid_m1, "growing sqrt,N=10000",
-                        0.0 if rep.passed else 1.0, 0.0))
+        failed = not validate_perturbed(apply_perturbation_plan(base, plan)).passed
+        rows.append((mid_m1, "growing sqrt,N=10000", _check(f"perturbation_{plan}", failed, 0.0)))
 
     text = base.to_text()
-    round_trip = Parsing.from_text(text).to_text()
-    rows.append(_vr("parsing_serialization_roundtrip", mid_m1, "growing sqrt,N=10000",
-                    0.0 if text == round_trip else 1.0, 0.0))
+    changed = Parsing.from_text(text).to_text() != text
+    rows.append((mid_m1, "growing sqrt,N=10000",
+                 _check("parsing_serialization_roundtrip", changed, 0.0)))
     return rows
 
 
@@ -566,26 +543,26 @@ def cmd_verify(suite: str = "all", model_files=(), out_dir: Optional[str] = None
         try:
             model = load_model(path)
         except ModelFormatError as exc:
-            rows.append(VerifyRow("model_file", "-", str(path), 1.0, 0.0, False))
+            rows.append(("-", str(path), _check("model_file", 1.0, 0.0)))
             print(f"model file invalid: {exc}", file=sys.stderr)
             continue
         rows.extend(_model_rows(model, str(path)))
 
-    width = max(len(r.check_name) for r in rows) + 2
+    width = max(len(check.name) for _, _, check in rows) + 2
     print(f"{'check':<{width}}{'model':<14}{'residual':>12}  {'bound':>9}  status")
-    for r in rows:
-        print(f"{r.check_name:<{width}}{r.model_id:<14}{r.residual:>12.3e}  "
-              f"{r.bound:>9.1e}  {'pass' if r.passed else 'FAIL'}")
-    failed = [r for r in rows if not r.passed]
-    print(f"{len(rows) - len(failed)}/{len(rows)} checks passed")
+    for mid, _, check in rows:
+        print(f"{check.name:<{width}}{mid:<14}{check.residual:>12.3e}  "
+              f"{check.bound:>9.1e}  {'pass' if check.passed else 'FAIL'}")
+    failed = sum(not check.passed for _, _, check in rows)
+    print(f"{len(rows) - failed}/{len(rows)} checks passed")
 
     if out_dir is not None:
         outp = Path(out_dir)
         outp.mkdir(parents=True, exist_ok=True)
         _records_to_csv(outp / "verify_results.csv",
                         ["check_name", "model_id", "parameters", "residual", "bound", "pass"],
-                        ([r.check_name, r.model_id, r.parameters, _fmt(r.residual),
-                          _fmt(r.bound), _verdict(r.passed)] for r in rows))
+                        ([check.name, mid, params, _fmt(check.residual), _fmt(check.bound),
+                          _verdict(check.passed)] for mid, params, check in rows))
     return 0 if not failed else 2
 
 

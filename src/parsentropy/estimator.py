@@ -49,6 +49,7 @@ from .measures import (
 )
 from .martingale import _log_z_windows
 from .parsing import (
+    _PLAN,
     Parsing,
     ParserSpec,
     PerturbedParsing,
@@ -251,10 +252,10 @@ def _component_targets(model: MixtureModel, spec: ParserSpec) -> tuple:
         rate = first.rate.hull(second.rate)
         return OracleTarget(rate.lower, rate.upper, rate=rate), (first, second)
     k = spec.params["K"]
-    [mixed] = _levels(model, k, k)
+    levels = [level for comp in model.components for level in _levels(comp, k, k)]
+    mixed = model._mixed(*levels)
     targets = []
-    for comp in model.components:
-        [own] = _levels(comp, k, k)
+    for own in levels:
         support = own > 0
         cross = -float(own[support] @ np.log(mixed[support])) / k
         targets.append(OracleTarget(cross, cross))
@@ -431,6 +432,7 @@ def perturbation_experiment(model: ProcessModel, spec: ParserSpec, plan: str, N_
     estimation.  Mixture seeds are scored against their sampled component,
     as in ``convergence_experiment``.
     """
+    _ruled(plan, _PLAN, "plan", PreconditionError)
     grid = _check_grid(N_grid)
     params = _canonical({**spec.params, "plan": plan})
     return _converge(model, spec, grid, [int(seed)], "as", tol, params,

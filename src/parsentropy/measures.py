@@ -616,10 +616,13 @@ class MixtureModel(_Model):
         symbols, _ = self.components[comp]._sample(n, rng)
         return symbols, comp
 
+    def _mixed(self, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+        """w P_first + (1 - w) P_second of one level of each component."""
+        return self.weight * p1 + (1.0 - self.weight) * p2
+
     def _levels(self, n_max: int) -> Iterator:
-        w = self.weight
         for (n, p1), (_, p2) in zip(self.first._levels(n_max), self.second._levels(n_max)):
-            yield n, w * p1 + (1.0 - w) * p2
+            yield n, self._mixed(p1, p2)
 
     def _rate(self) -> EntropyBracket:
         return self.first._rate().hull(self.second._rate())

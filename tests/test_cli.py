@@ -20,6 +20,7 @@ from parsentropy import (
     model_to_dict,
     oracle_target,
     parse_fixed,
+    perturbation_experiment,
     reference_model,
     save_model,
     sublinear_birkhoff_check,
@@ -288,6 +289,9 @@ _TWO_LIMIT = {"experiment": "counterexample", "parser": None, "tolerance": None,
         m1, ParserSpec("lz78"), [], [1]), "N_grid"),
     ({"experiment": "perturbation", "perturbation": {"plan": "trim2"}}, "perturbation.plan",
      lambda m1, h1: apply_perturbation_plan(parse_fixed(10, 2), "trim2"), "plan_name"),
+    ({"experiment": "perturbation", "perturbation": {"plan": "trim2"}}, "perturbation.plan",
+     lambda m1, h1: perturbation_experiment(m1, ParserSpec("growing", {"schedule": "sqrt"}),
+                                            "trim2", [10**3, 10**6], 7), "plan"),
     ({"experiment": "birkhoff", "parser": None, "birkhoff": {"observable": "abs_log_z"}},
      "birkhoff.observable", lambda m1, h1: sublinear_birkhoff_check(m1, "abs_log_z"),
      "observable"),
@@ -300,8 +304,8 @@ _TWO_LIMIT = {"experiment": "counterexample", "parser": None, "tolerance": None,
     ({"experiment": "birkhoff", "parser": None, "birkhoff": {"depth": 1}}, "birkhoff.depth",
      lambda m1, h1: sublinear_birkhoff_check(m1, depth=1), "depth"),
 ], ids=["mode", "as-seeds", "l1-seeds", "two-limits", "K-float", "K-odd", "epsilon",
-        "epsilon-order", "parities", "empty-grid", "plan", "observable", "index_family",
-        "depth-log_zmax", "depth-default"])
+        "epsilon-order", "parities", "empty-grid", "plan", "plan-experiment", "observable",
+        "index_family", "depth-log_zmax", "depth-default"])
 def test_config_and_library_apply_one_rule(tmp_path, m1_file, m1, h1, overrides, key, call,
                                            argument):
     config = json.loads(_write_config(tmp_path).read_text())

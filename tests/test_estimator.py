@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from parsentropy import (
     BudgetNotSubextensiveError,
     GapTooSmallError,
+    HiddenMarkovModel,
     IIDModel,
     MixtureModel,
     OutOfSupportError,
@@ -303,6 +304,16 @@ def test_perturbation_trim_half_rejected(m1):
                                 "trim_half", N_grid=[1000, 10_000], seed=3)
 
 
+def test_perturbation_refuses_an_unknown_plan_before_any_work(h1, monkeypatch):
+    monkeypatch.setattr(estimator, "sample_trajectory", lambda *args: pytest.fail("sampled"))
+
+    def run():
+        with pytest.raises(PreconditionError, match="^plan: expected "):
+            perturbation_experiment(h1, ParserSpec("growing", {"schedule": "sqrt"}), "trim2",
+                                    [10**3, 10**6], 7)
+    assert _enum_atoms(run) == 0   # h1's rate sandwich would draw 3 x 510 atoms
+
+
 def test_perturbation_trim1_small(m1):
     report = perturbation_experiment(
         m1, ParserSpec("growing", {"schedule": "sqrt"}), "trim1",
@@ -381,13 +392,21 @@ H1_COIN = MixtureModel(weight=0.5, first=reference_model("h1"), second=reference
 @pytest.mark.parametrize("spec,atoms", [
     # h1's rate sandwich once (3 sweeps of 2 + 4 + ... + 256 = 510 atoms); the coin's is closed
     (ParserSpec("growing", {"schedule": "sqrt"}), 3 * 510),
-    # level 4 (2 + 4 + 8 + 16 = 30 atoms) of the mixture once and of each component once
-    (ParserSpec("fixed", {"K": 4}), 3 * 30),
+    # level 4 (2 + 4 + 8 + 16 = 30 atoms) of each component once; the mixture's is mixed from them
+    (ParserSpec("fixed", {"K": 4}), 2 * 30),
 ])
-def test_mixture_run_walks_each_oracle_level_once(spec, atoms):
+def test_mixture_run_walks_each_oracle_level_once(spec, atoms, monkeypatch):
+    walks, levels = [], HiddenMarkovModel._levels
+
+    def counted(model, n_max):
+        walks.append(model)
+        return levels(model, n_max)
+    monkeypatch.setattr(HiddenMarkovModel, "_levels", counted)
     reports = []
     assert _enum_atoms(lambda: reports.append(
         convergence_experiment(H1_COIN, spec, [1000], [7]))) == atoms
+    # the sandwich's other two sweeps start h1 from a hidden state, as copies of it
+    assert sum(model is H1_COIN.first for model in walks) == 1
     assert reports[0].target == oracle_target(H1_COIN, spec)   # the headline, bit for bit
     assert reports[0].target.rate == (None if spec.family == "fixed" else entropy_rate(H1_COIN))
 

@@ -5,7 +5,8 @@ perturbation, the two-limit counterexample, a Birkhoff series with the
 section's defaults, the hidden-Markov greedy adversary, and LZ78 phrases on
 the hidden-Markov source.  Each run's results.csv, summary.json and the
 plot TSVs that ``report`` writes are pinned, and so are the stdout and
-verify_results.csv of ``verify --suite all``.  A change that moves any cell
+verify_results.csv of ``verify --suite all``, and the ``model.*`` rows that
+``verify --model`` prints for a Markov and a mixture model file.  A change that moves any cell
 of these files changes its sha256 here; such a change has to say why in
 CHANGES.md and re-pin the digest.
 """
@@ -18,7 +19,7 @@ import json
 import pytest
 
 from parsentropy import ParserSpec, model_id, reference_model, save_model
-from parsentropy.cli import cmd_report, cmd_simulate, cmd_verify
+from parsentropy.cli import cmd_report, cmd_simulate, cmd_verify, main
 
 SQRT = {"family": "growing", "schedule": "sqrt"}
 
@@ -90,6 +91,27 @@ PINNED_REPORTS = {
 }
 VERIFY_RESULTS_CSV = "003b9e49391a2016d228c81f8a532309470bb0d0d74a9c70d29e3d3a4998b227"
 VERIFY_STDOUT = "d546d0bd3e82ec384edd8346de67158b832dcd49e93e4825980fae48b1a65722"
+# The model.* rows of `verify --suite parsing --model m1.json --model mixture.json`;
+# the mixture's components nest as model.first. and model.second.
+VERIFY_MODEL_ROWS = """\
+model.transition.nonnegative            1607aad86c0f     0.000e+00    0.0e+00  pass
+model.transition.rows_sum_to_one        1607aad86c0f     0.000e+00    1.0e-12  pass
+model.initial.nonnegative               1607aad86c0f     0.000e+00    0.0e+00  pass
+model.initial.sums_to_one               1607aad86c0f     0.000e+00    1.0e-12  pass
+model.stationarity                      1607aad86c0f     5.551e-17    1.0e-10  pass
+model.alphabet_size                     1607aad86c0f     0.000e+00    0.0e+00  pass
+model.weight_in_open_unit_interval      9a095316671b     0.000e+00    0.0e+00  pass
+model.components_share_alphabet         9a095316671b     0.000e+00    0.0e+00  pass
+model.first.transition.nonnegative      9a095316671b     0.000e+00    0.0e+00  pass
+model.first.transition.rows_sum_to_one  9a095316671b     0.000e+00    1.0e-12  pass
+model.first.initial.nonnegative         9a095316671b     0.000e+00    0.0e+00  pass
+model.first.initial.sums_to_one         9a095316671b     0.000e+00    1.0e-12  pass
+model.first.stationarity                9a095316671b     5.551e-17    1.0e-10  pass
+model.first.alphabet_size               9a095316671b     0.000e+00    0.0e+00  pass
+model.second.p.nonnegative              9a095316671b     0.000e+00    0.0e+00  pass
+model.second.p.sums_to_one              9a095316671b     0.000e+00    1.0e-12  pass
+model.second.alphabet_size              9a095316671b     0.000e+00    0.0e+00  pass
+"""
 
 # The canonical JSON text behind ids, run directories and the parser_params cell.
 MODEL_IDS = {"m1": "1607aad86c0f", "h1": "a89b940ff9cb", "iid_uniform": "1a9e6768a8f6",
@@ -152,6 +174,19 @@ def test_verify_all_bytes_are_pinned(tmp_path):
         assert cmd_verify("all", (), str(tmp_path)) == 0
     assert _sha256(stdout.getvalue().encode()) == VERIFY_STDOUT
     assert _sha256((tmp_path / "verify_results.csv").read_bytes()) == VERIFY_RESULTS_CSV
+
+
+def test_verify_model_file_rows_are_pinned(tmp_path):
+    files = []
+    for name in ("m1", "mixture_m1_uniform"):
+        save_model(reference_model(name), tmp_path / f"{name}.json")
+        files += ["--model", str(tmp_path / f"{name}.json")]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["verify", "--suite", "parsing", *files]) == 0
+    lines = stdout.getvalue().splitlines(keepends=True)
+    assert "".join(line for line in lines if line.startswith("model.")) == VERIFY_MODEL_ROWS
+    assert lines[-1] == "30/30 checks passed\n"
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_IDS))
