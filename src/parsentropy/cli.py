@@ -44,6 +44,7 @@ from .measures import (
     _EPSILON,
     _EVEN_K,
     _K,
+    _SEED,
     _canonical,
     _check,
     _closed,
@@ -71,7 +72,6 @@ from .martingale import (
 )
 from .parsing import (
     _PLAN,
-    _SEED,
     Parsing,
     ParserSpec,
     apply_perturbation_plan,

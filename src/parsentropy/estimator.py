@@ -30,6 +30,7 @@ from .errors import (
 )
 from .measures import (
     _EPSILON,
+    _SEED,
     _canonical,
     _entropy_of,
     _levels,
@@ -49,6 +50,7 @@ from .measures import (
 )
 from .martingale import _log_z_windows
 from .parsing import (
+    _DATA_FREE,
     _PLAN,
     Parsing,
     ParserSpec,
@@ -272,6 +274,10 @@ def _check_grid(N_grid) -> list:
     return _ruled([int(n) for n in N_grid], _GRID, "N_grid", PreconditionError)
 
 
+def _check_seed(seed, where: str = "seed") -> int:
+    return int(_ruled(seed, _SEED, where, PreconditionError))
+
+
 def _perturb(plan: Callable, parsings, grid) -> list:
     """Apply the plan to each parsing; refuse it unless it is subextensive."""
     perturbed = [plan(p) for p in parsings]
@@ -358,7 +364,7 @@ def convergence_experiment(model: ProcessModel, spec: ParserSpec, N_grid,
     order is fixed, so results do not depend on the worker count.
     """
     grid = _check_grid(N_grid)
-    seeds = [int(s) for s in seeds]
+    seeds = [_check_seed(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
     _ruled(target_mode, _MODE, "target_mode", PreconditionError)
     _ruled(seeds, _SEEDS[target_mode], "seeds", PreconditionError)
     return _converge(model, spec, grid, seeds, target_mode, tol, spec.describe(), None, map_fn)
@@ -376,6 +382,7 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
     sets the verdict.
     """
     _ruled(type(model).__name__, _ERGODIC, "model", PreconditionError)
+    seed = _check_seed(seed)
     grid = _check_grid(N_grid)
     eps = [float(e) for e in epsilon_schedule]
     for i, e in enumerate(eps):
@@ -429,14 +436,20 @@ def perturbation_experiment(model: ProcessModel, spec: ParserSpec, plan: str, N_
     The plan, a name from ``PERTURBATION_PLANS``, must be subextensive: the
     modification ratio has to decrease along the grid and drop below 1% at
     the largest N, otherwise BudgetNotSubextensiveError is raised before any
-    estimation.  Mixture seeds are scored against their sampled component,
-    as in ``convergence_experiment``.
+    block is scored.  The fixed, growing and random_sublinear parsings need
+    no trajectory, so for them the refusal comes before the oracle and the
+    sampling; the ratios of the other families depend on the trajectory,
+    so theirs comes after sampling.  Mixture seeds are scored against their
+    sampled component, as in ``convergence_experiment``.
     """
     _ruled(plan, _PLAN, "plan", PreconditionError)
+    seed = _check_seed(seed)
     grid = _check_grid(N_grid)
+    perturb = partial(apply_perturbation_plan, plan_name=plan)
+    if spec.family in _DATA_FREE:
+        _perturb(perturb, [make_parsing(spec, n) for n in grid], grid)
     params = _canonical({**spec.params, "plan": plan})
-    return _converge(model, spec, grid, [int(seed)], "as", tol, params,
-                     partial(apply_perturbation_plan, plan_name=plan), map)
+    return _converge(model, spec, grid, [seed], "as", tol, params, perturb, map)
 
 
 def sublinear_birkhoff_check(model: ProcessModel, observable: str = "abs_log_z_d",
@@ -454,6 +467,7 @@ def sublinear_birkhoff_check(model: ProcessModel, observable: str = "abs_log_z_d
     _ruled(observable, _OBSERVABLE, "observable", PreconditionError)
     _ruled(index_family, _INDEX_FAMILY, "index_family", PreconditionError)
     _ruled(depth, _DEPTHS[observable], "depth", PreconditionError)
+    seed = _check_seed(seed)
     grid = _check_grid(N_grid)
     x = sample_trajectory(model, grid[-1] + depth, seed).symbols
     rows = []

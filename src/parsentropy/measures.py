@@ -16,7 +16,9 @@ The word evaluations raise PreconditionError on a symbol outside the alphabet.
 
 Hidden-Markov prefix, suffix and block values come from one blocked scan of the
 scaled forward recursion, numpy across chunks with a Python loop over the offset in a
-chunk; chain paths come from a blocked walk with the bytes of a sequential one.
+chunk.  Chain paths have the bytes of a sequential inverse-CDF walk: a guide table
+counts each uniform's edges with no search, and a chunk-major blocked walk composes
+each chunk's maps from the small table of draws.
 
 All probabilities are kept in natural-log units (nats) end to end; the
 value ``-inf`` is reserved for out-of-support words.  Higher-order Markov
@@ -53,16 +55,26 @@ _LOWEST = np.finfo(float).min
 # Bound the HMM kernel's temporaries to a few MB: blocks per pass, chunks per scan read-out.
 _BLOCKS_PER_PASS = 1 << 15
 _CHUNKS_PER_READ = 1 << 8
+# The sampler's guide table: equal cells of [0, 1); uniforms per slice of its count.
+_GUIDE_CELLS = 1 << 12
+_DRAWS_PER_SLICE = 1 << 14
 # A JSON value's rule: a test and what the value must be.  JSON true is not an integer.
 _K = (lambda v: type(v) is int and v >= 1, "a positive integer")
 # Rules Python arguments meet too: numpy scalars pass; true is odd, and no integer is in (0, 1/4).
 _EVEN_K = (lambda v: isinstance(v, numbers.Integral) and v >= 2 and v % 2 == 0,
            "an even positive integer")
 _EPSILON = (lambda v: isinstance(v, numbers.Real) and 0.0 < v < 0.25, "a number in (0, 1/4)")
+_LENGTH = (lambda v: _integer(v) and v >= 1, "a trajectory length >= 1")
+_SEED = (lambda v: _integer(v) and v >= 0, "a non-negative integer")
 _NUMBER = (lambda v: type(v) in (int, float), "a number")
 _NUMBERS = (lambda v: type(v) is list and all(map(_NUMBER[0], v)), "a list of numbers")
 _MATRIX = (lambda v: type(v) is list and all(map(_NUMBERS[0], v)), "a list of lists of numbers")
 _PAIR = (lambda v: type(v) is list and list(map(type, v)) == [dict, dict], "a list of two objects")
+
+
+def _integer(v) -> bool:
+    """An integer that is not a bool; numpy integers pass."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -192,6 +204,11 @@ def _window_sums(logs: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_logs(log_t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``log_t[x[:-1], x[1:]]``, the log transition of every step of ``x``, as one flat take."""
+    return log_t.reshape(-1).take(x[:-1] * log_t.shape[1] + x[1:])
+
+
 def _chunk_len(n: int) -> int:
     """ceil(n ** (1/3)) for n >= 1: the chunk length of the blocked scans over n symbols."""
     m = round(n ** (1 / 3))
@@ -199,14 +216,17 @@ def _chunk_len(n: int) -> int:
 
 
 def _inverse_cdf(rows: np.ndarray, u: np.ndarray):
-    """Every row's inverse CDF at every uniform from one search: ``(table, place)``.
+    """Every row's inverse CDF at every uniform, with no search per uniform: ``(table, place)``.
 
     Row r draws ``table[r, place[i]]`` for u[i]: the count of entries <= u[i]
     in its cumulative sums without the last one, which caps the draw at the
     last index (a row may sum to just under 1).  Every such entry is one of
     the sorted ``edges`` of all rows, so the count depends only on ``place``,
     the count of edges <= u[i]; the table counts each row's entries at each
-    edge and sums them along the row.
+    edge and sums them along the row.  ``place`` comes from a guide table
+    (Chen & Asau 1974): the count of edges at or below the start of u's cell
+    of [0, 1), cut into ``_GUIDE_CELLS`` equal cells, plus one compare per
+    edge inside the cell; a uniform stops at its first edge above it.
     """
     r, k = rows.shape
     cum = np.cumsum(rows, axis=1)[:, :-1]
@@ -214,37 +234,55 @@ def _inverse_cdf(rows: np.ndarray, u: np.ndarray):
     edges = edges[np.diff(edges, prepend=-np.inf) > 0]   # not np.unique: it loads numpy.ma
     table = np.zeros((r, edges.shape[0] + 1), dtype=np.min_scalar_type(k - 1))
     np.add.at(table, (np.arange(r)[:, None], np.searchsorted(edges, cum) + 1), 1)
-    return np.cumsum(table, axis=1, out=table), np.searchsorted(edges, u, side="right")
+    count = np.min_scalar_type(edges.shape[0])
+    starts = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
+    guide = np.searchsorted(edges, starts, side="right").astype(count)
+    above = np.append(edges, np.inf)                     # the edge after the last is never <= u
+    place = np.empty(u.shape[0], dtype=count)
+    for a in range(0, u.shape[0], _DRAWS_PER_SLICE):     # cache-sized temporaries
+        v, at = u[a:a + _DRAWS_PER_SLICE], place[a:a + _DRAWS_PER_SLICE]
+        guide.take((v * _GUIDE_CELLS).astype(np.intp), out=at, mode="clip")
+        hit = above.take(at) <= v
+        at += hit
+        live = hit.nonzero()[0]
+        while live.shape[0]:                             # u above every edge compared so far
+            live = live[above.take(at[live]) <= v[live]]
+            at[live] += 1
+    return np.cumsum(table, axis=1, out=table), place
 
 
 def _walk_chain(initial: np.ndarray, transition: np.ndarray, u: np.ndarray) -> np.ndarray:
     """States of a chain by inverse CDF, one uniform each, as a blocked walk.
 
-    Step k maps state s to row s's draw at u[k] (step 0 reads ``initial``).
-    The maps are composed per chunk, the chunk starts walked, and the chunks
-    filled in.
+    Step t maps state s to row s's draw at u[t]; step 0 reads ``initial``
+    through one extra column of the draw table, whatever the state.  The
+    steps are laid out chunk-major (row j holds step j of every chunk), the
+    maps composed per chunk, the chunk starts walked, and the chunks filled
+    in row by row.
     """
     k, n = transition.shape[0], u.shape[0]
     table, place = _inverse_cdf(np.vstack((transition, initial)), u)
+    w = table.shape[1] + 1
+    draws = np.empty((k, w), dtype=table.dtype)
+    draws[:, :-1], draws[:, -1] = table[:k], table[k, place[0]]
     m = _chunk_len(n)
     c = -(-n // m)
-    maps = np.zeros((c * m, k), dtype=table.dtype)   # the padding is never read out
-    for s in range(k):
-        maps[:n, s] = table[s].take(place)
-    maps[0] = table[-1, place[0]]
+    steps = np.zeros(c * m, dtype=np.min_scalar_type(w - 1))   # the padding is never read out
+    steps[1:n], steps[0] = place[1:], w - 1
     del place
-    flat = maps.reshape(-1)
-    base = np.arange(c) * (m * k)                # flat index of each chunk's first map
-    through = np.broadcast_to(np.arange(k), (c, k))
-    for j in range(m):                           # through[i, s]: state after chunk i from s
-        through = flat[through + (base + j * k)[:, None]]
-    starts, state = np.empty(c, dtype=np.int64), 0
-    for i, row in enumerate(through.tolist()):
-        starts[i], state = state, row[state]
-    path = np.empty((c, m), dtype=np.int64)
+    steps = np.ascontiguousarray(steps.reshape(c, m).T)
+    flat, row = draws.reshape(-1), np.arange(k) * w      # flat index of each state's row
+    lands = row.take(flat)                               # flat index of the row each draw lands in
+    through = np.broadcast_to(row[:, None], (k, c))
+    for j in range(m):                                   # through[s, i]: row after chunk i from s
+        through = lands.take(through + steps[j])
+    starts, state = np.empty(c, dtype=np.intp), 0
+    for i, r in enumerate((through // w).T.tolist()):
+        starts[i], state = state, r[state]
+    path = np.empty((m, c), dtype=draws.dtype)
     for j in range(m):
-        starts = path[:, j] = flat[starts + base + j * k]
-    return path.reshape(-1)[:n]
+        starts = path[j] = flat.take(row.take(starts) + steps[j])
+    return path.T.astype(np.int64, order="C").reshape(-1)[:n]
 
 
 def _log_sum_exp(t: np.ndarray, axis: int) -> np.ndarray:
@@ -359,29 +397,29 @@ class MarkovModel(_Model):
         out = np.zeros(x.shape[0] + 1)
         if x.shape[0]:
             out[1] = _safe_log(self.initial)[x[0]]
-            np.cumsum(_safe_log(self.transition)[x[:-1], x[1:]], out=out[2:])
+            np.cumsum(_pair_logs(_safe_log(self.transition), x), out=out[2:])
             out[2:] += out[1]
         return out
 
     def _suffix(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(x.shape[0] + 1)
         if x.shape[0]:
-            out[:-2] = _safe_log(self.transition)[x[:-1], x[1:]][::-1].cumsum()[::-1]
+            out[:-2] = _pair_logs(_safe_log(self.transition), x)[::-1].cumsum()[::-1]
             out[:-1] += _safe_log(self.initial)[x]
         return out
 
     @np.errstate(invalid="ignore")               # -inf - -inf: only off the support
     def _cut_penalties(self, x: np.ndarray) -> np.ndarray:
-        return _safe_log(self.transition)[x[:-1], x[1:]] - _safe_log(self.initial)[x[1:]]
+        return _pair_logs(_safe_log(self.transition), x) - _safe_log(self.initial)[x[1:]]
 
     def _block(self, x: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
         log_t = _safe_log(self.transition)
         log_start = _safe_log(self.initial)[x[s]]
         if np.isneginf(log_t).any():
-            return log_start + _window_sums(log_t[x[:-1], x[1:]], s, e - 1)
+            return log_start + _window_sums(_pair_logs(log_t, x), s, e - 1)
         ct = np.zeros(x.shape[0])
         if x.shape[0] > 1:
-            ct[1:] = log_t[x[:-1], x[1:]].cumsum()
+            ct[1:] = _pair_logs(log_t, x).cumsum()
         return log_start + ct[e - 1] - ct[s]
 
     def _sample(self, n: int, rng: np.random.Generator):
@@ -526,7 +564,7 @@ class HiddenMarkovModel(_Model):
     def _sample(self, n: int, rng: np.random.Generator):
         path = _walk_chain(self.hidden_initial, self.hidden_transition, rng.random(n))
         table, place = _inverse_cdf(self.emission, rng.random(n))
-        return table[path, place], None
+        return table.reshape(-1).take(path * table.shape[1] + place), None
 
     def _levels(self, n_max: int) -> Iterator:
         fwd = self.hidden_initial[None, :] * self.emission.T  # (A words, S): rho(s) B(s, a)
@@ -781,6 +819,8 @@ def model_id(model: ProcessModel) -> str:
 def sample_trajectory(model: ProcessModel, n: int, seed: int) -> Trajectory:
     """Sample a length-n trajectory; identical (model, n, seed) is bit-identical.
 
+    ``n`` (at least 1) and ``seed`` (at least 0) are integers, not bools;
+    numpy integers pass, and anything else is a PreconditionError naming it.
     Raises ModelFormatError, naming the failed invariants, for a model that
     ``validate_model`` rejects.  Draw order is fixed: i.i.d. uses one
     uniform per symbol (inverse CDF); Markov uses one uniform for the initial
@@ -788,8 +828,8 @@ def sample_trajectory(model: ProcessModel, n: int, seed: int) -> Trajectory:
     first, then all emissions; mixtures draw the component label first and
     then delegate to it with the same generator.
     """
-    if n < 1:
-        raise PreconditionError(f"n: expected a trajectory length >= 1, got {n}")
+    _ruled(n, _LENGTH, "n", PreconditionError)
+    _ruled(seed, _SEED, "seed", PreconditionError)
     _require_valid(model, "cannot sample")
     symbols, comp = model._sample(n, np.random.default_rng(seed))
     return Trajectory(symbols=symbols, seed=int(seed), model_id=model_id(model), component=comp)

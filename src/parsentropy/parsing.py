@@ -464,21 +464,22 @@ def apply_perturbation_plan(parsing: Parsing, plan_name: str) -> PerturbedParsin
 # ---------------------------------------------------------------------------
 
 # A parameter's rule, as measures._K: a test of its value and what the value
-# must be.  JSON true is not an integer.
+# must be.  JSON true is not an integer, and a numpy seed would not write to JSON.
 _BUDGET = (lambda v: v == "sqrt" or (type(v) is int and v >= 1), "a positive integer or 'sqrt'")
-_SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_PARAM_SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
 _SCHEDULE = (lambda v: v in ("sqrt", "log2"), "'sqrt' or 'log2'")
 
 _PARSERS = {   # family: {parameter: rule}
     "fixed": {"K": _K},
     "growing": {"schedule": _SCHEDULE},
     "lz78": {},
-    "random_sublinear": {"budget": _BUDGET, "seed": _SEED},
+    "random_sublinear": {"budget": _BUDGET, "seed": _PARAM_SEED},
     "adversarial": {"budget": _BUDGET},
     "counterexample_v": {"K": _EVEN_K, "epsilon": _EPSILON},
     "counterexample_w": {"K": _EVEN_K, "epsilon": _EPSILON},
 }
 PARSER_FAMILIES = tuple(_PARSERS)
+_DATA_FREE = ("fixed", "growing", "random_sublinear")   # make_parsing builds them without data
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,14 @@ TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
+# 16 symbols: the rows are rotations of 2^i / (2^16 - 1), so the matrix is doubly
+# stochastic and its stationary law exactly uniform.  Its 255 distinct edges
+# crowd up to 10 into one guide cell, and the 15 of the initial law lie on cell
+# boundaries.
+_CHAIN16 = MarkovModel(transition=[np.roll(2.0 ** np.arange(16) / 65535, i) for i in range(16)],
+                       initial=np.full(16, 1 / 16))
+
+
 def _sampling_models():
     return {
         "m1": reference_model("m1"),
@@ -48,6 +56,7 @@ def _sampling_models():
                                  initial=[.25, .5, .25]),
         # a row summing to 1 - 1e-13: a uniform above it clamps to the last symbol
         "deficit": MarkovModel(transition=[[0.5, 0.5 - 1e-13], [0.5, 0.5]], initial=[0.5, 0.5]),
+        "chain16": _CHAIN16,
     }
 
 
@@ -73,6 +82,7 @@ SAMPLE_DIGESTS = {
     ("deficit", 2): "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
     ("deficit", 1001): "f6c0a018508a194c89304ce26935d6a1830b62493f41225d7b0ab300bcad746d",
     ("deficit", 100000): "8a355d48bb4113648a7d1223ae34f9189fd982450497649161afcd776fbbb1ec",
+    ("chain16", 100000): "a754f2b84af80dddbec2266d92feb31974afef8ad018b106c86e739a1c9afc41",
 }
 
 
@@ -111,6 +121,13 @@ def _sequential_walk(initial, transition, u):
     return path
 
 
+def test_blocked_walk_of_sixteen_symbols_matches_sequential_walk():
+    u = np.random.default_rng(16).random(4097)
+    walk = _walk_chain(_CHAIN16.initial, _CHAIN16.transition, u)
+    assert walk.dtype == np.int64
+    assert walk.tolist() == _sequential_walk(_CHAIN16.initial, _CHAIN16.transition, u)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 1000, 4097])
 def test_blocked_walk_matches_sequential_walk_with_clamps(n):
     # rows summing to 0.6 make the clamp to the last state frequent
@@ -137,11 +154,51 @@ def _uniforms_on_edges(rows, rng, n):
 
 
 def _check_inverse_cdf(rows, u):
-    """The table lookup against a per-row search of each cumulative row, capped at its last index."""
+    """The table lookup against a per-row search of each cumulative row, capped at its last index.
+
+    ``place`` takes the narrowest integer type that holds the count of distinct edges.
+    """
     table, place = _inverse_cdf(rows, u)
     for r, row in enumerate(np.cumsum(rows, axis=1)):
         draws = np.minimum(np.searchsorted(row, u, side="right"), rows.shape[1] - 1)
         assert table[r].take(place).tolist() == draws.tolist()
+    edges = np.unique(np.cumsum(rows, axis=1)[:, :-1]).shape[0]
+    assert place.dtype.itemsize <= np.min_scalar_type(edges).itemsize
+
+
+CELL = 2.0 ** -12   # the width of one guide-table cell
+
+
+def test_inverse_cdf_counts_several_edges_inside_one_cell():
+    # three edges strictly inside the cell [1/2, 1/2 + 2^-12), one per row
+    inside = np.array([1e-5, 5e-5, 2e-4])
+    assert (inside < CELL).all()
+    rows = np.stack([0.5 + inside, 0.5 - inside], axis=1)
+    u = 0.5 + np.linspace(0.0, CELL, 1001)[:-1]
+    near = _uniforms_on_edges(rows, np.random.default_rng(1), 1000)
+    _check_inverse_cdf(rows, np.concatenate((near, u)))
+
+
+def test_inverse_cdf_counts_edges_on_cell_boundaries_and_at_zero():
+    # edges at 0.0, 2^-12, 3 * 2^-12, 1/4 and 1/2, each one the start of a cell
+    rows = np.array([[0.0, 0.25, 0.75], [CELL, CELL, 1 - 2 * CELL], [0.5, 0.5, 0.0],
+                     [3 * CELL, 0.25 - 3 * CELL, 0.75]])
+    ends = np.array([0.0, CELL, 3 * CELL, 0.25, 0.5])
+    u = np.concatenate((ends, np.nextafter(ends, 1.0), np.nextafter(ends[1:], 0.0),
+                        [np.nextafter(1.0, 0.0)], np.arange(4096) * CELL))
+    _check_inverse_cdf(rows, np.concatenate((u, np.random.default_rng(2).random(1000))))
+
+
+@pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+def test_inverse_cdf_at_the_ends_of_the_unit_interval(u):
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 16):
+        _check_inverse_cdf(_rows_with_zeros(rng, k + 1, k), np.full(5, u))
+
+
+def test_inverse_cdf_of_sixteen_symbols_matches_per_row_search():
+    rows = np.vstack((_CHAIN16.transition, _CHAIN16.initial))
+    _check_inverse_cdf(rows, _uniforms_on_edges(rows, np.random.default_rng(4), 10**5))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7])

@@ -314,6 +314,61 @@ def test_perturbation_refuses_an_unknown_plan_before_any_work(h1, monkeypatch):
     assert _enum_atoms(run) == 0   # h1's rate sandwich would draw 3 x 510 atoms
 
 
+@pytest.mark.parametrize("spec", [ParserSpec("fixed", {"K": 4}),
+                                  ParserSpec("growing", {"schedule": "sqrt"}),
+                                  ParserSpec("random_sublinear", {"budget": "sqrt", "seed": 3})],
+                         ids=lambda spec: spec.family)
+def test_perturbation_refuses_a_plan_that_is_not_subextensive_before_sampling(h1, spec,
+                                                                               monkeypatch):
+    # these parsings need no trajectory, so their ratios are checked before the oracle and sampling
+    monkeypatch.setattr(estimator, "sample_trajectory", lambda *args: pytest.fail("sampled"))
+
+    def run():
+        with pytest.raises(BudgetNotSubextensiveError, match="^modification ratios along the grid"):
+            perturbation_experiment(h1, spec, "trim_half", [10**3, 10**6], 7)
+    assert _enum_atoms(run) == 0
+
+
+_GROWING = ParserSpec("growing", {"schedule": "sqrt"})
+
+# (call, the start of its message): n and seed are integers that are not bools, seeds >= 0
+TYPED_COUNTS = {
+    "sample.n-float": (lambda m1, h1: sample_trajectory(m1, 2.5, 7), "n"),
+    "sample.n-bool": (lambda m1, h1: sample_trajectory(m1, True, 7), "n"),
+    "sample.seed-float": (lambda m1, h1: sample_trajectory(m1, 10, 1.5), "seed"),
+    "sample.seed-str": (lambda m1, h1: sample_trajectory(m1, 10, "7"), "seed"),
+    "sample.seed-negative": (lambda m1, h1: sample_trajectory(m1, 10, -1), "seed"),
+    "convergence.float": (lambda m1, h1: convergence_experiment(m1, _GROWING, [100, 1000],
+                                                                seeds=[1.5]), r"seeds\[0\]"),
+    "convergence.bool": (lambda m1, h1: convergence_experiment(m1, _GROWING, [100, 1000],
+                                                               seeds=[True]), r"seeds\[0\]"),
+    "convergence.negative": (lambda m1, h1: convergence_experiment(
+        m1, _GROWING, [100, 1000], seeds=[*range(20), -1], target_mode="l1"), r"seeds\[20\]"),
+    "perturbation": (lambda m1, h1: perturbation_experiment(m1, _GROWING, "trim1", [100, 1000],
+                                                            1.5), "seed"),
+    "counterexample": (lambda m1, h1: counterexample_experiment(h1, 4, [0.1], [1000, 1001],
+                                                                True), "seed"),
+    "birkhoff": (lambda m1, h1: sublinear_birkhoff_check(h1, N_grid=[1000], seed=-1), "seed"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(TYPED_COUNTS))
+def test_lengths_and_seeds_are_typed_before_any_work(m1, h1, site, monkeypatch):
+    monkeypatch.setattr(estimator, "sample_trajectory", lambda *args: pytest.fail("sampled"))
+    call, where = TYPED_COUNTS[site]
+
+    def run():
+        with pytest.raises(PreconditionError, match=f"^{where}: expected "):
+            call(m1, h1)
+    assert _enum_atoms(run) == 0
+
+
+def test_numpy_integers_are_lengths_and_seeds(m1):
+    traj = sample_trajectory(m1, np.int64(100), np.uint64(7))
+    assert traj.seed == 7
+    assert traj.symbols.tolist() == sample_trajectory(m1, 100, 7).symbols.tolist()
+
+
 def test_perturbation_trim1_small(m1):
     report = perturbation_experiment(
         m1, ParserSpec("growing", {"schedule": "sqrt"}), "trim1",
