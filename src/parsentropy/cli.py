@@ -23,7 +23,6 @@ import argparse
 import csv
 import hashlib
 import inspect
-import math
 import os
 import sys
 import time
@@ -89,6 +88,7 @@ from .estimator import (
     _OBSERVABLE,
     _ONE_LIMIT,
     _SEEDS,
+    _TOL,
     TWO_LIMIT_TOL_REL,
     convergence_experiment,
     counterexample_experiment,
@@ -117,9 +117,6 @@ def _round12(x: float) -> float:
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-# A config value's rule: a test and what the value must be, as in measures._ruled.
-_POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive number")
 
 # The section of each single-trajectory experiment: {key: rule}.  Only the
 # birkhoff keys are optional; sublinear_birkhoff_check holds their defaults.
@@ -192,7 +189,7 @@ def parse_config(path) -> ExperimentConfig:
     grid = _expand_grid(raw["n_grid"], f"{path}:n_grid")
     seeds = _expand_seeds(raw["seeds"], f"{path}:seeds")
     mode = _ruled(raw.get("mode", "as"), _MODE, f"{path}:mode", ConfigError)
-    tolerance = float(_ruled(raw.get("tolerance", 0.01), _POSITIVE, f"{path}:tolerance", ConfigError))
+    tolerance = float(_ruled(raw.get("tolerance", 0.01), _TOL, f"{path}:tolerance", ConfigError))
     if experiment != "convergence" and (len(seeds) != 1 or mode != "as"):
         raise ConfigError(f"{path}: the {experiment} experiment follows one trajectory; "
                           "it needs exactly one seed and mode 'as'")

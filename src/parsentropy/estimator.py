@@ -16,6 +16,7 @@ records, so a report never compares one estimate against another.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .measures import (
     _EPSILON,
+    _LENGTH,
     _SEED,
     _canonical,
     _entropy_of,
@@ -50,7 +52,7 @@ from .measures import (
 )
 from .martingale import _log_z_windows
 from .parsing import (
-    _DATA_FREE,
+    _PARSERS,
     _PLAN,
     Parsing,
     ParserSpec,
@@ -84,6 +86,9 @@ BIRKHOFF_OBSERVABLES = tuple(_DEPTHS)
 INDEX_FAMILIES = ("prefix_sqrt", "random_sqrt")
 _OBSERVABLE = _one_of(BIRKHOFF_OBSERVABLES)
 _INDEX_FAMILY = _one_of(INDEX_FAMILIES)
+# A tolerance: finite and above 0; true is not a number, numpy floats pass.
+_TOL = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf,
+        "a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -271,7 +276,9 @@ def _component_targets(model: MixtureModel, spec: ParserSpec) -> tuple:
 
 
 def _check_grid(N_grid) -> list:
-    return _ruled([int(n) for n in N_grid], _GRID, "N_grid", PreconditionError)
+    grid = [int(_ruled(n, _LENGTH, f"N_grid[{i}]", PreconditionError))
+            for i, n in enumerate(N_grid)]
+    return _ruled(grid, _GRID, "N_grid", PreconditionError)
 
 
 def _check_seed(seed, where: str = "seed") -> int:
@@ -326,9 +333,9 @@ def _converge(model, spec, grid, seeds, mode, tol, params, plan, map_fn) -> Conv
     """Score every seed against the oracle limit of (model, spec); as or l1 verdict."""
     headline, target = (_component_targets(model, spec) if isinstance(model, MixtureModel)
                         else (oracle_target(model, spec),) * 2)
-    # Tail selection compares suffix information rates against the entropy
-    # rate itself, not against the experiment's limit value.
-    h_ref = headline.rate.mid if spec.family == "counterexample_v" else None
+    # A family that reads h_ref selects its tail by the entropy rate itself,
+    # not by the experiment's limit value.
+    h_ref = headline.rate.mid if "h_ref" in _PARSERS[spec.family][1] else None
 
     cells = tuple((n, spec, params, target) for n in grid)
     tasks = [(model, seed, cells, h_ref, plan) for seed in seeds]
@@ -367,6 +374,7 @@ def convergence_experiment(model: ProcessModel, spec: ParserSpec, N_grid,
     seeds = [_check_seed(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
     _ruled(target_mode, _MODE, "target_mode", PreconditionError)
     _ruled(seeds, _SEEDS[target_mode], "seeds", PreconditionError)
+    _ruled(tol, _TOL, "tol", PreconditionError)
     return _converge(model, spec, grid, seeds, target_mode, tol, spec.describe(), None, map_fn)
 
 
@@ -384,9 +392,8 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
     _ruled(type(model).__name__, _ERGODIC, "model", PreconditionError)
     seed = _check_seed(seed)
     grid = _check_grid(N_grid)
-    eps = [float(e) for e in epsilon_schedule]
-    for i, e in enumerate(eps):
-        _ruled(e, _EPSILON, f"epsilon_schedule[{i}]", PreconditionError)
+    eps = [float(_ruled(e, _EPSILON, f"epsilon_schedule[{i}]", PreconditionError))
+           for i, e in enumerate(epsilon_schedule)]
     _ruled(eps, _EPSILONS, "epsilon_schedule", PreconditionError)
     _ruled(grid, _BOTH_PARITIES, "N_grid", PreconditionError)
 
@@ -436,17 +443,18 @@ def perturbation_experiment(model: ProcessModel, spec: ParserSpec, plan: str, N_
     The plan, a name from ``PERTURBATION_PLANS``, must be subextensive: the
     modification ratio has to decrease along the grid and drop below 1% at
     the largest N, otherwise BudgetNotSubextensiveError is raised before any
-    block is scored.  The fixed, growing and random_sublinear parsings need
-    no trajectory, so for them the refusal comes before the oracle and the
-    sampling; the ratios of the other families depend on the trajectory,
-    so theirs comes after sampling.  Mixture seeds are scored against their
+    block is scored.  The families whose row in ``parsing._PARSERS`` reads
+    no data (fixed, growing, random_sublinear) are refused before the
+    oracle and the sampling; the ratios of the other families depend on
+    the trajectory, so theirs comes after sampling.  Mixture seeds are scored against their
     sampled component, as in ``convergence_experiment``.
     """
     _ruled(plan, _PLAN, "plan", PreconditionError)
     seed = _check_seed(seed)
     grid = _check_grid(N_grid)
+    _ruled(tol, _TOL, "tol", PreconditionError)
     perturb = partial(apply_perturbation_plan, plan_name=plan)
-    if spec.family in _DATA_FREE:
+    if not _PARSERS[spec.family][1]:   # the family reads no data
         _perturb(perturb, [make_parsing(spec, n) for n in grid], grid)
     params = _canonical({**spec.params, "plan": plan})
     return _converge(model, spec, grid, [seed], "as", tol, params, perturb, map)
@@ -469,6 +477,8 @@ def sublinear_birkhoff_check(model: ProcessModel, observable: str = "abs_log_z_d
     _ruled(depth, _DEPTHS[observable], "depth", PreconditionError)
     seed = _check_seed(seed)
     grid = _check_grid(N_grid)
+    if tol is not None:
+        _ruled(tol, _TOL, "tol", PreconditionError)
     x = sample_trajectory(model, grid[-1] + depth, seed).symbols
     rows = []
     for n in grid:

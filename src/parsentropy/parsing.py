@@ -442,21 +442,17 @@ def extend_plan_right_one(parsing: Parsing) -> np.ndarray:
     return plan
 
 
-PERTURBATION_PLANS: dict = {
-    "trim1": ("sub", trim_plan_last_symbol),
-    "trim_half": ("sub", trim_plan_half),
-    "extend1": ("super", extend_plan_right_one),
+PERTURBATION_PLANS: dict = {   # name: (perturbation, plan builder)
+    "trim1": (perturb_subblocks, trim_plan_last_symbol),
+    "trim_half": (perturb_subblocks, trim_plan_half),
+    "extend1": (perturb_superblocks, extend_plan_right_one),
 }
 _PLAN = _one_of(tuple(PERTURBATION_PLANS))
 
 
 def apply_perturbation_plan(parsing: Parsing, plan_name: str) -> PerturbedParsing:
-    _ruled(plan_name, _PLAN, "plan_name", PreconditionError)
-    kind, builder = PERTURBATION_PLANS[plan_name]
-    plan = builder(parsing)
-    if kind == "sub":
-        return perturb_subblocks(parsing, plan)
-    return perturb_superblocks(parsing, plan)
+    perturb, builder = PERTURBATION_PLANS[_ruled(plan_name, _PLAN, "plan_name", PreconditionError)]
+    return perturb(parsing, builder(parsing))
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +465,27 @@ _BUDGET = (lambda v: v == "sqrt" or (type(v) is int and v >= 1), "a positive int
 _PARAM_SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
 _SCHEDULE = (lambda v: v in ("sqrt", "log2"), "'sqrt' or 'log2'")
 
-_PARSERS = {   # family: {parameter: rule}
-    "fixed": {"K": _K},
-    "growing": {"schedule": _SCHEDULE},
-    "lz78": {},
-    "random_sublinear": {"budget": _BUDGET, "seed": _PARAM_SEED},
-    "adversarial": {"budget": _BUDGET},
-    "counterexample_v": {"K": _EVEN_K, "epsilon": _EPSILON},
-    "counterexample_w": {"K": _EVEN_K, "epsilon": _EPSILON},
+# Each family's row: its {parameter: rule}; the inputs it reads, which make_parsing
+# refuses in this order when missing; and its builder (params, N, **inputs).  A
+# builder names parse_<family> at call time, so a rebound generator is the one called.
+_PARSERS = {
+    "fixed": ({"K": _K}, (), lambda p, N: parse_fixed(N, p["K"])),
+    "growing": ({"schedule": _SCHEDULE}, (), lambda p, N: parse_growing(N, p["schedule"])),
+    "lz78": ({}, ("traj",), lambda p, N, traj: parse_lz78(traj, N)),
+    "random_sublinear": ({"budget": _BUDGET, "seed": _PARAM_SEED}, (), lambda p, N: (
+        parse_random_sublinear(N, resolve_budget(p["budget"], N), seed=int(
+            np.random.SeedSequence([p["seed"], N]).generate_state(1)[0])))),
+    "adversarial": ({"budget": _BUDGET}, ("traj", "model"), lambda p, N, traj, model: (
+        parse_adversarial(model, traj, N, resolve_budget(p["budget"], N)))),
+    "counterexample_v": ({"K": _EVEN_K, "epsilon": _EPSILON}, ("traj", "model", "h_ref"),
+                         lambda p, N, traj, model, h_ref: parse_counterexample_v(
+                             model, traj, N, p["K"], h_ref, p["epsilon"])),
+    "counterexample_w": ({"K": _EVEN_K, "epsilon": _EPSILON}, ("traj", "model", "h_ref"),
+                         lambda p, N, traj, model, h_ref: parse_counterexample_w(
+                             model, traj, N, p["K"], h_ref, p["epsilon"])),
 }
 PARSER_FAMILIES = tuple(_PARSERS)
-_DATA_FREE = ("fixed", "growing", "random_sublinear")   # make_parsing builds them without data
+_NEEDS = {"traj": "a trajectory", "model": "a model", "h_ref": "a reference rate"}
 
 
 @dataclass(frozen=True)
@@ -490,7 +496,7 @@ class ParserSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        rules = _PARSERS[_ruled(self.family, _one_of(PARSER_FAMILIES), "family", ValueError)]
+        rules = _PARSERS[_ruled(self.family, _one_of(PARSER_FAMILIES), "family", ValueError)][0]
         if set(self.params) != set(rules):
             raise ValueError(f"family {self.family!r} takes parameters {sorted(rules)}, "
                              f"got {sorted(self.params)}")
@@ -511,33 +517,13 @@ def make_parsing(spec: ParserSpec, N: int, model: Optional[ProcessModel] = None,
                  traj: Optional[Trajectory] = None, h_ref: Optional[float] = None) -> Parsing:
     """Instantiate a spec at prefix length N.
 
-    ``traj`` is required for the data-dependent families, ``model`` for the
-    adversarial and tail-selecting ones, and ``h_ref`` (the target rate for
-    tail selection) for the counterexample v/w families.
+    The family's row in ``_PARSERS`` names the inputs it reads, of ``traj``,
+    ``model`` and ``h_ref`` (the target rate for tail selection), and builds
+    the parsing; a missing input is refused by name.
     """
-    fam = spec.family
-    if fam == "fixed":
-        return parse_fixed(N, spec.params["K"])
-    if fam == "growing":
-        return parse_growing(N, spec.params["schedule"])
-    if fam == "random_sublinear":
-        budget = resolve_budget(spec.params["budget"], N)
-        derived = int(np.random.SeedSequence([spec.params["seed"], N]).generate_state(1)[0])
-        return parse_random_sublinear(N, budget, seed=derived)
-    if traj is None:
-        raise PreconditionError(f"traj: family {fam!r} needs a trajectory")
-    if fam == "lz78":
-        return parse_lz78(traj, N)
-    if model is None:
-        raise PreconditionError(f"model: family {fam!r} needs a model")
-    if fam == "adversarial":
-        return parse_adversarial(model, traj, N, resolve_budget(spec.params["budget"], N))
-    if h_ref is None:
-        raise PreconditionError(f"h_ref: family {fam!r} needs a reference rate")
-    if fam == "counterexample_v":
-        return parse_counterexample_v(model, traj, N, spec.params["K"], h_ref,
-                                      spec.params["epsilon"])
-    if fam == "counterexample_w":
-        return parse_counterexample_w(model, traj, N, spec.params["K"], h_ref,
-                                      spec.params["epsilon"])
-    raise AssertionError("unreachable")
+    _, reads, build = _PARSERS[spec.family]
+    given = {"traj": traj, "model": model, "h_ref": h_ref}
+    for name in reads:
+        if given[name] is None:
+            raise PreconditionError(f"{name}: family {spec.family!r} needs {_NEEDS[name]}")
+    return build(spec.params, N, **{name: given[name] for name in reads})

@@ -303,9 +303,11 @@ _TWO_LIMIT = {"experiment": "counterexample", "parser": None, "tolerance": None,
      lambda m1, h1: sublinear_birkhoff_check(m1, "log_zmax_to_depth_d", depth=0), "depth"),
     ({"experiment": "birkhoff", "parser": None, "birkhoff": {"depth": 1}}, "birkhoff.depth",
      lambda m1, h1: sublinear_birkhoff_check(m1, depth=1), "depth"),
+    ({"tolerance": "0.01"}, "tolerance", lambda m1, h1: convergence_experiment(
+        m1, ParserSpec("lz78"), [100], [1], tol="0.01"), "tol"),
 ], ids=["mode", "as-seeds", "l1-seeds", "two-limits", "K-float", "K-odd", "epsilon",
         "epsilon-order", "parities", "empty-grid", "plan", "plan-experiment", "observable",
-        "index_family", "depth-log_zmax", "depth-default"])
+        "index_family", "depth-log_zmax", "depth-default", "tolerance"])
 def test_config_and_library_apply_one_rule(tmp_path, m1_file, m1, h1, overrides, key, call,
                                            argument):
     config = json.loads(_write_config(tmp_path).read_text())

@@ -369,6 +369,52 @@ def test_numpy_integers_are_lengths_and_seeds(m1):
     assert traj.symbols.tolist() == sample_trajectory(m1, 100, 7).symbols.tolist()
 
 
+# (call, the start of its message): every N_grid entry is a length, every epsilon a number
+# in (0, 1/4) and every tolerance a positive finite number, each checked as it is given
+TYPED_GRIDS_AND_TOLS = {
+    "grid-float": (lambda h1: convergence_experiment(h1, _GROWING, [100.9, 1000], [7]),
+                   r"N_grid\[0\]"),
+    "grid-bool": (lambda h1: convergence_experiment(h1, _GROWING, [True, 1000], [7]),
+                  r"N_grid\[0\]"),
+    "grid-str": (lambda h1: perturbation_experiment(h1, _GROWING, "trim1", [100, "1000000"], 7),
+                 r"N_grid\[1\]"),
+    "grid-birkhoff": (lambda h1: sublinear_birkhoff_check(h1, N_grid=[1e4]), r"N_grid\[0\]"),
+    "epsilon-str": (lambda h1: counterexample_experiment(h1, 4, ["0.1"], [1000, 1001], 7),
+                    r"epsilon_schedule\[0\]"),
+    "tol-str": (lambda h1: convergence_experiment(h1, _GROWING, [100, 1000], [7], tol="0.01"),
+                "tol"),
+    "tol-bool": (lambda h1: convergence_experiment(h1, _GROWING, [100, 1000], [7], tol=True),
+                 "tol"),
+    "tol-negative": (lambda h1: convergence_experiment(h1, _GROWING, [100, 1000], [7],
+                                                       tol=-1.0), "tol"),
+    "tol-nan": (lambda h1: convergence_experiment(h1, _GROWING, [100, 1000], [7],
+                                                  tol=float("nan")), "tol"),
+    "tol-inf-perturbation": (lambda h1: perturbation_experiment(
+        h1, _GROWING, "trim1", [100, 10**6], 7, tol=math.inf), "tol"),
+    "tol-str-birkhoff": (lambda h1: sublinear_birkhoff_check(h1, N_grid=[10_000], tol="1"),
+                         "tol"),
+    "tol-zero-birkhoff": (lambda h1: sublinear_birkhoff_check(h1, N_grid=[10_000], tol=0.0),
+                          "tol"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(TYPED_GRIDS_AND_TOLS))
+def test_grids_epsilons_and_tolerances_are_typed_before_any_work(h1, site, monkeypatch):
+    monkeypatch.setattr(estimator, "sample_trajectory", lambda *args: pytest.fail("sampled"))
+    call, where = TYPED_GRIDS_AND_TOLS[site]
+
+    def run():
+        with pytest.raises(PreconditionError, match=f"^{where}: expected "):
+            call(h1)
+    assert _enum_atoms(run) == 0
+
+
+def test_numpy_floats_are_tolerances(m1):
+    report = convergence_experiment(m1, _GROWING, [100, 1000], [7], tol=np.float64(0.5))
+    assert report.tol == 0.5 and report.verdict
+    assert sublinear_birkhoff_check(m1, N_grid=[1000], tol=np.float32(1.0)).verdict
+
+
 def test_perturbation_trim1_small(m1):
     report = perturbation_experiment(
         m1, ParserSpec("growing", {"schedule": "sqrt"}), "trim1",

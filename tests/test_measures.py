@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -45,11 +46,13 @@ from parsentropy import (
     suffix_log_probs,
     truncated_decomposition,
     validate_model,
+    validate_parsing,
     verify_martingale_property,
     zmax_tail_check,
 )
 from parsentropy.measures import RATE_TOL, _levels
-from parsentropy.parsing import growing_block_length
+from parsentropy import parsing
+from parsentropy.parsing import PARSER_FAMILIES, growing_block_length
 
 from conftest import naive_marginal_entropy, naive_word_prob
 
@@ -662,3 +665,39 @@ def test_bad_arguments_raise_precondition_errors_naming_them(site):
     with pytest.raises(PreconditionError, match=f"^{argument}: ") as caught:
         call()
     assert isinstance(caught.value, ValueError)   # every `except ValueError` still catches it
+
+
+# Each family's parameters and the inputs it reads, in the order make_parsing refuses them
+FAMILY_INPUTS = {
+    "fixed": ({"K": 4}, ()),
+    "growing": ({"schedule": "sqrt"}, ()),
+    "lz78": ({}, ("traj",)),
+    "random_sublinear": ({"budget": 4, "seed": 3}, ()),
+    "adversarial": ({"budget": 4}, ("traj", "model")),
+    "counterexample_v": ({"K": 4, "epsilon": 0.1}, ("traj", "model", "h_ref")),
+    "counterexample_w": ({"K": 4, "epsilon": 0.1}, ("traj", "model", "h_ref")),
+}
+
+_INPUTS = {"traj": _TRAJ, "model": _M1, "h_ref": 0.5}
+
+
+@pytest.mark.parametrize("family", PARSER_FAMILIES)
+def test_each_family_refuses_its_first_missing_input_and_builds_from_exactly_its_inputs(family):
+    params, reads = FAMILY_INPUTS[family]
+    spec = ParserSpec(family, params)
+    for r in range(len(reads)):   # every strict subset of the inputs it reads
+        for given in itertools.combinations(reads, r):
+            missing = next(name for name in reads if name not in given)
+            with pytest.raises(PreconditionError, match=f"^{missing}: family {family!r} needs "):
+                make_parsing(spec, 100, **{name: _INPUTS[name] for name in given})
+    built = make_parsing(spec, 100, **{name: _INPUTS[name] for name in reads})
+    assert validate_parsing(built, 100).passed
+
+
+@pytest.mark.parametrize("family", PARSER_FAMILIES)
+def test_make_parsing_calls_the_generator_bound_in_its_module(family, monkeypatch):
+    # perfbench's tracer times each parser by rebinding parse_<family> in the module
+    marker = object()
+    monkeypatch.setattr(parsing, f"parse_{family}", lambda *args, **kwargs: marker)
+    params, _ = FAMILY_INPUTS[family]
+    assert make_parsing(ParserSpec(family, params), 100, **_INPUTS) is marker

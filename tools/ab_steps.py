@@ -28,9 +28,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Which way each end-to-end metric improves, as BENCHMARK.json declares it.
-BETTER = {"wall_s": "lower", "symbols_per_s": "higher", "peak_rss_mb": "lower",
-          "setup_s": "lower"}
+# Which way each end-to-end metric improves, read from the benchmark's declaration.
+BETTER = {metric["name"]: metric["better"] for metric in json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["end_to_end"]}
 
 # One run in a fresh interpreter, started in the tree under test.
 _RUN = """
