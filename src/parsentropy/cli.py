@@ -42,6 +42,7 @@ from .errors import (
 from .measures import (
     _EPSILON,
     _EVEN_K,
+    _INTEGER,
     _K,
     _SEED,
     _canonical,
@@ -125,7 +126,7 @@ _SECTIONS = {
                        "epsilon_schedule": (lambda v: isinstance(v, list), "a list of numbers")},
     "perturbation": {"plan": _PLAN},
     "birkhoff": {"observable": _OBSERVABLE, "index_family": _INDEX_FAMILY,
-                 "depth": (lambda v: type(v) is int, "an integer")},   # its minimum: _DEPTHS
+                 "depth": _INTEGER},   # its minimum: _DEPTHS
 }
 _EXPERIMENTS = ("convergence", *_SECTIONS)
 _TOP_KEYS = {"schema_version", "experiment", "model", "parser", "n_grid", "seeds", "mode",
@@ -150,8 +151,7 @@ class ExperimentConfig:
 
 
 def _expand_grid(spec, where: str) -> tuple:
-    if not isinstance(spec, list):
-        raise ConfigError(f"{where}: expected a list of lengths, got {spec!r}")
+    _ruled(spec, (lambda v: isinstance(v, list), "a list of lengths"), where, ConfigError)
     grid = sorted({_ruled(n, _K, f"{where}[{i}]", ConfigError) for i, n in enumerate(spec)})
     return _ruled(tuple(grid), _GRID, where, ConfigError)
 
@@ -352,9 +352,8 @@ def cmd_simulate(config_path: str, workers: Optional[int] = None,
         config = parse_config(config_path)
         model = load_model(Path(config_path).parent / config.model_path
                            if not os.path.isabs(config.model_path) else config.model_path)
-        n_workers = (os.cpu_count() or 1) if workers is None else workers
-        if n_workers < 1:
-            raise ConfigError(f"workers must be a positive integer, got {workers}")
+        n_workers = _ruled((os.cpu_count() or 1) if workers is None else workers, _K, "workers",
+                           ConfigError)
     except (ConfigError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

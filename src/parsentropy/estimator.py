@@ -16,7 +16,6 @@ records, so a report never compares one estimate against another.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
@@ -31,12 +30,14 @@ from .errors import (
 )
 from .measures import (
     _EPSILON,
-    _LENGTH,
+    _K,
     _SEED,
     _canonical,
     _entropy_of,
+    _integer_in,
     _levels,
     _one_of,
+    _real,
     _ruled,
     _tail_parsing_limit,
     EntropyBracket,
@@ -80,15 +81,13 @@ _ERGODIC = (lambda name: name != MixtureModel.__name__, "an ergodic model (a mix
 _EPSILONS = (lambda v: v and all(b <= a for a, b in zip(v, v[1:])),
              "a non-empty, non-increasing list")
 # Each observable's least depth: |log Z_d| compares the depths d and d - 1.
-_DEPTHS = {"log_zmax_to_depth_d": (lambda d: d >= 1, "at least 1 for log_zmax_to_depth_d"),
-           "abs_log_z_d": (lambda d: d >= 2, "at least 2 for abs_log_z_d")}
+_DEPTHS = {name: (_integer_in(least, math.inf)[0], f"at least {least} for {name}")
+           for name, least in (("log_zmax_to_depth_d", 1), ("abs_log_z_d", 2))}
 BIRKHOFF_OBSERVABLES = tuple(_DEPTHS)
 INDEX_FAMILIES = ("prefix_sqrt", "random_sqrt")
 _OBSERVABLE = _one_of(BIRKHOFF_OBSERVABLES)
 _INDEX_FAMILY = _one_of(INDEX_FAMILIES)
-# A tolerance: finite and above 0; true is not a number, numpy floats pass.
-_TOL = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf,
-        "a positive finite number")
+_TOL = (lambda v: _real(v) and 0 < v < math.inf, "a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,7 @@ def blockwise_info(model: ProcessModel, traj: Trajectory,
 
 def smb_info(model: ProcessModel, traj: Trajectory, N: int) -> float:
     """Plain per-symbol information content -log P([x_1^N]) / N, in nats."""
-    if not 1 <= N <= len(traj):
-        raise PreconditionError(f"need 1 <= N <= trajectory length, got N={N}")
+    _ruled(N, _integer_in(1, len(traj)), "N", PreconditionError)
     lp = prefix_log_probs(model, traj.symbols[:N])[-1]
     if not np.isfinite(lp):
         raise OutOfSupportError("prefix has probability zero under the model")
@@ -276,13 +274,8 @@ def _component_targets(model: MixtureModel, spec: ParserSpec) -> tuple:
 
 
 def _check_grid(N_grid) -> list:
-    grid = [int(_ruled(n, _LENGTH, f"N_grid[{i}]", PreconditionError))
-            for i, n in enumerate(N_grid)]
+    grid = [int(_ruled(n, _K, f"N_grid[{i}]", PreconditionError)) for i, n in enumerate(N_grid)]
     return _ruled(grid, _GRID, "N_grid", PreconditionError)
-
-
-def _check_seed(seed, where: str = "seed") -> int:
-    return int(_ruled(seed, _SEED, where, PreconditionError))
 
 
 def _perturb(plan: Callable, parsings, grid) -> list:
@@ -371,7 +364,7 @@ def convergence_experiment(model: ProcessModel, spec: ParserSpec, N_grid,
     order is fixed, so results do not depend on the worker count.
     """
     grid = _check_grid(N_grid)
-    seeds = [_check_seed(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
+    seeds = [int(_ruled(s, _SEED, f"seeds[{i}]", PreconditionError)) for i, s in enumerate(seeds)]
     _ruled(target_mode, _MODE, "target_mode", PreconditionError)
     _ruled(seeds, _SEEDS[target_mode], "seeds", PreconditionError)
     _ruled(tol, _TOL, "tol", PreconditionError)
@@ -390,7 +383,7 @@ def counterexample_experiment(model: ProcessModel, K: int, epsilon_schedule: Seq
     sets the verdict.
     """
     _ruled(type(model).__name__, _ERGODIC, "model", PreconditionError)
-    seed = _check_seed(seed)
+    seed = int(_ruled(seed, _SEED, "seed", PreconditionError))
     grid = _check_grid(N_grid)
     eps = [float(_ruled(e, _EPSILON, f"epsilon_schedule[{i}]", PreconditionError))
            for i, e in enumerate(epsilon_schedule)]
@@ -450,7 +443,7 @@ def perturbation_experiment(model: ProcessModel, spec: ParserSpec, plan: str, N_
     sampled component, as in ``convergence_experiment``.
     """
     _ruled(plan, _PLAN, "plan", PreconditionError)
-    seed = _check_seed(seed)
+    seed = int(_ruled(seed, _SEED, "seed", PreconditionError))
     grid = _check_grid(N_grid)
     _ruled(tol, _TOL, "tol", PreconditionError)
     perturb = partial(apply_perturbation_plan, plan_name=plan)
@@ -475,7 +468,7 @@ def sublinear_birkhoff_check(model: ProcessModel, observable: str = "abs_log_z_d
     _ruled(observable, _OBSERVABLE, "observable", PreconditionError)
     _ruled(index_family, _INDEX_FAMILY, "index_family", PreconditionError)
     _ruled(depth, _DEPTHS[observable], "depth", PreconditionError)
-    seed = _check_seed(seed)
+    seed = int(_ruled(seed, _SEED, "seed", PreconditionError))
     grid = _check_grid(N_grid)
     if tol is not None:
         _ruled(tol, _TOL, "tol", PreconditionError)

@@ -31,8 +31,14 @@ from .errors import InsufficientLengthError, OutOfSupportError, PreconditionErro
 from .measures import (
     ProcessModel,
     Trajectory,
+    _INTEGER,
+    _K,
     _entropy_of,
+    _integer_in,
+    _integers,
     _levels,
+    _real,
+    _ruled,
     _safe_log,
     block_log_probs,
     level_probs,
@@ -40,6 +46,8 @@ from .measures import (
     prefix_log_probs,
     suffix_log_probs,
 )
+
+_THRESHOLDS = (lambda v: all(_real(t) and t > 0 for t in v), "positive thresholds")
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ def z_value(model: ProcessModel, word) -> float:
     Raises OutOfSupportError for words of probability zero (the ratio is
     undefined off the support).
     """
-    w = np.asarray(word, dtype=np.int64)
+    w = _integers(word, "word")
     full = log_cylinder_prob(model, w)
     if not np.isfinite(full):
         raise OutOfSupportError("word has probability zero under the model")
@@ -117,8 +125,7 @@ def verify_martingale_property(model: ProcessModel, n: int) -> float:
     extensions must equal P([u]) Z_n(u), i.e. the shifted probability
     P([u_2..u_n]); the residual is the absolute gap, exactly enumerated.
     """
-    if n < 1:
-        raise PreconditionError(f"n: expected a word length >= 1, got {n}")
+    _ruled(n, _K, "n", PreconditionError)
     a = model.alphabet_size
     p_prev, p_n, p_next = _levels(model, n - 1, n + 1)
     ext = p_next.reshape(-1, a)                      # P([u a])
@@ -132,8 +139,7 @@ def verify_martingale_property(model: ProcessModel, n: int) -> float:
 
 def expected_logz_check(model: ProcessModel, n: int) -> float:
     """|E[log Z_n] - (H(P_n) - H(P_{n-1}))| with both sides exactly enumerated."""
-    if n < 1:
-        raise PreconditionError(f"n: expected a word length >= 1, got {n}")
+    _ruled(n, _K, "n", PreconditionError)
     p_prev, p_n = _levels(model, n - 1, n)
     mask = p_n > 0
     z_log = _safe_log(_shifted(p_prev, p_n)[mask]) - _safe_log(p_n[mask])
@@ -149,9 +155,8 @@ def zmax_tail_check(model: ProcessModel, n: int, t_grid):
     maximum exceeds t (compared to |A|/t), and the exact probability that
     its logarithm exceeds t (compared to |A| e^{-t}).
     """
-    thresholds = [float(t) for t in t_grid]
-    if any(t <= 0 for t in thresholds):
-        raise PreconditionError(f"t_grid: expected positive thresholds, got {thresholds}")
+    _ruled(n, _K, "n", PreconditionError)
+    thresholds = [float(t) for t in _ruled(list(t_grid), _THRESHOLDS, "t_grid", PreconditionError)]
     a = model.alphabet_size
     prev, running = np.ones(1), np.full(1, -np.inf)   # P_0 and the running max of log Z
     for _, level in level_probs(model, n):   # every level once: streamed, not collected
@@ -173,8 +178,8 @@ def _split(model: ProcessModel, traj: Trajectory, n: int, reach: int = 0) -> tup
 
     The split reads ``reach`` symbols past x_n.
     """
-    if n < 1 or n + reach > len(traj):
-        raise InsufficientLengthError(f"need 1 <= n <= {len(traj) - reach}, got {n}")
+    _ruled(n, _INTEGER, "n", PreconditionError)
+    _ruled(n, _integer_in(1, len(traj) - reach), "n", InsufficientLengthError)
     x = traj.symbols[:n]
     forward = prefix_log_probs(model, x)
     if not np.isfinite(forward[-1]):
@@ -205,8 +210,7 @@ def truncated_decomposition(model: ProcessModel, traj: Trajectory, n: int, M: in
     symbols).  The j-term is fixed by the identity and is cross-checked
     against the direct summation of the per-shift differences.
     """
-    if M < 1:
-        raise PreconditionError(f"M: expected a truncation depth >= 1, got {M}")
+    _ruled(M, _K, "M", PreconditionError)
     neg_log_prob, tele = _split(model, traj, n, M)
     z_m = _log_z_windows(model, traj.symbols, np.arange(n, dtype=np.int64), M)
     i_term = float(np.sum(z_m))

@@ -58,23 +58,44 @@ _CHUNKS_PER_READ = 1 << 8
 # The sampler's guide table: equal cells of [0, 1); uniforms per slice of its count.
 _GUIDE_CELLS = 1 << 12
 _DRAWS_PER_SLICE = 1 << 14
-# A JSON value's rule: a test and what the value must be.  JSON true is not an integer.
-_K = (lambda v: type(v) is int and v >= 1, "a positive integer")
-# Rules Python arguments meet too: numpy scalars pass; true is odd, and no integer is in (0, 1/4).
-_EVEN_K = (lambda v: isinstance(v, numbers.Integral) and v >= 2 and v % 2 == 0,
-           "an even positive integer")
-_EPSILON = (lambda v: isinstance(v, numbers.Real) and 0.0 < v < 0.25, "a number in (0, 1/4)")
-_LENGTH = (lambda v: _integer(v) and v >= 1, "a trajectory length >= 1")
-_SEED = (lambda v: _integer(v) and v >= 0, "a non-negative integer")
-_NUMBER = (lambda v: type(v) in (int, float), "a number")
-_NUMBERS = (lambda v: type(v) is list and all(map(_NUMBER[0], v)), "a list of numbers")
-_MATRIX = (lambda v: type(v) is list and all(map(_NUMBERS[0], v)), "a list of lists of numbers")
-_PAIR = (lambda v: type(v) is list and list(map(type, v)) == [dict, dict], "a list of two objects")
 
 
 def _integer(v) -> bool:
     """An integer that is not a bool; numpy integers pass."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    """A real number that is not a bool; numpy integers and floats pass."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# A value's rule: a test and what the value must be.  Each numeric test is _integer's or _real's.
+_INTEGER = (_integer, "an integer")
+_K = (lambda v: _integer(v) and v >= 1, "a positive integer")
+_EVEN_K = (lambda v: _integer(v) and v >= 2 and v % 2 == 0, "an even positive integer")
+_EPSILON = (lambda v: _real(v) and 0.0 < v < 0.25, "a number in (0, 1/4)")
+_SEED = (lambda v: _integer(v) and v >= 0, "a non-negative integer")
+_NUMBER = (_real, "a number")
+_NUMBERS = (lambda v: type(v) is list and all(map(_real, v)), "a list of numbers")
+_MATRIX = (lambda v: type(v) is list and all(map(_NUMBERS[0], v)), "a list of lists of numbers")
+_PAIR = (lambda v: type(v) is list and list(map(type, v)) == [dict, dict], "a list of two objects")
+
+
+def _integer_in(lo: int, hi) -> tuple:
+    """The rule that a value is an integer in [lo, hi]."""
+    return (lambda v: _integer(v) and lo <= v <= hi, f"an integer in [{lo}, {hi}]")
+
+
+def _integers(values, where: str) -> np.ndarray:
+    """``values`` as int64; PreconditionError naming ``where`` unless integer-typed or empty.
+
+    Only the dtype is read: the check makes no pass over the values.
+    """
+    x = np.asarray(values)
+    if x.dtype.kind not in "iu" and x.size:
+        raise PreconditionError(f"{where}: expected integers, got an array of dtype {x.dtype}")
+    return x.astype(np.int64, copy=False)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -735,8 +756,8 @@ def stationary_distribution(transition) -> np.ndarray:
 
 
 def _symbols(model: ProcessModel, symbols) -> np.ndarray:
-    """``symbols`` as int64; PreconditionError names the first one outside the alphabet."""
-    x = np.asarray(symbols, dtype=np.int64)
+    """``symbols`` as int64; PreconditionError unless integers, naming any outside the alphabet."""
+    x = _integers(symbols, "symbols")
     a = model.alphabet_size
     if x.size and (x.min() < 0 or x.max() >= a):
         i = int(np.flatnonzero((x < 0) | (x >= a))[0])
@@ -746,7 +767,7 @@ def _symbols(model: ProcessModel, symbols) -> np.ndarray:
 
 def log_cylinder_prob(model: ProcessModel, word) -> float:
     """Exact log-probability of the cylinder of ``word``; -inf off support."""
-    w = np.asarray(word, dtype=np.int64)
+    w = _integers(word, "word")
     if w.ndim != 1 or w.shape[0] == 0:
         raise PreconditionError(f"word: expected a non-empty 1-d sequence, got shape {w.shape}")
     return float(prefix_log_probs(model, w)[-1])
@@ -781,9 +802,8 @@ def block_log_probs(model: ProcessModel, symbols, starts, ends) -> np.ndarray:
     symbol array.  Symbols past the last block end are not read.  This is the
     workhorse behind blockwise information sums.
     """
-    x = np.asarray(symbols, dtype=np.int64)
-    s = np.asarray(starts, dtype=np.int64)
-    e = np.asarray(ends, dtype=np.int64)
+    x = _integers(symbols, "symbols")
+    s, e = _integers(starts, "starts, ends"), _integers(ends, "starts, ends")
     if s.shape != e.shape:
         raise PreconditionError(f"starts, ends: expected equal shapes, got {s.shape}, {e.shape}")
     if s.shape[0] == 0:
@@ -828,7 +848,7 @@ def sample_trajectory(model: ProcessModel, n: int, seed: int) -> Trajectory:
     first, then all emissions; mixtures draw the component label first and
     then delegate to it with the same generator.
     """
-    _ruled(n, _LENGTH, "n", PreconditionError)
+    _ruled(n, _K, "n", PreconditionError)
     _ruled(seed, _SEED, "seed", PreconditionError)
     _require_valid(model, "cannot sample")
     symbols, comp = model._sample(n, np.random.default_rng(seed))
@@ -846,8 +866,7 @@ def level_probs(model: ProcessModel, n_max: int) -> Iterator:
     Ranks are base-``|A|`` encodings with the first symbol most significant.
     Over ``ENUM_CAP`` atoms, CapExceededError comes first.
     """
-    if n_max < 1:
-        raise PreconditionError(f"n_max: expected a length >= 1, got {n_max}")
+    _ruled(n_max, _K, "n_max", PreconditionError)
     a = model.alphabet_size
     if a ** n_max > ENUM_CAP:
         raise CapExceededError(f"enumeration of {a}^{n_max} atoms exceeds the cap of {ENUM_CAP}")
@@ -861,6 +880,7 @@ def _levels(model: ProcessModel, lo: int, hi: int) -> list:
 
 def marginal_entropy(model: ProcessModel, n: int) -> float:
     """Exact Shannon entropy of the n-th marginal, by full enumeration (nats)."""
+    _ruled(n, _K, "n", PreconditionError)
     return _entropy_of(*_levels(model, n, n))
 
 
@@ -870,6 +890,7 @@ def beta_sequence(model: ProcessModel, n_max: int) -> np.ndarray:
     Non-increasing, and flat from n = m+1 on exactly for Markov sources of
     order <= m; the limit is the entropy rate.
     """
+    _ruled(n_max, _K, "n_max", PreconditionError)
     return np.diff([_entropy_of(level) for level in _levels(model, 0, n_max)])
 
 
@@ -941,15 +962,18 @@ def _read_json(path, error: type) -> dict:
 
 
 def _write_json(path, obj) -> None:
-    """Write ``obj`` to ``path``: JSON indented by 2, sorted keys, an LF at the end."""
+    """Write ``obj`` to ``path`` as ``_canonical`` writes it, but indented by 2 and LF-ended."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=np.generic.item)
         fh.write("\n")
 
 
 def _canonical(obj) -> str:
-    """``obj`` as compact JSON with sorted keys: the text behind every id, hash and params cell."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """``obj`` as compact JSON with sorted keys, a numpy scalar as the Python number it holds.
+
+    This is the text behind every id, hash and params cell.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=np.generic.item)
 
 
 def _one_of(names: tuple) -> tuple:

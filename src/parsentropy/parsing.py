@@ -29,8 +29,11 @@ from .measures import (
     _EPSILON,
     _EVEN_K,
     _K,
+    _SEED,
     _canonical,
     _frozen_array,
+    _integer_in,
+    _integers,
     _one_of,
     _ruled,
     ProcessModel,
@@ -179,8 +182,8 @@ def validate_perturbed(perturbed: PerturbedParsing) -> ParsingValidation:
 
 def parse_fixed(N: int, K: int) -> Parsing:
     """Blocks of length K; the final block is shorter when K does not divide N."""
-    if not 1 <= K <= N:
-        raise PreconditionError(f"need 1 <= K <= N, got K={K}, N={N}")
+    _ruled(N, _K, "N", PreconditionError)
+    _ruled(K, _integer_in(1, N), "K", PreconditionError)
     bounds = np.arange(K, N + 1, K, dtype=np.int64)
     if bounds.shape[0] == 0 or bounds[-1] != N:
         bounds = np.concatenate((bounds, [N]))
@@ -189,15 +192,14 @@ def parse_fixed(N: int, K: int) -> Parsing:
 
 def growing_block_length(N: int, schedule: str) -> int:
     if _ruled(schedule, _SCHEDULE, "schedule", PreconditionError) == "log2":
-        return max(1, (N - 1).bit_length())
+        return max(1, int(N - 1).bit_length())
     k = math.isqrt(N)
     return k if k * k == N else k + 1
 
 
 def parse_growing(N: int, schedule: str) -> Parsing:
     """Fixed blocks of N-dependent length (ceil sqrt(N) or ceil log2(N))."""
-    if N < 2:
-        raise PreconditionError("N must be >= 2")
+    _ruled(N, _integer_in(2, math.inf), "N", PreconditionError)
     return parse_fixed(N, growing_block_length(N, schedule))
 
 
@@ -213,8 +215,7 @@ def parse_lz78(traj: Trajectory, N: int) -> Parsing:
     does, found by stepping from the previous phrase's length over the
     prefix's bytes (one fixed-width item per symbol).
     """
-    if not 1 <= N <= len(traj):
-        raise PreconditionError(f"need 1 <= N <= trajectory length, got N={N}")
+    _ruled(N, _integer_in(1, len(traj)), "N", PreconditionError)
     x = traj.symbols[:N]
     x = x.astype(np.promote_types(np.min_scalar_type(x.min()), np.min_scalar_type(x.max())))
     word, end, w = x.tobytes(), x.nbytes, x.itemsize
@@ -241,8 +242,7 @@ def parse_lz78(traj: Trajectory, N: int) -> Parsing:
 
 def parse_random_sublinear(N: int, budget: int, seed: int) -> Parsing:
     """Exactly ``budget`` blocks with interior boundaries drawn uniformly."""
-    if not 1 <= budget <= N:
-        raise PreconditionError(f"need 1 <= budget <= N, got budget={budget}, N={N}")
+    _ruled(budget, _integer_in(1, N), "budget", PreconditionError)
     rng = np.random.default_rng(seed)
     interior = rng.choice(N - 1, size=budget - 1, replace=False) + 1 if budget > 1 else []
     bounds = np.concatenate((np.sort(np.asarray(interior, dtype=np.int64)), [N]))
@@ -291,10 +291,8 @@ def parse_adversarial(model: ProcessModel, traj: Trajectory, N: int, budget: int
     OutOfSupportError when the word has probability 0 under the model.
     Deterministic in all inputs.
     """
-    if not 1 <= budget <= N:
-        raise PreconditionError(f"need 1 <= budget <= N, got budget={budget}, N={N}")
-    if N > len(traj):
-        raise PreconditionError("trajectory shorter than requested prefix")
+    _ruled(N, _integer_in(1, len(traj)), "N", PreconditionError)
+    _ruled(budget, _integer_in(1, N), "budget", PreconditionError)
     x = traj.symbols[:N]
     local = cut_penalties(model, x)
     if local is not None:
@@ -328,8 +326,7 @@ def parse_counterexample_v(model: ProcessModel, traj: Trajectory, N: int, K: int
     """
     _ruled(K, _EVEN_K, "K", PreconditionError)
     _ruled(epsilon, _EPSILON, "epsilon", PreconditionError)
-    if N > len(traj):
-        raise PreconditionError("trajectory shorter than requested prefix")
+    _ruled(N, _integer_in(1, len(traj)), "N", PreconditionError)
     if N < 2 * K:
         raise WindowEmptyError(f"N = {N} too small for tail selection with K = {K}")
     lo = max(1, math.ceil((0.5 - epsilon) * N))
@@ -368,11 +365,9 @@ def parse_counterexample_w(model: ProcessModel, traj: Trajectory, N: int, K: int
 
 
 def _as_plan(plan, c: int, name: str) -> np.ndarray:
-    arr = np.asarray(plan, dtype=np.int64)
-    if arr.shape != (c, 2):
-        raise PreconditionError(f"{name}: expected shape ({c}, 2), got {arr.shape}")
-    if arr.min() < 0:
-        raise PreconditionError(f"{name}: expected non-negative entries, got {int(arr.min())}")
+    arr = _integers(plan, name)
+    _ruled(arr.shape, (lambda shape: shape == (c, 2), f"shape ({c}, 2)"), name, PreconditionError)
+    _ruled(int(arr.min()), (lambda low: low >= 0, "non-negative entries"), name, PreconditionError)
     return arr
 
 
@@ -459,10 +454,7 @@ def apply_perturbation_plan(parsing: Parsing, plan_name: str) -> PerturbedParsin
 # Parser specifications
 # ---------------------------------------------------------------------------
 
-# A parameter's rule, as measures._K: a test of its value and what the value
-# must be.  JSON true is not an integer, and a numpy seed would not write to JSON.
-_BUDGET = (lambda v: v == "sqrt" or (type(v) is int and v >= 1), "a positive integer or 'sqrt'")
-_PARAM_SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_BUDGET = (lambda v: _K[0](v) or v == "sqrt", "a positive integer or 'sqrt'")
 _SCHEDULE = (lambda v: v in ("sqrt", "log2"), "'sqrt' or 'log2'")
 
 # Each family's row: its {parameter: rule}; the inputs it reads, which make_parsing
@@ -472,7 +464,7 @@ _PARSERS = {
     "fixed": ({"K": _K}, (), lambda p, N: parse_fixed(N, p["K"])),
     "growing": ({"schedule": _SCHEDULE}, (), lambda p, N: parse_growing(N, p["schedule"])),
     "lz78": ({}, ("traj",), lambda p, N, traj: parse_lz78(traj, N)),
-    "random_sublinear": ({"budget": _BUDGET, "seed": _PARAM_SEED}, (), lambda p, N: (
+    "random_sublinear": ({"budget": _BUDGET, "seed": _SEED}, (), lambda p, N: (
         parse_random_sublinear(N, resolve_budget(p["budget"], N), seed=int(
             np.random.SeedSequence([p["seed"], N]).generate_state(1)[0])))),
     "adversarial": ({"budget": _BUDGET}, ("traj", "model"), lambda p, N, traj, model: (

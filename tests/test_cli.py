@@ -330,6 +330,15 @@ def test_simulate_rejects_worker_count_below_one(tmp_path, m1_file, workers):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("workers", [True, 2.5, "2"])
+def test_simulate_refuses_a_worker_count_that_is_not_an_integer(tmp_path, m1_file, capsys,
+                                                                 workers):
+    path = _write_config(tmp_path)
+    assert cmd_simulate(str(path), workers=workers, out_dir=str(tmp_path / "o")) == 4
+    assert capsys.readouterr().err.startswith("error: workers: expected a positive integer, got ")
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

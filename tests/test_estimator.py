@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsentropy import (
+    BirkhoffSeries,
     BudgetNotSubextensiveError,
     GapTooSmallError,
     HiddenMarkovModel,
@@ -521,3 +523,93 @@ def test_mixture_run_refuses_before_any_enumeration(spec, message):
         with pytest.raises(PreconditionError, match=message):
             convergence_experiment(H1_COIN, spec, [1000, 2000], [7])
     assert _enum_atoms(run) == 0
+
+
+# ---------------------------------------------------------------------------
+# Verdict rules, on synthetic records: nothing is sampled
+# ---------------------------------------------------------------------------
+
+
+def _record(N, seed=7, deviation=0.0, blockwise_info=0.0):
+    return SimpleNamespace(N=N, seed=seed, deviation=deviation, blockwise_info=blockwise_info)
+
+
+def _scored(records):
+    """A ``map_fn`` whose one cell is ``records``: the verdict sees only them."""
+    return lambda fn, tasks: [records]
+
+
+@pytest.mark.parametrize("ratios,refused", [
+    ([0.05, 0.02], True),                     # ends at 0.02, not below 0.01
+    ([0.05, 0.0099], False),
+    ([0.005, 0.005 + 2e-12, 0.001], True),    # rises once by more than 1e-12
+    ([0.005, 0.005 + 5e-13, 0.001], False),   # a rise within 1e-12 is rounding
+], ids=["ends-at-2%", "ends-below-1%", "rises", "rises-within-rounding"])
+def test_a_perturbation_plan_must_not_rise_and_must_end_below_one_percent(ratios, refused):
+    parsings = [SimpleNamespace(modification=r) for r in ratios]   # at N = 1, ratio = modification
+    args = (lambda p: p, parsings, [1] * len(ratios))
+    if refused:
+        with pytest.raises(BudgetNotSubextensiveError, match="^modification ratios along the grid"):
+            estimator._perturb(*args)
+    else:
+        assert estimator._perturb(*args) == parsings
+
+
+def test_the_as_verdict_takes_the_largest_deviation_in_the_last_quarter_of_the_grid(m1):
+    grid = [100 * k for k in range(1, 9)]            # its last quarter: 700 and 800
+    deviation = {600: 0.5, 700: 0.02, 800: 0.005}
+    records = [_record(n, deviation=deviation.get(n, 0.0)) for n in grid]
+    report = convergence_experiment(m1, _GROWING, grid, [7], tol=0.01, map_fn=_scored(records))
+    assert (report.tail_deviation, report.verdict) == (0.02, False)
+
+
+@pytest.mark.parametrize("spread", [0.1, 1e-4])
+def test_the_l1_verdict_takes_the_mean_deviation_within_three_standard_errors(m1, spread):
+    seeds = list(range(20))
+    deviations = [0.0] * 15 + [0.04] * 5              # mean 0.01, median 0
+    values = [0.5 + spread * (-1) ** s for s in seeds]
+    records = [_record(1000, s, d, v) for s, d, v in zip(seeds, deviations, values)]
+    report = convergence_experiment(m1, _GROWING, [1000], seeds, target_mode="l1", tol=0.005,
+                                    map_fn=_scored(records))
+    standard_error = float(np.std(values, ddof=1)) / math.sqrt(20)
+    assert report.l1_deviation == pytest.approx(0.01, rel=1e-12)
+    assert report.effective_tol == pytest.approx(max(0.005, 3 * standard_error), rel=1e-12)
+    assert report.verdict == (spread == 0.1)          # 3 x 0.0230 passes 0.01; 0.005 does not
+
+
+def _two_limit_run(h1, monkeypatch, grid, factor):
+    """The two-limit report on records at ``factor(N)`` times each cell's limit."""
+    def cell(args):
+        _, _, cells, _, _ = args
+        return [_record(n, blockwise_info=target.mid * factor(n)) for n, _, _, target in cells]
+    monkeypatch.setattr(estimator, "_seed_cell", cell)
+    return counterexample_experiment(h1, 4, [0.1], grid, 7)
+
+
+@pytest.mark.parametrize("even,odd,verdicts", [
+    (1.03, 0.97, (False, False, False)),   # the parity gap misses gap by 1.5 tol_gap
+    (1.03, 1.03, (False, False, True)),    # both 3% high: the gap holds
+    (1.01, 0.99, (True, True, True)),      # misses gap by tol_gap / 2
+])
+def test_the_two_limit_verdict_checks_each_limit_and_their_gap(h1, monkeypatch, even, odd,
+                                                               verdicts):
+    report = _two_limit_run(h1, monkeypatch, [1000, 1001, 1002, 1003],
+                            lambda n: odd if n % 2 else even)
+    assert (report.even_ok, report.odd_ok, report.gap_ok) == verdicts
+    assert report.tol_gap == report.tol_even + report.tol_odd
+
+
+def test_the_two_limit_window_holds_at_least_four_points(h1, monkeypatch):
+    # six points: a quarter is two, so the window is the last four, 1002 to 1005
+    factor = {1000: 2.0, 1001: 2.0, 1002: 1.01, 1003: 1.01}
+    report = _two_limit_run(h1, monkeypatch, list(range(1000, 1006)), lambda n: factor.get(n, 1.0))
+    assert report.even_tail_avg == pytest.approx(1.005 * report.limit_even, rel=1e-12)
+    assert report.odd_tail_avg == pytest.approx(1.005 * report.limit_odd.mid, rel=1e-12)
+
+
+def test_a_birkhoff_series_passes_only_below_its_tolerance():
+    def verdict(final, tol=0.01):
+        return BirkhoffSeries(rows=((1000, 0.5), (10_000, final)), observable="abs_log_z_d",
+                              index_family="prefix_sqrt", depth=8, tol=tol).verdict
+    assert (verdict(0.0099), verdict(0.01), verdict(0.0101)) == (True, False, False)
+    assert verdict(0.0101, tol=None) is None

@@ -13,6 +13,7 @@ from parsentropy import (
     ENUM_CAP,
     CapExceededError,
     HiddenMarkovModel,
+    InsufficientLengthError,
     IIDModel,
     MarkovModel,
     MixtureModel,
@@ -22,6 +23,7 @@ from parsentropy import (
     Trajectory,
     beta_sequence,
     block_log_probs,
+    chain_rule_decomposition,
     cut_penalties,
     discrepancy_gap,
     entropy_rate,
@@ -35,19 +37,27 @@ from parsentropy import (
     model_id,
     model_to_dict,
     oracle_target,
+    parse_adversarial,
+    parse_counterexample_v,
+    parse_fixed,
     parse_growing,
+    parse_lz78,
+    parse_random_sublinear,
     perturb_subblocks,
     perturb_superblocks,
     prefix_log_probs,
     reference_model,
     sample_trajectory,
     save_model,
+    smb_info,
     stationary_distribution,
+    sublinear_birkhoff_check,
     suffix_log_probs,
     truncated_decomposition,
     validate_model,
     validate_parsing,
     verify_martingale_property,
+    z_value,
     zmax_tail_check,
 )
 from parsentropy.measures import RATE_TOL, _levels
@@ -656,6 +666,43 @@ BAD_ARGUMENTS = {
     "make_parsing.h_ref": (lambda: make_parsing(ParserSpec("counterexample_v",
                                                            {"K": 4, "epsilon": 0.1}),
                                                 100, model=_M1, traj=_TRAJ), "h_ref"),
+    # a count, length or depth is an integer (not a bool), and a bound by N or by the
+    # trajectory length comes after the type: each of these ran, or failed untyped, before
+    "parse_fixed.K": (lambda: parse_fixed(10, 2.5), "K"),
+    "parse_growing.N": (lambda: parse_growing(100.5, "sqrt"), "N"),
+    "parse_lz78.N": (lambda: parse_lz78(_TRAJ, 2.5), "N"),
+    "parse_random_sublinear.budget": (lambda: parse_random_sublinear(100, 2.5, 1), "budget"),
+    "parse_adversarial.N": (lambda: parse_adversarial(_M1, _TRAJ, 50.5, 4), "N"),
+    "parse_adversarial.budget": (lambda: parse_adversarial(_M1, _TRAJ, 50, True), "budget"),
+    "parse_counterexample_v.N": (lambda: parse_counterexample_v(_M1, _TRAJ, 60.5, 4, 0.5, 0.1),
+                                 "N"),
+    "level_probs.float": (lambda: next(level_probs(_M1, 2.5)), "n_max"),
+    "marginal_entropy": (lambda: marginal_entropy(_M1, 2.5), "n"),
+    "beta_sequence": (lambda: beta_sequence(_M1, True), "n_max"),
+    "verify_martingale_property.bool": (lambda: verify_martingale_property(_M1, True), "n"),
+    "expected_logz_check.bool": (lambda: expected_logz_check(_M1, True), "n"),
+    "zmax_tail_check.n": (lambda: zmax_tail_check(_M1, 2.5, (1.5,)), "n"),
+    "chain_rule_decomposition.n": (lambda: chain_rule_decomposition(_M1, _TRAJ, 2.5), "n"),
+    "truncated_decomposition.n": (lambda: truncated_decomposition(_M1, _TRAJ, True, 2), "n"),
+    "truncated_decomposition.M": (lambda: truncated_decomposition(_M1, _TRAJ, 50, 2.5), "M"),
+    "smb_info.N": (lambda: smb_info(_M1, _TRAJ, 2.5), "N"),
+    "sublinear_birkhoff_check.depth": (lambda: sublinear_birkhoff_check(
+        _M1, "log_zmax_to_depth_d", N_grid=[1000], depth=True), "depth"),
+    # symbols, starts, ends and plans are integer arrays: floats are not truncated, bools
+    # not read as 0/1
+    "prefix_log_probs.float": (lambda: prefix_log_probs(_M1, [0.9, 1.2]), "symbols"),
+    "suffix_log_probs.bool": (lambda: suffix_log_probs(_M1, np.array([True, False])), "symbols"),
+    "block_log_probs.float": (lambda: block_log_probs(_M1, [0, 1, 1, 0], [0.5], [3.7]),
+                              "starts, ends"),
+    "block_log_probs.symbols": (lambda: block_log_probs(_M1, [0.0, 1.0], [0], [2]), "symbols"),
+    "log_cylinder_prob.float": (lambda: log_cylinder_prob(_M1, [0.5, 1.0]), "word"),
+    "z_value.bool": (lambda: z_value(_M1, [True, False]), "word"),
+    "perturb_subblocks.float": (lambda: perturb_subblocks(_SQRT, np.full((10, 2), 0.5)),
+                                "trim_plan"),
+    "perturb_subblocks.shape-int": (lambda: perturb_subblocks(
+        _SQRT, np.zeros((9, 2), dtype=int)), "trim_plan"),
+    "perturb_superblocks.sign-int": (lambda: perturb_superblocks(
+        _SQRT, -np.ones((10, 2), dtype=int)), "extend_plan"),
 }
 
 
@@ -665,6 +712,39 @@ def test_bad_arguments_raise_precondition_errors_naming_them(site):
     with pytest.raises(PreconditionError, match=f"^{argument}: ") as caught:
         call()
     assert isinstance(caught.value, ValueError)   # every `except ValueError` still catches it
+
+
+def test_out_of_range_lengths_keep_their_error_class():
+    # a length the trajectory cannot hold is an InsufficientLengthError, a type error is not
+    with pytest.raises(InsufficientLengthError, match=r"^n: expected an integer in \[1, 98\]"):
+        truncated_decomposition(_M1, _TRAJ, 99, 2)
+    with pytest.raises(InsufficientLengthError, match="^n: "):
+        chain_rule_decomposition(_M1, _TRAJ, 0)
+
+
+def test_empty_and_numpy_integer_inputs_still_evaluate():
+    assert prefix_log_probs(_M1, []).tolist() == [0.0]   # np.asarray([]) is float64
+    assert block_log_probs(_M1, [], [], []).shape == (0,)
+    word = [0, 1, 1, 0]
+    for kind in (np.uint8, np.int32):
+        assert log_cylinder_prob(_M1, np.array(word, dtype=kind)) == log_cylinder_prob(_M1, word)
+        assert (block_log_probs(_M1, np.array(word, dtype=kind), np.array([0], dtype=kind),
+                                np.array([3], dtype=kind)).tolist()
+                == block_log_probs(_M1, word, [0], [3]).tolist())
+
+
+def test_numpy_scalars_pass_as_parameters_and_are_written_as_plain_numbers():
+    spec = ParserSpec("counterexample_v", {"K": np.int64(4), "epsilon": 0.1})
+    assert spec.describe() == '{"K":4,"epsilon":0.1}'
+    spec = ParserSpec("random_sublinear", {"budget": np.int32(4), "seed": np.uint64(3)})
+    assert spec.describe() == ParserSpec("random_sublinear", {"budget": 4, "seed": 3}).describe()
+    assert (make_parsing(spec, 100).boundaries.tolist()
+            == make_parsing(ParserSpec("random_sublinear", {"budget": 4, "seed": 3}),
+                            100).boundaries.tolist())
+    d = {"alphabet_size": np.int64(2), "variant": "markov",
+         "transition": [[np.float64(0.7), 0.3], [0.2, np.float64(0.8)]],
+         "initial": [0.4, np.float64(0.6)]}
+    assert model_id(model_from_dict(d)) == model_id(_M1)
 
 
 # Each family's parameters and the inputs it reads, in the order make_parsing refuses them
