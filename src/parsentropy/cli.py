@@ -129,6 +129,7 @@ _SECTIONS = {
                  "depth": _INTEGER},   # its minimum: _DEPTHS
 }
 _EXPERIMENTS = ("convergence", *_SECTIONS)
+_SCHEMA_VERSION = (lambda v: _INTEGER[0](v) and v == 1, "the integer 1")
 _TOP_KEYS = {"schema_version", "experiment", "model", "parser", "n_grid", "seeds", "mode",
              "tolerance", *_SECTIONS}
 
@@ -179,8 +180,7 @@ def parse_config(path) -> ExperimentConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    if raw.get("schema_version") != 1:
-        raise ConfigError(f"{path}: schema_version must be 1")
+    _ruled(raw.get("schema_version"), _SCHEMA_VERSION, f"{path}:schema_version", ConfigError)
     experiment = _ruled(raw.get("experiment"), _one_of(_EXPERIMENTS), f"{path}:experiment", ConfigError)
     if "model" not in raw or not isinstance(raw["model"], str):
         raise ConfigError(f"{path}: 'model' must be a file path")

@@ -303,17 +303,17 @@ def _seed_cell(args) -> list:
     model, seed, cells, h_ref, plan = args
     grid = [cell[0] for cell in cells]
     traj = sample_trajectory(model, grid[-1], seed)
-    prefix_logs = prefix_log_probs(model, traj.symbols)
+    at_grid = prefix_log_probs(model, traj.symbols)[grid]   # log P(x[:n]); the scan is dropped
     parsings = (make_parsing(spec, n, model=model, traj=traj, h_ref=h_ref)
                 for n, spec, _, _ in cells)
     if plan is not None:
         parsings = _perturb(plan, parsings, grid)
     records = []
-    for (n, spec, params, target), parsing in zip(cells, parsings):
+    for (n, spec, params, target), parsing, log_p in zip(cells, parsings, at_grid):
         if isinstance(target, tuple):
             target = target[traj.component]
         blockwise = blockwise_info(model, traj, parsing)
-        smb = -float(prefix_logs[n]) / n
+        smb = -float(log_p) / n
         records.append(EstimatorRecord(
             N=n, seed=traj.seed, parser_family=spec.family, parser_params=params,
             blockwise_info=blockwise, smb_info=smb, residual=blockwise - smb,

@@ -37,7 +37,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from functools import partialmethod
+from functools import partial, partialmethod
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -58,6 +58,8 @@ _CHUNKS_PER_READ = 1 << 8
 # The sampler's guide table: equal cells of [0, 1); uniforms per slice of its count.
 _GUIDE_CELLS = 1 << 12
 _DRAWS_PER_SLICE = 1 << 14
+# Bound the Markov engines' temporaries: symbol pairs per chunk of a running sum.
+_PAIRS_PER_CHUNK = 1 << 14
 
 
 def _integer(v) -> bool:
@@ -88,14 +90,18 @@ def _integer_in(lo: int, hi) -> tuple:
 
 
 def _integers(values, where: str) -> np.ndarray:
-    """``values`` as int64; PreconditionError naming ``where`` unless integer-typed or empty.
+    """``values`` as integers; PreconditionError naming ``where`` unless integer-typed or empty.
 
-    Only the dtype is read: the check makes no pass over the values.
+    An integer array keeps its dtype and an empty one of another becomes int64:
+    a caller that does arithmetic on the values widens them.  Only the dtype is
+    read: the check makes no pass over the values.
     """
     x = np.asarray(values)
-    if x.dtype.kind not in "iu" and x.size:
+    if x.dtype.kind in "iu":
+        return x
+    if x.size:
         raise PreconditionError(f"{where}: expected integers, got an array of dtype {x.dtype}")
-    return x.astype(np.int64, copy=False)
+    return x.astype(np.int64)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -120,7 +126,10 @@ def _entropy_of(level: np.ndarray) -> float:
 class Trajectory:
     """A sampled finite prefix with its seed provenance.
 
-    ``component`` records the index drawn for mixture models (None otherwise).
+    ``symbols`` keep the integer dtype they are given; a sampled trajectory
+    holds them in ``np.min_scalar_type(A - 1)``, one byte per symbol up to 256
+    symbols, so arithmetic on their values widens them first.  ``component``
+    records the index drawn for mixture models (None otherwise).
     """
 
     symbols: np.ndarray
@@ -129,7 +138,7 @@ class Trajectory:
     component: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", _frozen_array(self.symbols, dtype=np.int64))
+        object.__setattr__(self, "symbols", _frozen_array(_integers(self.symbols, "symbols"), None))
 
     def __len__(self) -> int:
         return self.symbols.shape[0]
@@ -211,23 +220,69 @@ def _alphabet_check(prefix: str, model: "ProcessModel") -> ValidationCheck:
     return _check(prefix + "alphabet_size", 0.0 if model.alphabet_size >= 2 else 1.0, 0.0)
 
 
-def _window_sums(logs: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Sums of ``logs[s[i]:e[i]]``, exactly -inf where a window holds a zero factor.
+def _chunks(n: int) -> list:
+    """The chunks ``(a, b)`` of at most ``_PAIRS_PER_CHUNK`` that cover 0..n-1, in order."""
+    return [(a, min(a + _PAIRS_PER_CHUNK, n)) for a in range(0, n, _PAIRS_PER_CHUNK)]
 
-    The finite parts and the zero factors are cumulated separately, so a
-    zero factor outside a window cannot turn its sum into inf - inf.
+
+def _running_sums_at(values, rows: int, n: int, *points) -> list:
+    """R[p] for each array ``p`` of ``points``: R[k] sums the first k of n values, R[0] = 0.
+
+    ``values(a, b)`` gives values a..b-1 as the columns of ``rows`` rows (a
+    1-d array for one row), each row one running sum, in a new array that
+    is summed in place.  They come one chunk at a time, and each chunk's
+    cumsum starts from the running sum before it, so every R[k] is the float
+    that one cumsum over all n values gives.  Each array of points is read
+    in increasing order; one that is not sorted is sorted once.
     """
-    zero = np.isneginf(logs)
-    cs = np.concatenate(([0.0], np.where(zero, 0.0, logs).cumsum()))
-    cz = np.concatenate(([0], zero.cumsum()))
-    out = cs[e] - cs[s]
-    out[cz[e] > cz[s]] = -np.inf
+    picks = []
+    for p in points:
+        order = None if (p[1:] >= p[:-1]).all() else p.argsort(kind="stable")
+        picks.append((p if order is None else p[order], order, np.zeros((rows, p.shape[0]))))
+    carry = np.zeros(rows)
+    for a, b in _chunks(n):
+        run = values(a, b).reshape(rows, -1)
+        run[:, 0] += carry                              # R[a] + values[a]: the sum commutes
+        np.cumsum(run, axis=1, out=run)                 # run[:, j] = R[a + 1 + j]
+        for p, _, out in picks:
+            lo, hi = p.searchsorted([a, b], side="right")   # the points in (a, b]
+            out[:, lo:hi] = run.take(p[lo:hi] - (a + 1), axis=1)
+        carry = run[:, -1]
+    for _, order, out in picks:
+        if order is not None:
+            out[:, order] = out.copy()
+    return [out for _, _, out in picks]
+
+
+def _window_sums(logs, n: int, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Sums of the logs s[i]..e[i]-1 of n, exactly -inf where a window holds a zero factor.
+
+    ``logs(a, b)`` gives logs a..b-1.  The finite parts and the zero factors
+    are cumulated separately, so a zero factor outside a window cannot turn
+    its sum into inf - inf.
+    """
+    def parts(a: int, b: int) -> np.ndarray:
+        chunk = logs(a, b)
+        zero = np.isneginf(chunk)
+        return np.stack((np.where(zero, 0.0, chunk), zero))
+
+    (cs, cz), (ce, ze) = _running_sums_at(parts, 2, n, s, e)
+    out = ce - cs
+    out[ze > cz] = -np.inf
     return out
 
 
-def _pair_logs(log_t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``log_t[x[:-1], x[1:]]``, the log transition of every step of ``x``, as one flat take."""
-    return log_t.reshape(-1).take(x[:-1] * log_t.shape[1] + x[1:])
+def _pair_logs(log_t: np.ndarray, x: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
+    """``log_t[x[a:b], x[a + 1:b + 1]]``, the log transitions of pairs a..b-1, as one flat take.
+
+    The flat index reaches A^2 - 1, so the symbols widen to ``np.intp`` first:
+    in a narrow symbol type it would wrap.  The logs go into ``out`` if given;
+    the index is in range, and mode "clip" lets ``take`` write there unbuffered.
+    """
+    w = x[a:b + 1].astype(np.intp)
+    index = w[:-1] * log_t.shape[1]
+    index += w[1:]
+    return log_t.reshape(-1).take(index, out=out, mode="clip")
 
 
 def _chunk_len(n: int) -> int:
@@ -279,7 +334,8 @@ def _walk_chain(initial: np.ndarray, transition: np.ndarray, u: np.ndarray) -> n
     through one extra column of the draw table, whatever the state.  The
     steps are laid out chunk-major (row j holds step j of every chunk), the
     maps composed per chunk, the chunk starts walked, and the chunks filled
-    in row by row.
+    in row by row.  The states keep the draw table's dtype,
+    ``np.min_scalar_type(k - 1)``.
     """
     k, n = transition.shape[0], u.shape[0]
     table, place = _inverse_cdf(np.vstack((transition, initial)), u)
@@ -303,7 +359,7 @@ def _walk_chain(initial: np.ndarray, transition: np.ndarray, u: np.ndarray) -> n
     path = np.empty((m, c), dtype=draws.dtype)
     for j in range(m):
         starts = path[j] = flat.take(row.take(starts) + steps[j])
-    return path.T.astype(np.int64, order="C").reshape(-1)[:n]
+    return np.ascontiguousarray(path.T).reshape(-1)[:n]
 
 
 def _log_sum_exp(t: np.ndarray, axis: int) -> np.ndarray:
@@ -417,31 +473,45 @@ class MarkovModel(_Model):
     def _prefix(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(x.shape[0] + 1)
         if x.shape[0]:
+            log_t = _safe_log(self.transition)
+            for a, b in _chunks(x.shape[0] - 1):   # out[a + 1]: the sum of the pairs before a
+                part = out[a + 1:b + 2]
+                _pair_logs(log_t, x, a, b, out=part[1:])
+                np.cumsum(part, out=part)
             out[1] = _safe_log(self.initial)[x[0]]
-            np.cumsum(_pair_logs(_safe_log(self.transition), x), out=out[2:])
             out[2:] += out[1]
         return out
 
     def _suffix(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(x.shape[0] + 1)
-        if x.shape[0]:
-            out[:-2] = _pair_logs(_safe_log(self.transition), x)[::-1].cumsum()[::-1]
-            out[:-1] += _safe_log(self.initial)[x]
+        log_t, log_pi = _safe_log(self.transition), _safe_log(self.initial)
+        for a, b in reversed(_chunks(x.shape[0] - 1)):   # out[b]: the sum of the pairs from b
+            _pair_logs(log_t, x, a, b, out=out[a:b])
+            part = out[a:b + 1][::-1]
+            np.cumsum(part, out=part)
+        for a, b in _chunks(x.shape[0]):
+            out[a:b] += log_pi.take(x[a:b])
         return out
 
     @np.errstate(invalid="ignore")               # -inf - -inf: only off the support
     def _cut_penalties(self, x: np.ndarray) -> np.ndarray:
-        return _pair_logs(_safe_log(self.transition), x) - _safe_log(self.initial)[x[1:]]
+        gaps = _safe_log(self.transition) - _safe_log(self.initial)   # each cut's one subtraction
+        out = np.empty(max(x.shape[0] - 1, 0))
+        for a, b in _chunks(out.shape[0]):
+            _pair_logs(gaps, x, a, b, out=out[a:b])
+        return out
 
     def _block(self, x: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        log_t = _safe_log(self.transition)
-        log_start = _safe_log(self.initial)[x[s]]
-        if np.isneginf(log_t).any():
-            return log_start + _window_sums(_pair_logs(log_t, x), s, e - 1)
-        ct = np.zeros(x.shape[0])
-        if x.shape[0] > 1:
-            ct[1:] = _pair_logs(log_t, x).cumsum()
-        return log_start + ct[e - 1] - ct[s]
+        """The running sums read at each block's start and end only: a parsing's need no sort."""
+        pairs, n = partial(_pair_logs, _safe_log(self.transition), x), x.shape[0] - 1
+        out = _safe_log(self.initial).take(x[s])
+        if (self.transition == 0).any():   # a log transition is -inf
+            out += _window_sums(pairs, n, s, e - 1)
+            return out
+        (first,), (last,) = _running_sums_at(pairs, 1, n, s, e - 1)
+        out += last
+        out -= first
+        return out
 
     def _sample(self, n: int, rng: np.random.Generator):
         return _walk_chain(self.initial, self.transition, rng.random(n)), None
@@ -585,7 +655,8 @@ class HiddenMarkovModel(_Model):
     def _sample(self, n: int, rng: np.random.Generator):
         path = _walk_chain(self.hidden_initial, self.hidden_transition, rng.random(n))
         table, place = _inverse_cdf(self.emission, rng.random(n))
-        return table.reshape(-1).take(path * table.shape[1] + place), None
+        # the flat index reaches S * width - 1: in the narrow state type it would wrap
+        return table.reshape(-1).take(path.astype(np.intp) * table.shape[1] + place), None
 
     def _levels(self, n_max: int) -> Iterator:
         fwd = self.hidden_initial[None, :] * self.emission.T  # (A words, S): rho(s) B(s, a)
@@ -756,7 +827,7 @@ def stationary_distribution(transition) -> np.ndarray:
 
 
 def _symbols(model: ProcessModel, symbols) -> np.ndarray:
-    """``symbols`` as int64; PreconditionError unless integers, naming any outside the alphabet."""
+    """``symbols`` typed by ``_integers``; PreconditionError naming any outside the alphabet."""
     x = _integers(symbols, "symbols")
     a = model.alphabet_size
     if x.size and (x.min() < 0 or x.max() >= a):
@@ -803,7 +874,7 @@ def block_log_probs(model: ProcessModel, symbols, starts, ends) -> np.ndarray:
     workhorse behind blockwise information sums.
     """
     x = _integers(symbols, "symbols")
-    s, e = _integers(starts, "starts, ends"), _integers(ends, "starts, ends")
+    s, e = (_integers(v, "starts, ends").astype(np.int64, copy=False) for v in (starts, ends))
     if s.shape != e.shape:
         raise PreconditionError(f"starts, ends: expected equal shapes, got {s.shape}, {e.shape}")
     if s.shape[0] == 0:

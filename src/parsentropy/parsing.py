@@ -45,6 +45,11 @@ from .measures import (
 )
 
 
+def _positions(values, where: str) -> np.ndarray:
+    """``values`` as a frozen int64 array; PreconditionError naming ``where`` unless integers."""
+    return _frozen_array(_integers(values, where), dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Parsing:
     """Block boundaries 0 < L_1 < ... < L_c = N; block i covers (L_{i-1}, L_i]."""
@@ -52,7 +57,7 @@ class Parsing:
     boundaries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "boundaries", _frozen_array(self.boundaries, dtype=np.int64))
+        object.__setattr__(self, "boundaries", _positions(self.boundaries, "boundaries"))
 
     @property
     def N(self) -> int:
@@ -106,8 +111,8 @@ class PerturbedParsing:
     kind: str
 
     def __post_init__(self):
-        object.__setattr__(self, "starts", _frozen_array(self.starts, dtype=np.int64))
-        object.__setattr__(self, "lengths", _frozen_array(self.lengths, dtype=np.int64))
+        object.__setattr__(self, "starts", _positions(self.starts, "starts"))
+        object.__setattr__(self, "lengths", _positions(self.lengths, "lengths"))
 
     @property
     def ends(self) -> np.ndarray:
@@ -242,6 +247,7 @@ def parse_lz78(traj: Trajectory, N: int) -> Parsing:
 
 def parse_random_sublinear(N: int, budget: int, seed: int) -> Parsing:
     """Exactly ``budget`` blocks with interior boundaries drawn uniformly."""
+    _ruled(N, _K, "N", PreconditionError)
     _ruled(budget, _integer_in(1, N), "budget", PreconditionError)
     rng = np.random.default_rng(seed)
     interior = rng.choice(N - 1, size=budget - 1, replace=False) + 1 if budget > 1 else []
@@ -270,6 +276,20 @@ def _block_split_entry(model: ProcessModel, x: np.ndarray, s: int, e: int,
     return (-float(penalties[j]), s + 1 + j, s, e, pre, suf)
 
 
+def _largest(values: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the k largest ``values``, ties to the smaller index, in increasing order.
+
+    The set that a stable sort by (-value, index) puts first, in linear
+    time: every value above the k-th largest, then the first of those equal
+    to it.
+    """
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    kth = np.partition(values, values.size - k)[values.size - k]
+    above = np.flatnonzero(values > kth)
+    return np.sort(np.concatenate((above, np.flatnonzero(values == kth)[:k - above.size])))
+
+
 def _require_support(log_prob: float, N: int) -> None:
     if log_prob == -np.inf:
         raise OutOfSupportError(f"the word x[0:{N}] has probability 0 under the model, "
@@ -283,11 +303,12 @@ def parse_adversarial(model: ProcessModel, traj: Trajectory, N: int, budget: int
     |log P(left) + log P(right) - log P(block)|, quantized to 1e-9 nats;
     ties go to the smallest global index.  Where the model's penalty is
     local (i.i.d. and Markov models, ``cut_penalties``), a cut's penalty
-    does not depend on its block, so the greedy is one stable sort of the
-    cuts by (-penalty, index) and needs no scan.  Otherwise a heap holds
-    each block's best split with the block's prefix and suffix scans; the
-    left child of a split keeps the parent's prefix values, the right child
-    its suffix values, and each scans the other direction only.  Raises
+    does not depend on its block, so the greedy is one selection of the
+    budget - 1 cuts first by (-penalty, index) and needs no scan.
+    Otherwise a heap holds each block's best split with the block's prefix
+    and suffix scans; the left child of a split keeps the parent's prefix
+    values, the right child its suffix values, and each scans the other
+    direction only.  Raises
     OutOfSupportError when the word has probability 0 under the model.
     Deterministic in all inputs.
     """
@@ -297,8 +318,8 @@ def parse_adversarial(model: ProcessModel, traj: Trajectory, N: int, budget: int
     local = cut_penalties(model, x)
     if local is not None:
         _require_support(block_log_probs(model, x, [0], [N])[0], N)
-        cuts = np.argsort(-np.round(np.abs(local), 9), kind="stable")[:budget - 1] + 1
-        return Parsing(boundaries=np.concatenate((np.sort(cuts), [N])))
+        cuts = _largest(np.round(np.abs(local), 9), budget - 1) + 1
+        return Parsing(boundaries=np.concatenate((cuts, [N])))
     pre = prefix_log_probs(model, x)
     _require_support(pre[-1], N)
     root = _block_split_entry(model, x, 0, N, pre=pre)
@@ -365,7 +386,7 @@ def parse_counterexample_w(model: ProcessModel, traj: Trajectory, N: int, K: int
 
 
 def _as_plan(plan, c: int, name: str) -> np.ndarray:
-    arr = _integers(plan, name)
+    arr = _integers(plan, name).astype(np.int64, copy=False)
     _ruled(arr.shape, (lambda shape: shape == (c, 2), f"shape ({c}, 2)"), name, PreconditionError)
     _ruled(int(arr.min()), (lambda low: low >= 0, "non-negative entries"), name, PreconditionError)
     return arr
@@ -513,6 +534,7 @@ def make_parsing(spec: ParserSpec, N: int, model: Optional[ProcessModel] = None,
     ``model`` and ``h_ref`` (the target rate for tail selection), and builds
     the parsing; a missing input is refused by name.
     """
+    _ruled(N, _K, "N", PreconditionError)
     _, reads, build = _PARSERS[spec.family]
     given = {"traj": traj, "model": model, "h_ref": h_ref}
     for name in reads:

@@ -9,11 +9,18 @@ chunks, against a sequential log-domain forward (and backward) recursion
 written here, independent of the kernel's scaling and chunking: prefix,
 suffix and block values agree to 1e-12 relative (absolute near 0), and are
 -inf exactly where the reference is -inf.
+
+Trajectories hold one byte per symbol, and the Markov engines sum their pair
+logs one chunk at a time: on a 20-symbol chain and HMM the narrow symbols
+give the bits of their int64 copy, at the chunk edges every value is the bit
+pattern of one cumsum written here, and at 10^6 symbols the traced bytes stay
+within bounds derived from the arrays each call holds.
 """
 
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +30,9 @@ from parsentropy import (
     MarkovModel,
     PreconditionError,
     block_log_probs,
+    blockwise_info,
+    cut_penalties,
+    parse_fixed,
     prefix_log_probs,
     reference_model,
     sample_trajectory,
@@ -30,7 +40,7 @@ from parsentropy import (
     suffix_log_probs,
     validate_model,
 )
-from parsentropy.measures import _chunk_len, _inverse_cdf, _walk_chain
+from parsentropy.measures import _PAIRS_PER_CHUNK, _chunk_len, _inverse_cdf, _walk_chain
 
 TOL = 1e-12
 
@@ -60,7 +70,7 @@ def _sampling_models():
     }
 
 
-# sha256 of sample_trajectory(model, n, seed=3).symbols.tobytes()
+# sha256 of sample_trajectory(model, n, seed=3).symbols.astype(np.int64).tobytes()
 SAMPLE_DIGESTS = {
     ("m1", 1): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
     ("m1", 2): "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
@@ -89,7 +99,7 @@ SAMPLE_DIGESTS = {
 @pytest.mark.parametrize("name,n", sorted(SAMPLE_DIGESTS))
 def test_sampled_bytes_are_pinned(name, n):
     traj = sample_trajectory(_sampling_models()[name], n, seed=3)
-    assert hashlib.sha256(traj.symbols.tobytes()).hexdigest() == SAMPLE_DIGESTS[name, n]
+    assert hashlib.sha256(traj.symbols.astype(np.int64).tobytes()).hexdigest() == SAMPLE_DIGESTS[name, n]
 
 
 class _ConstantUniforms:
@@ -124,7 +134,7 @@ def _sequential_walk(initial, transition, u):
 def test_blocked_walk_of_sixteen_symbols_matches_sequential_walk():
     u = np.random.default_rng(16).random(4097)
     walk = _walk_chain(_CHAIN16.initial, _CHAIN16.transition, u)
-    assert walk.dtype == np.int64
+    assert walk.dtype == np.uint8
     assert walk.tolist() == _sequential_walk(_CHAIN16.initial, _CHAIN16.transition, u)
 
 
@@ -418,3 +428,153 @@ def test_two_limit_blockwise_sum_matches_long_double_recursion():
     ref = [*np.logaddexp.reduce(pairs, axis=(0, 1)), float(_long_double_log_prob(model, w[tail:]))]
     assert math.isclose(got[-1], ref[-1], rel_tol=1e-14)
     assert math.isclose(math.fsum(got), math.fsum(ref), rel_tol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Narrow symbols and chunked Markov sums
+# ---------------------------------------------------------------------------
+
+C = _PAIRS_PER_CHUNK
+
+
+def _chain_with_zeros(rng, k):
+    """A random k-symbol chain, about a third of its transitions 0, with its stationary start."""
+    rows = rng.random((k, k)) * (rng.random((k, k)) > 0.3)
+    rows[np.arange(k), (np.arange(k) + 1) % k] += 0.5        # a cycle: irreducible
+    rows /= rows.sum(axis=1, keepdims=True)
+    return MarkovModel(transition=rows, initial=stationary_distribution(rows))
+
+
+def _sequential_draw(rows, path, u):
+    """Row path[t]'s inverse CDF at u[t] for each t, by a search of the row, capped at its end."""
+    return [min(int(np.searchsorted(np.cumsum(rows[r]), v, side="right")), rows.shape[1] - 1)
+            for r, v in zip(path, u.tolist())]
+
+
+def _same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _engines(model, x, starts, ends):
+    return [prefix_log_probs(model, x), suffix_log_probs(model, x),
+            block_log_probs(model, x, starts, ends), cut_penalties(model, x)]
+
+
+def test_twenty_symbols_evaluate_the_same_narrow_and_wide():
+    # the pair index x[t] * 20 + x[t + 1] reaches 399: without the widening a uint8 wraps
+    rng = np.random.default_rng(20)
+    chain = _chain_with_zeros(rng, 20)
+    hidden, emission = _chain_with_zeros(rng, 20), _chain_with_zeros(rng, 20).transition
+    # 20 hidden states: the emission draw's flat index passes 255 as well
+    hmm = HiddenMarkovModel(hidden.transition, hidden.initial, emission)
+    for model, n in ((chain, 3 * C + 5), (hmm, 500)):
+        assert validate_model(model).passed
+        x = sample_trajectory(model, n, seed=5).symbols
+        assert x.dtype == np.uint8 and x.max() >= 13
+        s = np.sort(rng.integers(0, n, 300))
+        e = np.minimum(s + rng.integers(1, min(2 * C, n // 10), 300), n)
+        for got, ref in zip(_engines(model, x, s, e), _engines(model, x.astype(np.int64), s, e)):
+            assert (got is None and ref is None) or _same_bits(got, ref)
+    # the hidden path, then the emissions, each a sequential inverse-CDF draw
+    n = 5000
+    rng = np.random.default_rng(9)                      # sample_trajectory's at seed 9
+    walk_u, emit_u = rng.random(n), rng.random(n)
+    path = _sequential_walk(hmm.hidden_initial, hmm.hidden_transition, walk_u)
+    symbols = sample_trajectory(hmm, n, seed=9).symbols
+    assert symbols.tolist() == _sequential_draw(hmm.emission, path, emit_u)
+
+
+def _one_pass(model, x, starts, ends):
+    """The Markov engines' values from one cumsum over all pair logs, as one pass computes them."""
+    with np.errstate(divide="ignore"):
+        lt, lpi = np.log(model.transition), np.log(model.initial)
+    w = x.astype(np.int64)
+    pairs = lt[w[:-1], w[1:]]
+    prefix = np.zeros(len(w) + 1)
+    prefix[1] = lpi[w[0]]
+    np.cumsum(pairs, out=prefix[2:])
+    prefix[2:] += prefix[1]
+    suffix = np.zeros(len(w) + 1)
+    suffix[:-2] = pairs[::-1].cumsum()[::-1]
+    suffix[:-1] += lpi[w]
+    with np.errstate(invalid="ignore"):
+        cuts = pairs - lpi[w[1:]]
+    zero = np.isneginf(pairs)
+    cs = np.concatenate(([0.0], np.where(zero, 0.0, pairs).cumsum()))
+    if zero.any():
+        cz = np.concatenate(([0], zero.cumsum()))
+        window = cs[ends - 1] - cs[starts]
+        window[cz[ends - 1] > cz[starts]] = -np.inf
+        blocks = lpi[w[starts]] + window
+    else:
+        blocks = lpi[w[starts]] + cs[ends - 1] - cs[starts]
+    return [prefix, suffix, blocks, cuts]
+
+
+def _blocks_across_chunk_edges(n):
+    """A parsing's blocks with a cut next to every chunk edge, then blocks straddling each edge."""
+    edges = range(C, n, C)
+    cuts = sorted({min(max(a + d, 1), n - 1) for a in edges for d in (-1, 0, 1, 2)} | {n // 2})
+    bounds = np.array(cuts + [n])
+    starts, ends = np.concatenate(([0], bounds[:-1])), bounds
+    across = [(max(a - d, 0), min(a + d, n)) for a in edges for d in (1, 2, 300)]
+    across += [(0, n), (n - 1, n), (0, 1)]
+    s, e = (np.array(v) for v in zip(*across))
+    return starts, ends, s, e
+
+
+@pytest.mark.parametrize("name", ["m1", "zero"])
+@pytest.mark.parametrize("n", [C - 1, C, C + 1, C + 2, 3 * C + 5])
+def test_chunked_markov_sums_match_one_pass(name, n):
+    model = (reference_model("m1") if name == "m1" else
+             MarkovModel([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]], [1 / 3] * 3))
+    # the zero chain reads an i.i.d. word, so some pairs and windows have probability 0
+    source = model if name == "m1" else reference_model("iid_uniform")
+    x = sample_trajectory(source, n, seed=n).symbols
+    if name == "zero":
+        x = (x + np.arange(n) % 2).astype(np.uint8)   # symbols 0..2
+    starts, ends, s, e = _blocks_across_chunk_edges(n)
+    shuffled = np.random.default_rng(n).permutation(len(s))
+    for blocks in ((starts, ends), (s, e), (s[shuffled], e[shuffled]), (s[::-1], e[::-1])):
+        for got, ref in zip(_engines(model, x, *blocks), _one_pass(model, x, *blocks)):
+            assert _same_bits(got, ref)
+    if name == "zero":
+        assert np.isneginf(block_log_probs(model, x, s, e)).any()
+
+
+def test_a_million_symbols_hold_a_byte_each_and_scans_hold_one_chunk():
+    """Traced bytes at N = 10^6 (m1, seed 7), against bounds from the arrays each call must hold.
+
+    A trajectory holds one byte per symbol, within 10%.  The prefix scan
+    holds its output, N + 1 floats, plus one chunk's temporaries: four arrays
+    of C + 1 items of 8 bytes (the widened symbols, two index arrays and the
+    gathered logs).  Block evaluation on c = N / 4 blocks holds six arrays of
+    one 8-byte item per block (the parsing's starts, the ends less one, the
+    running sums at the starts and at the ends, the output, and the checks'
+    and gathers' narrower arrays), plus the same chunk's temporaries.  A
+    scan that gathers every pair log in one pass would hold 8 bytes per
+    symbol more, at least.
+    """
+    model, n = reference_model("m1"), 10**6
+    parsing = parse_fixed(n, 4)
+    small = sample_trajectory(model, 1000, seed=7)      # warm every code path up
+    blockwise_info(model, small, parse_fixed(1000, 4))
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            held, peak = (v - base for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        return result, held, peak
+
+    chunk = 4 * 8 * (C + 1)
+    traj, held, _ = traced(lambda: sample_trajectory(model, n, seed=7))
+    assert held <= 1.1 * n
+    _, _, peak = traced(lambda: prefix_log_probs(model, traj.symbols))
+    assert peak <= 8 * (n + 1) + chunk
+    _, _, peak = traced(lambda: blockwise_info(model, traj, parsing))
+    assert peak <= 6 * 8 * parsing.c + chunk

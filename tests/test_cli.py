@@ -88,6 +88,14 @@ def test_parse_config_rejects_bad_version(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_schema_version_is_the_integer_one(tmp_path, m1_file, version):
+    path = _write_config(tmp_path, schema_version=version)
+    with pytest.raises(ConfigError, match=":schema_version: expected the integer 1"):
+        parse_config(path)
+    assert cmd_simulate(str(path), workers=1, out_dir=str(tmp_path / "o")) == 4
+
+
 def test_parse_config_rejects_misplaced_sections(tmp_path):
     path = _write_config(tmp_path, counterexample={"K": 4, "epsilon_schedule": [0.1]})
     with pytest.raises(ConfigError, match="counterexample"):

@@ -19,6 +19,8 @@ from parsentropy import (
     MixtureModel,
     ModelFormatError,
     ParserSpec,
+    Parsing,
+    PerturbedParsing,
     PreconditionError,
     Trajectory,
     beta_sequence,
@@ -290,7 +292,7 @@ def test_coin_engine_bytes_are_pinned(iid2):
     sqrt = parse_growing(10**5, "sqrt")
     rate = entropy_rate(iid2)
     got = {
-        "sample": x,
+        "sample": x.astype(np.int64),
         "prefix": prefix_log_probs(iid2, x),
         "suffix": suffix_log_probs(iid2, x),
         "block": block_log_probs(iid2, x, sqrt.starts, sqrt.ends),
@@ -672,6 +674,9 @@ BAD_ARGUMENTS = {
     "parse_growing.N": (lambda: parse_growing(100.5, "sqrt"), "N"),
     "parse_lz78.N": (lambda: parse_lz78(_TRAJ, 2.5), "N"),
     "parse_random_sublinear.budget": (lambda: parse_random_sublinear(100, 2.5, 1), "budget"),
+    "parse_random_sublinear.N": (lambda: parse_random_sublinear(10.5, 3, 1), "N"),
+    "make_parsing.N": (lambda: make_parsing(ParserSpec("random_sublinear",
+                                                       {"budget": 3, "seed": 1}), 10.5), "N"),
     "parse_adversarial.N": (lambda: parse_adversarial(_M1, _TRAJ, 50.5, 4), "N"),
     "parse_adversarial.budget": (lambda: parse_adversarial(_M1, _TRAJ, 50, True), "budget"),
     "parse_counterexample_v.N": (lambda: parse_counterexample_v(_M1, _TRAJ, 60.5, 4, 0.5, 0.1),
@@ -703,6 +708,13 @@ BAD_ARGUMENTS = {
         _SQRT, np.zeros((9, 2), dtype=int)), "trim_plan"),
     "perturb_superblocks.sign-int": (lambda: perturb_superblocks(
         _SQRT, -np.ones((10, 2), dtype=int)), "extend_plan"),
+    # so are the arrays a Parsing, PerturbedParsing or Trajectory is built from
+    "Parsing.float": (lambda: Parsing(boundaries=[2.5, 10.9]), "boundaries"),
+    "PerturbedParsing.starts": (lambda: PerturbedParsing(
+        starts=[0.5], lengths=[2], origin=Parsing([3]), modification=1, kind="sub"), "starts"),
+    "PerturbedParsing.lengths": (lambda: PerturbedParsing(
+        starts=[0], lengths=[True], origin=Parsing([3]), modification=2, kind="sub"), "lengths"),
+    "Trajectory.float": (lambda: Trajectory(symbols=[0.5, 1.7], seed=0, model_id="-"), "symbols"),
 }
 
 

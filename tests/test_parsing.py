@@ -271,6 +271,17 @@ def test_adversarial_markov_at_1e6_is_the_exact_top_k(m1, seed):
     assert elapsed < 5.0   # the greedy heap took 5.5 s (seed 7) and 78.8 s (seed 1)
 
 
+@pytest.mark.parametrize("levels", [1, 3, 50, None])
+def test_largest_is_the_head_of_a_stable_sort(levels):
+    # few distinct values make long runs of ties at the k-th largest
+    rng = np.random.default_rng(levels or 0)
+    for size in (1, 2, 7, 300):
+        values = (rng.integers(0, levels, size) / 7 if levels else rng.normal(size=size))
+        for k in range(size + 1):
+            head = np.argsort(-values, kind="stable")[:k]
+            assert parsing._largest(values, k).tolist() == sorted(head.tolist())
+
+
 def _count_scans(monkeypatch):
     calls = []
     for name in ("prefix_log_probs", "suffix_log_probs"):
