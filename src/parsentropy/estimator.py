@@ -199,7 +199,7 @@ def blockwise_info(model: ProcessModel, traj: Trajectory,
 def smb_info(model: ProcessModel, traj: Trajectory, N: int) -> float:
     """Plain per-symbol information content -log P([x_1^N]) / N, in nats."""
     _ruled(N, _integer_in(1, len(traj)), "N", PreconditionError)
-    lp = prefix_log_probs(model, traj.symbols[:N])[-1]
+    lp = prefix_log_probs(model, traj.symbols[:N], at=[N])[0]
     if not np.isfinite(lp):
         raise OutOfSupportError("prefix has probability zero under the model")
     return -float(lp) / N
@@ -303,7 +303,7 @@ def _seed_cell(args) -> list:
     model, seed, cells, h_ref, plan = args
     grid = [cell[0] for cell in cells]
     traj = sample_trajectory(model, grid[-1], seed)
-    at_grid = prefix_log_probs(model, traj.symbols)[grid]   # log P(x[:n]); the scan is dropped
+    at_grid = prefix_log_probs(model, traj.symbols, at=grid)   # log P(x[:n]) at each n
     parsings = (make_parsing(spec, n, model=model, traj=traj, h_ref=h_ref)
                 for n, spec, _, _ in cells)
     if plan is not None:

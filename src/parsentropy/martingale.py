@@ -181,10 +181,10 @@ def _split(model: ProcessModel, traj: Trajectory, n: int, reach: int = 0) -> tup
     _ruled(n, _INTEGER, "n", PreconditionError)
     _ruled(n, _integer_in(1, len(traj) - reach), "n", InsufficientLengthError)
     x = traj.symbols[:n]
-    forward = prefix_log_probs(model, x)
-    if not np.isfinite(forward[-1]):
+    log_p = prefix_log_probs(model, x, at=[n])[0]
+    if not np.isfinite(log_p):
         raise OutOfSupportError("prefix has probability zero under the model")
-    return -float(forward[-1]), np.diff(suffix_log_probs(model, x))
+    return -float(log_p), np.diff(suffix_log_probs(model, x))
 
 
 def chain_rule_decomposition(model: ProcessModel, traj: Trajectory, n: int) -> DecompositionResult:

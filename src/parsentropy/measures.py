@@ -55,7 +55,7 @@ _LOWEST = np.finfo(float).min
 # Bound the HMM kernel's temporaries to a few MB: blocks per pass, chunks per scan read-out.
 _BLOCKS_PER_PASS = 1 << 15
 _CHUNKS_PER_READ = 1 << 8
-# The sampler's guide table: equal cells of [0, 1); uniforms per slice of its count.
+# The sampler's guide table: equal cells of [0, 1); uniforms drawn and counted per slice.
 _GUIDE_CELLS = 1 << 12
 _DRAWS_PER_SLICE = 1 << 14
 # Bound the Markov engines' temporaries: symbol pairs per chunk of a running sum.
@@ -291,10 +291,12 @@ def _chunk_len(n: int) -> int:
     return m + (m ** 3 < n)
 
 
-def _inverse_cdf(rows: np.ndarray, u: np.ndarray):
-    """Every row's inverse CDF at every uniform, with no search per uniform: ``(table, place)``.
+def _inverse_cdf(rows: np.ndarray, rng, n: int):
+    """Every row's inverse CDF at n uniforms of ``rng``, with no search per uniform: ``(table, place)``.
 
-    Row r draws ``table[r, place[i]]`` for u[i]: the count of entries <= u[i]
+    The uniforms are drawn ``_DRAWS_PER_SLICE`` at a time, which continues
+    the stream of one ``rng.random(n)``.  Row r draws ``table[r, place[i]]``
+    for uniform u[i]: the count of entries <= u[i]
     in its cumulative sums without the last one, which caps the draw at the
     last index (a row may sum to just under 1).  Every such entry is one of
     the sorted ``edges`` of all rows, so the count depends only on ``place``,
@@ -314,9 +316,10 @@ def _inverse_cdf(rows: np.ndarray, u: np.ndarray):
     starts = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
     guide = np.searchsorted(edges, starts, side="right").astype(count)
     above = np.append(edges, np.inf)                     # the edge after the last is never <= u
-    place = np.empty(u.shape[0], dtype=count)
-    for a in range(0, u.shape[0], _DRAWS_PER_SLICE):     # cache-sized temporaries
-        v, at = u[a:a + _DRAWS_PER_SLICE], place[a:a + _DRAWS_PER_SLICE]
+    place = np.empty(n, dtype=count)
+    for a in range(0, n, _DRAWS_PER_SLICE):              # cache-sized temporaries
+        at = place[a:a + _DRAWS_PER_SLICE]
+        v = rng.random(at.shape[0])
         guide.take((v * _GUIDE_CELLS).astype(np.intp), out=at, mode="clip")
         hit = above.take(at) <= v
         at += hit
@@ -327,8 +330,8 @@ def _inverse_cdf(rows: np.ndarray, u: np.ndarray):
     return np.cumsum(table, axis=1, out=table), place
 
 
-def _walk_chain(initial: np.ndarray, transition: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """States of a chain by inverse CDF, one uniform each, as a blocked walk.
+def _walk_chain(initial: np.ndarray, transition: np.ndarray, rng, n: int) -> np.ndarray:
+    """n states of a chain by inverse CDF, one uniform of ``rng`` each, as a blocked walk.
 
     Step t maps state s to row s's draw at u[t]; step 0 reads ``initial``
     through one extra column of the draw table, whatever the state.  The
@@ -337,8 +340,8 @@ def _walk_chain(initial: np.ndarray, transition: np.ndarray, u: np.ndarray) -> n
     in row by row.  The states keep the draw table's dtype,
     ``np.min_scalar_type(k - 1)``.
     """
-    k, n = transition.shape[0], u.shape[0]
-    table, place = _inverse_cdf(np.vstack((transition, initial)), u)
+    k = transition.shape[0]
+    table, place = _inverse_cdf(np.vstack((transition, initial)), rng, n)
     w = table.shape[1] + 1
     draws = np.empty((k, w), dtype=table.dtype)
     draws[:, :-1], draws[:, -1] = table[:k], table[k, place[0]]
@@ -383,7 +386,8 @@ class _Model:
     A subclass declares ``_VARIANT`` and the ``_RULES`` of its dict form's keys
     (the defaults below read the attributes of those names and rebuild a model
     from its dataclass fields) and implements ``_checks(prefix)``,
-    ``_prefix(x)``, ``_suffix(x)``, ``_block(x, s, e)``, ``_sample(n, rng)``,
+    ``_prefix(x, at)``, ``_suffix(x, at)`` (the values at the positions
+    ``at``, every one if None), ``_block(x, s, e)``, ``_sample(n, rng)``,
     ``_levels(n_max)`` and ``_rate()``; a model
     whose cut penalty is local also overrides ``_cut_penalties(x)``.
     Constructors check shapes only, so that ``validate_model`` can report on
@@ -470,7 +474,7 @@ class MarkovModel(_Model):
                 + [_stationarity_check(prefix, self.initial, self.transition),
                    _alphabet_check(prefix, self)])
 
-    def _prefix(self, x: np.ndarray) -> np.ndarray:
+    def _prefix(self, x: np.ndarray, at: Optional[np.ndarray]) -> np.ndarray:
         out = np.zeros(x.shape[0] + 1)
         if x.shape[0]:
             log_t = _safe_log(self.transition)
@@ -480,9 +484,9 @@ class MarkovModel(_Model):
                 np.cumsum(part, out=part)
             out[1] = _safe_log(self.initial)[x[0]]
             out[2:] += out[1]
-        return out
+        return out if at is None else out[at]
 
-    def _suffix(self, x: np.ndarray) -> np.ndarray:
+    def _suffix(self, x: np.ndarray, at: Optional[np.ndarray]) -> np.ndarray:
         out = np.zeros(x.shape[0] + 1)
         log_t, log_pi = _safe_log(self.transition), _safe_log(self.initial)
         for a, b in reversed(_chunks(x.shape[0] - 1)):   # out[b]: the sum of the pairs from b
@@ -491,7 +495,7 @@ class MarkovModel(_Model):
             np.cumsum(part, out=part)
         for a, b in _chunks(x.shape[0]):
             out[a:b] += log_pi.take(x[a:b])
-        return out
+        return out if at is None else out[at]
 
     @np.errstate(invalid="ignore")               # -inf - -inf: only off the support
     def _cut_penalties(self, x: np.ndarray) -> np.ndarray:
@@ -514,7 +518,7 @@ class MarkovModel(_Model):
         return out
 
     def _sample(self, n: int, rng: np.random.Generator):
-        return _walk_chain(self.initial, self.transition, rng.random(n)), None
+        return _walk_chain(self.initial, self.transition, rng, n), None
 
     def _levels(self, n_max: int) -> Iterator:
         a = self.alphabet_size
@@ -576,14 +580,16 @@ class HiddenMarkovModel(_Model):
 
     @np.errstate(divide="ignore")                           # log(0) = -inf: out of support
     def _forward(self, y: np.ndarray, s: np.ndarray, e: np.ndarray, reverse: bool = False,
-                 scan: bool = False) -> np.ndarray:
+                 scan: bool = False, at: Optional[np.ndarray] = None) -> np.ndarray:
         """Log-probabilities of the blocks ``y[s:e]``: the kernel of every HMM engine.
 
         Pieces of at most m = ``_chunk_len(total length)`` steps cover each
         block after its first symbol.  Pass 1 multiplies out every piece's
         transfer matrices, numpy across pieces; pass 2 folds each block's
         pieces by doubling.  With ``scan`` (one block: the word, cut into
-        chunks) pass 3 turns pass 1's read-outs into log P(y[:k]), k <= len(y).
+        chunks) pass 3 turns pass 1's read-outs into log P(y[:k]) for every
+        k <= len(y), or for each k of ``at``; pass 1 then keeps the read-outs
+        of only the chunks that hold one, and the values are the same bits.
         ``reverse`` runs Q^T from ones and reads out against rho: the
         backward recursion on the reversed word.  Stacks keep their index last.
         Row i of a piece's product, the forward vector from hidden state i, has
@@ -601,22 +607,34 @@ class HiddenMarkovModel(_Model):
         starts = (s + 1).repeat(count) + place * m
         lengths = np.minimum(e.repeat(count) - starts, m)
         by_len = (-lengths).argsort(kind="stable")          # pass 1 runs in decreasing length
-        at, depth = starts[by_len], int(lengths.max(initial=0))
-        prod = np.repeat(np.eye(S)[:, :, None], at.shape[0], axis=2)
-        prod_log, spare = np.zeros((S, at.shape[0])), np.empty_like(prod)
-        if scan:                                            # reads[j, i, c]: log of row i's read-out
-            buf, reads = np.zeros(2 + at.shape[0] * m), np.zeros((depth, S, at.shape[0]))
-            grid = buf[2:].reshape(-1, m)                   # log P(y[:k]) = buf[k] = grid[c, j]
+        begin, depth = starts[by_len], int(lengths.max(initial=0))
+        pieces = begin.shape[0]
+        prod = np.repeat(np.eye(S)[:, :, None], pieces, axis=2)
+        prod_log, spare = np.zeros((S, pieces)), np.empty_like(prod)
+        if scan:   # a scan's pieces are its chunks, in order; log P(y[:k]) for k = 2 + c m + j
+            keep = None                                     # is read out at step j of chunk c
+            if at is not None:                              # keep the chunks that hold a k of at
+                held = np.zeros(pieces, dtype=bool)
+                held[:2] = True                             # two at least: see pass 3
+                held[(at[at >= 2] - 2) // m] = True
+                keep, row = held.nonzero()[0], np.empty((S, pieces))
+            reads = np.zeros((depth, S, pieces if keep is None else keep.shape[0]))   # [j, i, c]
         for j, a in enumerate((-lengths[by_len]).searchsorted(-np.arange(depth)).tolist()):
             cur = prod[:, :, :a]
-            np.multiply(np.matmul(step_t, cur, out=spare[:, :, :a]), b.take(y[at[:a] + j], axis=1),
+            np.multiply(np.matmul(step_t, cur, out=spare[:, :, :a]), b.take(y[begin[:a] + j], axis=1),
                         out=cur)
             total = np.add.reduce(cur, axis=1)              # each row to total 1; a zero row
             prod_log[:, :a] += np.log(total)                # stays 0, with log scale -inf
             cur /= np.maximum(total, _TINY)[:, None]
-            if scan:
-                np.log(np.matmul(weight, cur, out=reads[j, :, :a]), out=reads[j, :, :a])
-                reads[j, :, :a] += prod_log[:, :a]
+            if scan:                   # row i's read-out in every chunk: a product over fewer
+                out = reads[j, :, :a] if keep is None else row[:, :a]   # need not round the same
+                np.log(np.matmul(weight, cur, out=out), out=out)
+                if keep is None:
+                    out += prod_log[:, :a]
+                else:
+                    kept = keep[:keep.searchsorted(a)]
+                    np.add(row.take(kept, axis=1), prod_log.take(kept, axis=1),
+                           out=reads[j, :, :kept.shape[0]])
         back = by_len.argsort()
         logs = np.log(prod.take(back, axis=2, out=spare), out=spare)   # logs[i, l, c]: piece c, i to l
         logs += prod_log.take(back, axis=1)[:, None]
@@ -628,22 +646,46 @@ class HiddenMarkovModel(_Model):
         log_v = np.log(v)[:, None]
         if scan:                                            # pass 3: enter each chunk, read out
             enter = _log_sum_exp(log_v + logs[:, :, :-1], 0)   # v through the chunks before
-            reads += np.concatenate((log_v[:, 0], enter), axis=1)
-            buf[1] = np.log(weight @ v[:, 0])               # k = 1; grid: k = 2 + c m + j
-            for c in range(0, grid.shape[0], _CHUNKS_PER_READ):   # bounded temporaries
-                part = slice(c, c + _CHUNKS_PER_READ)
-                grid[part, :depth] = _log_sum_exp(reads[:, :, part], 1).T
-            return buf[:y.shape[0] + 1]
+            enter = np.concatenate((log_v[:, 0], enter), axis=1)
+            first = np.log(weight @ v[:, 0])                # k = 1
+            if keep is None:
+                reads += enter
+                buf = np.zeros(2 + pieces * m)
+                buf[1], grid = first, buf[2:].reshape(-1, m)   # log P(y[:k]) = buf[k] = grid[c, j]
+                for c in range(0, pieces, _CHUNKS_PER_READ):   # bounded temporaries
+                    part = slice(c, c + _CHUNKS_PER_READ)
+                    grid[part, :depth] = _log_sum_exp(reads[:, :, part], 1).T
+                return buf[:y.shape[0] + 1]
+            reads += enter.take(keep, axis=1)
+            # A read-out of one chunk sums its rows in another order: the last chunk, alone
+            # in its part above, is read out alone, and the others, two at least, together.
+            alone = int(pieces % _CHUNKS_PER_READ == 1 and keep[-1] == pieces - 1)
+            split = keep.shape[0] - alone
+            log_p = np.concatenate((_log_sum_exp(reads[:, :, :split], 1),
+                                    _log_sum_exp(reads[:, :, split:], 1)), axis=1)
+            out, deep = np.zeros(at.shape[0]), at >= 2      # k = 0: the empty word
+            out[at == 1] = first
+            k = at[deep] - 2
+            out[deep] = log_p[k % m, keep.searchsorted(k // m)]
+            return out
         ends_at = logs.take(ends - 1, axis=2) + log_v + np.log(weight)[:, None]
         result = np.empty(s.shape[0])
         result[order] = _log_sum_exp(ends_at.reshape(S * S, -1), 0)
         return result
 
-    def _scan(self, x: np.ndarray, reverse: bool) -> np.ndarray:
-        """Log-probabilities of every prefix, or with ``reverse`` of every suffix, of ``x``."""
-        e = np.full(1, x.shape[0])
-        out = self._forward(x[::-1] if reverse else x, e - e, e, reverse, True) if e[0] else np.zeros(1)
-        return out[::-1].copy() if reverse else out
+    def _scan(self, x: np.ndarray, at: Optional[np.ndarray], reverse: bool) -> np.ndarray:
+        """Log-probabilities of the prefixes, or with ``reverse`` the suffixes, of ``x`` at ``at``.
+
+        Every one if ``at`` is None.  The suffix from j is the prefix of
+        n - j symbols of the reversed word.
+        """
+        n = x.shape[0]
+        if not n:
+            return np.zeros(1 if at is None else at.shape[0])
+        e = np.full(1, n)
+        k = n - at if reverse and at is not None else at
+        out = self._forward(x[::-1] if reverse else x, e - e, e, reverse, True, k)
+        return out[::-1].copy() if reverse and at is None else out
 
     _prefix = partialmethod(_scan, reverse=False)
     _suffix = partialmethod(_scan, reverse=True)
@@ -653,10 +695,17 @@ class HiddenMarkovModel(_Model):
         return np.concatenate([self._forward(x, s[i:i + n], e[i:i + n]) for i in range(0, len(s), n)])
 
     def _sample(self, n: int, rng: np.random.Generator):
-        path = _walk_chain(self.hidden_initial, self.hidden_transition, rng.random(n))
-        table, place = _inverse_cdf(self.emission, rng.random(n))
-        # the flat index reaches S * width - 1: in the narrow state type it would wrap
-        return table.reshape(-1).take(path.astype(np.intp) * table.shape[1] + place), None
+        path = _walk_chain(self.hidden_initial, self.hidden_transition, rng, n)
+        table, place = _inverse_cdf(self.emission, rng, n)
+        flat, symbols = table.reshape(-1), np.empty(n, dtype=table.dtype)
+        for a in range(0, n, _DRAWS_PER_SLICE):
+            part = slice(a, a + _DRAWS_PER_SLICE)
+            # the flat index reaches S * width - 1: in the narrow state type it would wrap
+            index = path[part].astype(np.intp)
+            index *= table.shape[1]
+            index += place[part]
+            flat.take(index, out=symbols[part], mode="clip")   # in range: clip writes unbuffered
+        return symbols, None
 
     def _levels(self, n_max: int) -> Iterator:
         fwd = self.hidden_initial[None, :] * self.emission.T  # (A words, S): rho(s) B(s, a)
@@ -826,9 +875,27 @@ def stationary_distribution(transition) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _vector(values, where: str) -> np.ndarray:
+    """``values`` typed by ``_integers``; PreconditionError naming ``where`` unless 1-d."""
+    x = _integers(values, where)
+    if x.ndim != 1:
+        raise PreconditionError(f"{where}: expected a 1-d array, got shape {x.shape}")
+    return x
+
+
+def _positions(at, n: int) -> Optional[np.ndarray]:
+    """``at`` as int64 positions 0..n, or None for every one; else PreconditionError naming it."""
+    if at is None:
+        return None
+    k = _vector(at, "at").astype(np.int64, copy=False)
+    if k.size and (k.min() < 0 or k.max() > n):
+        raise PreconditionError(f"at: expected positions in 0..{n}, got {k.min()}..{k.max()}")
+    return k
+
+
 def _symbols(model: ProcessModel, symbols) -> np.ndarray:
-    """``symbols`` typed by ``_integers``; PreconditionError naming any outside the alphabet."""
-    x = _integers(symbols, "symbols")
+    """``symbols`` typed by ``_vector``; PreconditionError naming any outside the alphabet."""
+    x = _vector(symbols, "symbols")
     a = model.alphabet_size
     if x.size and (x.min() < 0 or x.max() >= a):
         i = int(np.flatnonzero((x < 0) | (x >= a))[0])
@@ -841,28 +908,36 @@ def log_cylinder_prob(model: ProcessModel, word) -> float:
     w = _integers(word, "word")
     if w.ndim != 1 or w.shape[0] == 0:
         raise PreconditionError(f"word: expected a non-empty 1-d sequence, got shape {w.shape}")
-    return float(prefix_log_probs(model, w)[-1])
+    return float(prefix_log_probs(model, w, at=[w.shape[0]])[0])
 
 
-def prefix_log_probs(model: ProcessModel, symbols) -> np.ndarray:
+def prefix_log_probs(model: ProcessModel, symbols, at=None) -> np.ndarray:
     """Array ``L`` of length n+1 with ``L[j]`` = log-probability of the first j symbols.
 
     ``L[0] = 0`` (empty word).  A single pass serves every nested prefix of a
-    long trajectory.
+    long trajectory.  With ``at``, a 1-d array of positions 0..n in any order,
+    it returns ``L[at]``, the same bits; a hidden-Markov scan then keeps only
+    what those positions need.
     """
-    out = model._prefix(_symbols(model, symbols))
-    out[0] = 0.0   # exactly: a mixture's logaddexp(log w, log(1 - w)) need not round to 0
+    x = _symbols(model, symbols)
+    k = _positions(at, x.shape[0])
+    out = model._prefix(x, k)
+    # exactly 0: a mixture's logaddexp(log w, log(1 - w)) need not round to 0
+    out[0 if k is None else k == 0] = 0.0
     return out
 
 
-def suffix_log_probs(model: ProcessModel, symbols) -> np.ndarray:
+def suffix_log_probs(model: ProcessModel, symbols, at=None) -> np.ndarray:
     """Array ``S`` of length n+1 with ``S[j]`` = log-probability of ``symbols[j:]``.
 
     ``S[n] = 0``.  By stationarity this is the cylinder probability of the
     suffix word; the hidden-Markov case runs one scaled backward recursion.
+    ``at`` returns ``S[at]`` as in ``prefix_log_probs``.
     """
-    out = model._suffix(_symbols(model, symbols))
-    out[-1] = 0.0   # exactly, as in prefix_log_probs
+    x = _symbols(model, symbols)
+    k = _positions(at, x.shape[0])
+    out = model._suffix(x, k)
+    out[-1 if k is None else k == x.shape[0]] = 0.0   # exactly, as in prefix_log_probs
     return out
 
 
@@ -873,8 +948,8 @@ def block_log_probs(model: ProcessModel, symbols, starts, ends) -> np.ndarray:
     symbol array.  Symbols past the last block end are not read.  This is the
     workhorse behind blockwise information sums.
     """
-    x = _integers(symbols, "symbols")
-    s, e = (_integers(v, "starts, ends").astype(np.int64, copy=False) for v in (starts, ends))
+    x = _vector(symbols, "symbols")
+    s, e = (_vector(v, "starts, ends").astype(np.int64, copy=False) for v in (starts, ends))
     if s.shape != e.shape:
         raise PreconditionError(f"starts, ends: expected equal shapes, got {s.shape}, {e.shape}")
     if s.shape[0] == 0:

@@ -355,11 +355,11 @@ def parse_counterexample_v(model: ProcessModel, traj: Trajectory, N: int, K: int
     if lo > hi:
         raise WindowEmptyError(f"empty tail window [{lo}, {hi}] at N = {N}")
     x = traj.symbols[:N]
-    tail_logs = suffix_log_probs(model, x)
     ks = np.arange(lo, hi + 1, dtype=np.int64)
+    tail_logs = suffix_log_probs(model, x, at=ks - 1)   # log P(x[k - 1:])
     tail_lengths = N - ks + 1
     # quantized so exact ties (e.g. product measures) resolve by smallest k
-    deviation = np.round(np.abs(-tail_logs[ks - 1] / tail_lengths - h_ref), 12)
+    deviation = np.round(np.abs(-tail_logs / tail_lengths - h_ref), 12)
     k = int(ks[np.argmin(deviation)])
     half = K // 2
     full_pre = (k - 1) // half
@@ -418,11 +418,12 @@ def perturb_superblocks(parsing: Parsing, extend_plan) -> PerturbedParsing:
     immediately neighboring blocks only.
     """
     plan = _as_plan(extend_plan, parsing.c, "extend_plan")
-    starts = parsing.starts - plan[:, 0]
+    origin_starts = parsing.starts
+    starts = origin_starts - plan[:, 0]
     ends = parsing.ends + plan[:, 1]
     if starts.min() < 0 or ends.max() > parsing.N:
         raise OverlapViolationError("an extension leaves the parsed prefix")
-    left_limit = np.concatenate(([0], parsing.starts[:-1]))
+    left_limit = np.concatenate(([0], origin_starts[:-1]))
     right_limit = np.concatenate((parsing.ends[1:], [parsing.N]))
     if np.any(starts < left_limit) or np.any(ends > right_limit):
         i = int(np.argmax((starts < left_limit) | (ends > right_limit)))

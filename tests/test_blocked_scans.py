@@ -15,6 +15,11 @@ logs one chunk at a time: on a 20-symbol chain and HMM the narrow symbols
 give the bits of their int64 copy, at the chunk edges every value is the bit
 pattern of one cumsum written here, and at 10^6 symbols the traced bytes stay
 within bounds derived from the arrays each call holds.
+
+A scan read at positions (``at``) gives the full scan's bits at them on every
+model class, in any order and with duplicates, also where the full scan reads
+a chunk out alone and sums its rows in another order; at 10^6 symbols an h1
+scan read at a few positions holds only what their chunks need.
 """
 
 import hashlib
@@ -24,10 +29,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parsentropy import (
     HiddenMarkovModel,
     MarkovModel,
+    MixtureModel,
     PreconditionError,
     block_log_probs,
     blockwise_info,
@@ -40,7 +48,14 @@ from parsentropy import (
     suffix_log_probs,
     validate_model,
 )
-from parsentropy.measures import _PAIRS_PER_CHUNK, _chunk_len, _inverse_cdf, _walk_chain
+from parsentropy.measures import (
+    _CHUNKS_PER_READ,
+    _DRAWS_PER_SLICE,
+    _PAIRS_PER_CHUNK,
+    _chunk_len,
+    _inverse_cdf,
+    _walk_chain,
+)
 
 TOL = 1e-12
 
@@ -93,6 +108,32 @@ SAMPLE_DIGESTS = {
     ("deficit", 1001): "f6c0a018508a194c89304ce26935d6a1830b62493f41225d7b0ab300bcad746d",
     ("deficit", 100000): "8a355d48bb4113648a7d1223ae34f9189fd982450497649161afcd776fbbb1ec",
     ("chain16", 100000): "a754f2b84af80dddbec2266d92feb31974afef8ad018b106c86e739a1c9afc41",
+    # the sampler draws its uniforms 2^14 at a time (_DRAWS_PER_SLICE): one slice
+    # less one, one slice, one plus one, and three slices plus five
+    ("m1", 16383): "0c8a8b214df0486f0f4469ed91e601e009acdd8de3be15bf423361cb0a7027c1",
+    ("m1", 16384): "2f46d2f888d5e67f2f6394989bc0b39f54d58edf8071a3ea2422d72497d593b0",
+    ("m1", 16385): "ce6bf742534d4d2664705e1175ffa9f71c9aa9fdb5f7114278cf73fd2bff7d7d",
+    ("m1", 49157): "455e3add5ff809d43ededaec1f93500768c5dc7f48fd3147c6ec476cc1d9a1fa",
+    ("h1", 16383): "ef76a9b84c7418003a8e9b6d5fbdd9c8dea78e4c368220fb0c5171b4fb753e0e",
+    ("h1", 16384): "3265bbd87d2d8d55ff69c7a2c4b9e021329f0b561cbf82e809feedd66d2551ba",
+    ("h1", 16385): "c850e17aceef6760e1843d23297fd210d01e42d09c17431e417fdb3ab0e9f3b2",
+    ("h1", 49157): "8ca0a1416b41a71db8da46dda16878bf8ca826be79321f39a5e1b54e4bd6fe5b",
+    ("mixture_m1_uniform", 16383): "9358c6c4cb99528ccbb091d846d83475b761ccec68f11f3046caf78b5b10e3a2",
+    ("mixture_m1_uniform", 16384): "b859e3d8bf8b2b48701d914e84e2864765e9954076d1481008c9abb759439cd5",
+    ("mixture_m1_uniform", 16385): "3c73bde4dc293707b779a4efa31e52e8576f2faabfc98ef650dc20f50226761c",
+    ("mixture_m1_uniform", 49157): "5e6961aa09dbce7cdeabf3670aa8a2425d712e073cc025431058e8b37e8feab5",
+    ("periodic3", 16383): "a7af85d0d9749d65332e33f62e24475ff0297c6ed5d983c159e0fcb857c705b2",
+    ("periodic3", 16384): "f25e1313da67ef7ba21baa50b20b2e0211613aeadbc020caa542d6a54ee38456",
+    ("periodic3", 16385): "0958522be0f8641c9e2f7a3dd9d36fc137504ab6a88493ae30ae60683fef5b49",
+    ("periodic3", 49157): "7bea1b60c0da0ae1a96c26742fbe58602838ffcdd55d6bd13f2d49354a723904",
+    ("deficit", 16383): "f8cc6d707336e6d6a52ad11b9ca2d1269488a37f6b1ccf882ecb7855bab78abb",
+    ("deficit", 16384): "645d89bb883542a28af0da3317abee6a258f3f725089feda356006644bac5f38",
+    ("deficit", 16385): "e1b3b8878755ea37ac9b63354a3ac93c0fbbe71d6db4d046d00342355376c5de",
+    ("deficit", 49157): "ede0d32dcfab1bd34253f72f578ab8a719508cafcea701dbfa2e177694b49bff",
+    ("chain16", 16383): "a4540cdeae308a5a09d6bb79083ead01b33e7217cd6f7359e4859feaeba56b9f",
+    ("chain16", 16384): "c0fb7aa325f71b201aa6dcbce99641d4019317e3cb4eff41e3116a1e477b44c2",
+    ("chain16", 16385): "cb66ccec0fe27ded36d99736a937803dba30317009ade47e491e05db5ad5a43b",
+    ("chain16", 49157): "49f036f08b69f0f356cfe141372d4a110585234c0f3f637b12474e26fa608f35",
 }
 
 
@@ -110,6 +151,18 @@ class _ConstantUniforms:
 
     def random(self, n=None):
         return np.full(n, self.u)
+
+
+class _Uniforms:
+    """Stands in for a numpy Generator whose uniforms are those of ``u``, in order."""
+
+    def __init__(self, u):
+        self.u, self.drawn = np.asarray(u), 0
+
+    def random(self, n):
+        self.drawn += n
+        assert self.drawn <= self.u.shape[0]
+        return self.u[self.drawn - n:self.drawn]
 
 
 def test_emission_draw_stays_in_the_alphabet():
@@ -133,7 +186,7 @@ def _sequential_walk(initial, transition, u):
 
 def test_blocked_walk_of_sixteen_symbols_matches_sequential_walk():
     u = np.random.default_rng(16).random(4097)
-    walk = _walk_chain(_CHAIN16.initial, _CHAIN16.transition, u)
+    walk = _walk_chain(_CHAIN16.initial, _CHAIN16.transition, _Uniforms(u), u.shape[0])
     assert walk.dtype == np.uint8
     assert walk.tolist() == _sequential_walk(_CHAIN16.initial, _CHAIN16.transition, u)
 
@@ -145,7 +198,8 @@ def test_blocked_walk_matches_sequential_walk_with_clamps(n):
     transition = np.array([[0.2, 0.0, 0.4], [0.0, 0.6, 0.0], [0.3, 0.3, 0.0]])
     initial = np.array([0.0, 0.5, 0.1])
     u = rng.random(n)
-    assert _walk_chain(initial, transition, u).tolist() == _sequential_walk(initial, transition, u)
+    walk = _walk_chain(initial, transition, _Uniforms(u), n)
+    assert walk.tolist() == _sequential_walk(initial, transition, u)
 
 
 def _rows_with_zeros(rng, r, k):
@@ -168,7 +222,7 @@ def _check_inverse_cdf(rows, u):
 
     ``place`` takes the narrowest integer type that holds the count of distinct edges.
     """
-    table, place = _inverse_cdf(rows, u)
+    table, place = _inverse_cdf(rows, _Uniforms(u), u.shape[0])
     for r, row in enumerate(np.cumsum(rows, axis=1)):
         draws = np.minimum(np.searchsorted(row, u, side="right"), rows.shape[1] - 1)
         assert table[r].take(place).tolist() == draws.tolist()
@@ -226,7 +280,7 @@ def test_inverse_cdf_of_300_symbols_builds_in_well_under_a_second():
     u = _uniforms_on_edges(rows, rng, 2000)
     u = np.concatenate((rng.choice(u[:-2000], 2000, replace=False), u[-2000:]))
     start = time.process_time()
-    _inverse_cdf(rows, u)
+    _inverse_cdf(rows, _Uniforms(u), u.shape[0])
     assert time.process_time() - start < 1.0
     _check_inverse_cdf(rows, u)
 
@@ -578,3 +632,121 @@ def test_a_million_symbols_hold_a_byte_each_and_scans_hold_one_chunk():
     assert peak <= 8 * (n + 1) + chunk
     _, _, peak = traced(lambda: blockwise_info(model, traj, parsing))
     assert peak <= 6 * 8 * parsing.c + chunk
+
+
+# ---------------------------------------------------------------------------
+# Positions a caller reads
+# ---------------------------------------------------------------------------
+
+
+def _positive_hmm(seed, hidden):
+    """An HMM whose hidden transitions are all positive; symbol 2 is never emitted."""
+    rng = np.random.default_rng(seed)
+    q = rng.random((hidden, hidden)) + 0.1
+    q /= q.sum(axis=1, keepdims=True)
+    return HiddenMarkovModel(q, stationary_distribution(q), _stochastic(rng, hidden, 3, zero_col=2))
+
+
+# Nine hidden states that never change, each emitting symbol 1 with its own chance
+# under 1e-4: a word's log-probability stays near 0, so the last bits of a read-out's
+# sum over its nine rows show in the value.
+NEAR_CERTAIN = HiddenMarkovModel(np.eye(9), np.full(9, 1 / 9),
+                                 [[1 - p, p] for p in 1e-4 * np.random.default_rng(9).random(9)])
+# log(0.25) and log(0.75) add up to 5.6e-17, not to 0
+AT_MODELS = [*KERNEL_MODELS, *REDUCIBLE, _positive_hmm(9, 9), NEAR_CERTAIN, reference_model("m1"),
+             reference_model("iid_uniform"), reference_model("mixture_m1_uniform"),
+             MixtureModel(0.25, reference_model("h1"), reference_model("m1"))]
+
+
+def _at_word(model, n, seed):
+    """A sampled word of n symbols, one symbol redrawn uniformly: a zero factor in some words."""
+    if n == 0:
+        return np.zeros(0, dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    w = sample_trajectory(model, n, seed).symbols.copy()
+    w[rng.integers(n)] = rng.integers(model.alphabet_size)
+    return w
+
+
+@st.composite
+def _at_cases(draw):
+    """A model, a word length, a seed and positions: 0, 1, n, each chunk edge 2 + c m +- 1
+    (and n less it, the edges of the suffix scan's reversed word) or any, in any order."""
+    model = draw(st.sampled_from(AT_MODELS))
+    n = draw(st.integers(0, 600) | st.sampled_from([1, 2, 3, 4360]))
+    m = _chunk_len(max(n, 1))
+    edges = [2 + c * m + d for c in range(n // m + 1) for d in (-1, 0, 1)]
+    special = sorted({k for p in [0, 1, n, *edges] for k in (p, n - p) if 0 <= k <= n})
+    at = draw(st.lists(st.sampled_from(special) | st.integers(0, n), max_size=12))
+    dtype = draw(st.sampled_from([np.int64, np.uint8]))
+    if dtype is np.uint8:                   # n - at in uint8 overflows for n > 255
+        at = [k for k in at if k < 256]
+    return model, n, draw(st.integers(0, 2**16)), np.array(at, dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_at_cases())
+def test_values_at_positions_are_the_full_scans_bits(case):
+    model, n, seed, at = case
+    w = _at_word(model, n, seed)
+    for scan in (prefix_log_probs, suffix_log_probs):
+        assert _same_bits(scan(model, w, at=at), scan(model, w)[at.astype(np.int64)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 300, 4360, 4370])
+def test_a_chunk_read_out_alone_keeps_its_bits(n):
+    # The full scan reads its chunks out in parts of _CHUNKS_PER_READ and sums the rows of
+    # a part of one chunk in another order: 2 and 3 symbols make one chunk, and 4360 and
+    # 4370 make 257 chunks of 17, the last alone in its part.
+    m = _chunk_len(n)
+    assert (-(-(n - 1) // m) % _CHUNKS_PER_READ == 1) == (n in (2, 3, 4360, 4370))
+    last = [list(range(max(n - m, 0), n + 1)), list(range(min(m, n) + 1))]   # either scan's
+    for seed in range(4):
+        w = sample_trajectory(NEAR_CERTAIN, n, seed).symbols
+        for scan in (prefix_log_probs, suffix_log_probs):
+            full = scan(NEAR_CERTAIN, w)
+            assert np.isfinite(full).all()
+            for at in ([n], [0], [1], [n // 2], [n, 2], *last, list(range(n + 1))[::-1]):
+                assert _same_bits(scan(NEAR_CERTAIN, w, at=at), full[at])
+
+
+def test_a_million_symbol_scan_at_a_few_positions_holds_what_its_chunks_need():
+    """Traced bytes of h1 scans of N = 10^6 symbols read at 4 grid points or at a window.
+
+    With m = ``_chunk_len(N)`` steps per chunk, P chunks and S hidden states,
+    the kernel holds stacks of one S x S matrix of floats per chunk: the
+    products and their spare, and the folding's S-fold sum with its two
+    reductions, S + 4 stacks; the per-chunk index arrays, log scales, kept
+    rows and the last pass's temporaries stay under 6 more.  On top of that
+    come the read-out of each kept chunk, m x S floats, and at most 8 arrays
+    of 8 bytes per position.  A scan that read out every chunk would hold 8 m S
+    bytes per chunk (16 bytes per symbol here) and its output 8 bytes per
+    symbol.  The sample holds a byte per symbol of each of its state path,
+    its transposed copy, its counts and its output, plus one slice's temporaries.
+    """
+    model, n = reference_model("h1"), 10**6
+    m, S = _chunk_len(n), model.hidden_states
+    P = -(-(n - 1) // m)
+    small = sample_trajectory(model, 1000, seed=7)      # warm every code path up
+    prefix_log_probs(model, small.symbols, at=[10, 1000])
+    suffix_log_probs(model, small.symbols, at=[10, 1000])
+
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    traj, peak = peak_of(lambda: sample_trajectory(model, n, seed=7))
+    assert peak <= 4 * n + 8 * 8 * _DRAWS_PER_SLICE
+    grid = np.array([10**3, 10**4, 10**5, 10**6])
+    window = np.arange(n // 2 - 20_001, n // 2)          # a tail window of counterexample_v
+    for scan, at, k in ((prefix_log_probs, grid, grid), (suffix_log_probs, window, n - window)):
+        kept = len({0, 1} | set(((k - 2) // m).tolist()))
+        values, peak = peak_of(lambda: scan(model, traj.symbols, at=at))
+        assert values.shape == at.shape and np.isfinite(values).all()
+        assert peak <= 8 * S * S * P * (S + 10) + 8 * m * S * kept + 8 * 8 * at.shape[0]

@@ -643,6 +643,7 @@ def test_model_id_is_stable_and_distinguishes(m1, h1):
 # ---------------------------------------------------------------------------
 
 _M1 = MarkovModel(transition=[[0.7, 0.3], [0.2, 0.8]], initial=[0.4, 0.6])
+_H1 = reference_model("h1")
 _TRAJ = Trajectory(symbols=np.zeros(100, dtype=np.int64), seed=0, model_id=model_id(_M1))
 _SQRT = parse_growing(100, "sqrt")   # 10 blocks
 
@@ -715,6 +716,18 @@ BAD_ARGUMENTS = {
     "PerturbedParsing.lengths": (lambda: PerturbedParsing(
         starts=[0], lengths=[True], origin=Parsing([3]), modification=2, kind="sub"), "lengths"),
     "Trajectory.float": (lambda: Trajectory(symbols=[0.5, 1.7], seed=0, model_id="-"), "symbols"),
+    # a word, its blocks and the positions read of it are 1-d arrays
+    "prefix_log_probs.2d": (lambda: prefix_log_probs(_M1, np.zeros((5, 10), dtype=int)), "symbols"),
+    "prefix_log_probs.0d": (lambda: prefix_log_probs(_M1, 1), "symbols"),
+    "block_log_probs.2d": (lambda: block_log_probs(_M1, np.zeros((5, 10), dtype=int), [0], [2]),
+                           "symbols"),
+    "block_log_probs.2d-blocks": (lambda: block_log_probs(_H1, np.zeros(10, dtype=int), [[0, 3]],
+                                                          [[2, 5]]), "starts, ends"),
+    "prefix_log_probs.at-2d": (lambda: prefix_log_probs(_H1, [0, 1], at=[[0, 1]]), "at"),
+    "suffix_log_probs.at-float": (lambda: suffix_log_probs(_M1, [0, 1], at=[0.5]), "at"),
+    # and the positions lie in 0..n
+    "prefix_log_probs.at-past-n": (lambda: prefix_log_probs(_M1, [0, 1], at=[3]), "at"),
+    "suffix_log_probs.at-negative": (lambda: suffix_log_probs(_H1, [0, 1], at=[-1]), "at"),
 }
 
 
