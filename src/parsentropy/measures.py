@@ -138,7 +138,7 @@ class Trajectory:
     component: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", _frozen_array(_integers(self.symbols, "symbols"), None))
+        object.__setattr__(self, "symbols", _frozen_array(_vector(self.symbols, "symbols"), None))
 
     def __len__(self) -> int:
         return self.symbols.shape[0]
@@ -589,7 +589,9 @@ class HiddenMarkovModel(_Model):
         pieces by doubling.  With ``scan`` (one block: the word, cut into
         chunks) pass 3 turns pass 1's read-outs into log P(y[:k]) for every
         k <= len(y), or for each k of ``at``; pass 1 then keeps the read-outs
-        of only the chunks that hold one, and the values are the same bits.
+        of only the chunks that hold one, and the values are the same bits:
+        pass 3 adds a read-out's S rows one at a time, where numpy's own sum
+        would take another order for one chunk than for several.
         ``reverse`` runs Q^T from ones and reads out against rho: the
         backward recursion on the reversed word.  Stacks keep their index last.
         Row i of a piece's product, the forward vector from hidden state i, has
@@ -614,9 +616,8 @@ class HiddenMarkovModel(_Model):
         if scan:   # a scan's pieces are its chunks, in order; log P(y[:k]) for k = 2 + c m + j
             keep = None                                     # is read out at step j of chunk c
             if at is not None:                              # keep the chunks that hold a k of at
-                held = np.zeros(pieces, dtype=bool)
-                held[:2] = True                             # two at least: see pass 3
-                held[(at[at >= 2] - 2) // m] = True
+                held = np.zeros(pieces, dtype=bool)         # a mask: np.unique's first call
+                held[(at[at >= 2] - 2) // m] = True         # keeps 0.5 MB of heap
                 keep, row = held.nonzero()[0], np.empty((S, pieces))
             reads = np.zeros((depth, S, pieces if keep is None else keep.shape[0]))   # [j, i, c]
         for j, a in enumerate((-lengths[by_len]).searchsorted(-np.arange(depth)).tolist()):
@@ -647,27 +648,21 @@ class HiddenMarkovModel(_Model):
         if scan:                                            # pass 3: enter each chunk, read out
             enter = _log_sum_exp(log_v + logs[:, :, :-1], 0)   # v through the chunks before
             enter = np.concatenate((log_v[:, 0], enter), axis=1)
-            first = np.log(weight @ v[:, 0])                # k = 1
-            if keep is None:
-                reads += enter
-                buf = np.zeros(2 + pieces * m)
-                buf[1], grid = first, buf[2:].reshape(-1, m)   # log P(y[:k]) = buf[k] = grid[c, j]
-                for c in range(0, pieces, _CHUNKS_PER_READ):   # bounded temporaries
-                    part = slice(c, c + _CHUNKS_PER_READ)
-                    grid[part, :depth] = _log_sum_exp(reads[:, :, part], 1).T
-                return buf[:y.shape[0] + 1]
-            reads += enter.take(keep, axis=1)
-            # A read-out of one chunk sums its rows in another order: the last chunk, alone
-            # in its part above, is read out alone, and the others, two at least, together.
-            alone = int(pieces % _CHUNKS_PER_READ == 1 and keep[-1] == pieces - 1)
-            split = keep.shape[0] - alone
-            log_p = np.concatenate((_log_sum_exp(reads[:, :, :split], 1),
-                                    _log_sum_exp(reads[:, :, split:], 1)), axis=1)
-            out, deep = np.zeros(at.shape[0]), at >= 2      # k = 0: the empty word
-            out[at == 1] = first
-            k = at[deep] - 2
-            out[deep] = log_p[k % m, keep.searchsorted(k // m)]
-            return out
+            reads += enter if keep is None else enter.take(keep, axis=1)
+            buf = np.zeros(2 + reads.shape[2] * m)          # log P(y[:k]) = buf[k] = grid[c, j]
+            buf[1], grid = np.log(weight @ v[:, 0]), buf[2:].reshape(-1, m)   # k = 1
+            for c in range(0, reads.shape[2], _CHUNKS_PER_READ):   # bounded temporaries
+                part = reads[:, :, c:c + _CHUNKS_PER_READ]   # _log_sum_exp over the rows,
+                top = np.maximum.reduce(part, axis=1)       # added in one fixed order
+                np.maximum(top, _LOWEST, out=top)
+                part -= top[:, None]
+                total = np.exp(part, out=part)[:, 0].copy()
+                for i in range(1, S):
+                    total += part[:, i]
+                top += np.log(total, out=total)
+                grid[c:c + _CHUNKS_PER_READ, :depth] = top.T
+            return buf[:y.shape[0] + 1] if at is None else buf[np.where(   # k in a kept chunk
+                at < 2, at, 2 + m * keep.searchsorted((at - 2) // m) + (at - 2) % m)]
         ends_at = logs.take(ends - 1, axis=2) + log_v + np.log(weight)[:, None]
         result = np.empty(s.shape[0])
         result[order] = _log_sum_exp(ends_at.reshape(S * S, -1), 0)

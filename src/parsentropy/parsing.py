@@ -362,12 +362,9 @@ def parse_counterexample_v(model: ProcessModel, traj: Trajectory, N: int, K: int
     deviation = np.round(np.abs(-tail_logs / tail_lengths - h_ref), 12)
     k = int(ks[np.argmin(deviation)])
     half = K // 2
-    full_pre = (k - 1) // half
-    bounds = list(range(half, full_pre * half + 1, half))
-    if full_pre * half < k - 1:
-        bounds.append(k - 1)
-    bounds.append(N)
-    return Parsing(boundaries=np.asarray(bounds, dtype=np.int64))
+    bounds = np.arange(half, k - 1 + 2 * half, half, dtype=np.int64)   # 2 at least: k > N / 4 >= 1
+    bounds[-2:] = k - 1, N                  # the last short block ends at k - 1, then the tail
+    return Parsing(boundaries=bounds)
 
 
 def parse_counterexample_w(model: ProcessModel, traj: Trajectory, N: int, K: int,

@@ -17,9 +17,12 @@ pattern of one cumsum written here, and at 10^6 symbols the traced bytes stay
 within bounds derived from the arrays each call holds.
 
 A scan read at positions (``at``) gives the full scan's bits at them on every
-model class, in any order and with duplicates, also where the full scan reads
-a chunk out alone and sums its rows in another order; at 10^6 symbols an h1
-scan read at a few positions holds only what their chunks need.
+model class, in any order and with duplicates.  The kernel sums a read-out's
+rows in one fixed order, so the bits do not depend on how many chunks are
+read out together: one chunk alone, or parts of 1, 2 or 3 chunks, give the
+default grouping's bits.  At 10^6 symbols an h1 scan read at a few positions
+holds only what their chunks need, and the tail parsing that reads it holds
+its boundaries as int64 arrays.
 """
 
 import hashlib
@@ -40,6 +43,8 @@ from parsentropy import (
     block_log_probs,
     blockwise_info,
     cut_penalties,
+    entropy_rate,
+    parse_counterexample_v,
     parse_fixed,
     prefix_log_probs,
     reference_model,
@@ -48,6 +53,7 @@ from parsentropy import (
     suffix_log_probs,
     validate_model,
 )
+from parsentropy import measures
 from parsentropy.measures import (
     _CHUNKS_PER_READ,
     _DRAWS_PER_SLICE,
@@ -695,9 +701,10 @@ def test_values_at_positions_are_the_full_scans_bits(case):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 9, 300, 4360, 4370])
 def test_a_chunk_read_out_alone_keeps_its_bits(n):
-    # The full scan reads its chunks out in parts of _CHUNKS_PER_READ and sums the rows of
-    # a part of one chunk in another order: 2 and 3 symbols make one chunk, and 4360 and
-    # 4370 make 257 chunks of 17, the last alone in its part.
+    # The full scan reads its chunks out in parts of _CHUNKS_PER_READ.  numpy's own sum over
+    # the rows of a part of one chunk takes another order than a wider part's, so the kernel
+    # sums them in a fixed order: 2 and 3 symbols make one chunk, and 4360 and 4370 make 257
+    # chunks of 17, the last alone in its part.
     m = _chunk_len(n)
     assert (-(-(n - 1) // m) % _CHUNKS_PER_READ == 1) == (n in (2, 3, 4360, 4370))
     last = [list(range(max(n - m, 0), n + 1)), list(range(min(m, n) + 1))]   # either scan's
@@ -708,6 +715,39 @@ def test_a_chunk_read_out_alone_keeps_its_bits(n):
             assert np.isfinite(full).all()
             for at in ([n], [0], [1], [n // 2], [n, 2], *last, list(range(n + 1))[::-1]):
                 assert _same_bits(scan(NEAR_CERTAIN, w, at=at), full[at])
+
+
+@pytest.mark.parametrize("per_read", [1, 2, 3])
+@pytest.mark.parametrize("n", [300, 4360])
+def test_reading_chunks_out_in_parts_of_any_size_keeps_the_bits(monkeypatch, n, per_read):
+    # 300 symbols make 43 chunks of 7 and 4360 make 257 of 17: in parts of one chunk each
+    # is read out alone, in parts of 2 or 3 the last part holds one or two
+    words = [sample_trajectory(NEAR_CERTAIN, n, seed).symbols for seed in range(4)]
+    scans = (prefix_log_probs, suffix_log_probs)
+    default = [scan(NEAR_CERTAIN, w) for w in words for scan in scans]
+    monkeypatch.setattr(measures, "_CHUNKS_PER_READ", per_read)
+    for full, got in zip(default, [scan(NEAR_CERTAIN, w) for w in words for scan in scans]):
+        assert _same_bits(got, full)
+
+
+def _peak_of(call):
+    """``call()`` and the peak of the bytes it traced."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _at_scan_bound(model, n, at_count, kept):
+    """The traced bytes an HMM scan of n symbols may hold when read at ``at_count``
+    positions in ``kept`` chunks: see the test below."""
+    m, S = _chunk_len(n), model.hidden_states
+    P = -(-(n - 1) // m)
+    return 8 * S * S * P * (S + 10) + 8 * m * S * kept + 8 * 8 * at_count
 
 
 def test_a_million_symbol_scan_at_a_few_positions_holds_what_its_chunks_need():
@@ -725,28 +765,37 @@ def test_a_million_symbol_scan_at_a_few_positions_holds_what_its_chunks_need():
     its transposed copy, its counts and its output, plus one slice's temporaries.
     """
     model, n = reference_model("h1"), 10**6
-    m, S = _chunk_len(n), model.hidden_states
-    P = -(-(n - 1) // m)
+    m = _chunk_len(n)
     small = sample_trajectory(model, 1000, seed=7)      # warm every code path up
     prefix_log_probs(model, small.symbols, at=[10, 1000])
     suffix_log_probs(model, small.symbols, at=[10, 1000])
 
-    def peak_of(call):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            result = call()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        return result, peak
-
-    traj, peak = peak_of(lambda: sample_trajectory(model, n, seed=7))
+    traj, peak = _peak_of(lambda: sample_trajectory(model, n, seed=7))
     assert peak <= 4 * n + 8 * 8 * _DRAWS_PER_SLICE
     grid = np.array([10**3, 10**4, 10**5, 10**6])
     window = np.arange(n // 2 - 20_001, n // 2)          # a tail window of counterexample_v
     for scan, at, k in ((prefix_log_probs, grid, grid), (suffix_log_probs, window, n - window)):
-        kept = len({0, 1} | set(((k - 2) // m).tolist()))
-        values, peak = peak_of(lambda: scan(model, traj.symbols, at=at))
+        kept = len(set(((k - 2) // m).tolist()))
+        values, peak = _peak_of(lambda: scan(model, traj.symbols, at=at))
         assert values.shape == at.shape and np.isfinite(values).all()
-        assert peak <= 8 * S * S * P * (S + 10) + 8 * m * S * kept + 8 * 8 * at.shape[0]
+        assert peak <= _at_scan_bound(model, n, at.shape[0], kept)
+
+
+def test_a_million_symbol_tail_parsing_holds_its_boundaries_once():
+    """Traced bytes of ``parse_counterexample_v`` on h1 at N = 10^6 + 1, K = 4, epsilon = 0.02.
+
+    The parse reads the suffix scan at its window of W tail starts, which may
+    hold what the test above allows, and keeps at most 8 arrays of 8 bytes per
+    tail start of its own.  After the scan it builds the parsing's c
+    boundaries: one int64 array and the Parsing's frozen copy of it, 16 bytes
+    per block.  As a list of Python ints they took more than 36 bytes per block.
+    """
+    model, n, K, eps = reference_model("h1"), 10**6 + 1, 4, 0.02
+    h = entropy_rate(model).mid
+    parse_counterexample_v(model, sample_trajectory(model, 1000, seed=7), 1000, K, h, eps)   # warm up
+    traj = sample_trajectory(model, n, seed=17)
+    parsing, peak = _peak_of(lambda: parse_counterexample_v(model, traj, n, K, h, eps))
+    W = n // 2 - math.ceil((0.5 - eps) * n) + 1
+    kept = W // _chunk_len(n) + 2
+    assert parsing.c >= n * (1 - 2 * eps) / K - 1           # the short blocks fill most of it
+    assert peak <= max(_at_scan_bound(model, n, W, kept), 16 * parsing.c) + 8 * 8 * W

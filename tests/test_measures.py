@@ -716,7 +716,9 @@ BAD_ARGUMENTS = {
     "PerturbedParsing.lengths": (lambda: PerturbedParsing(
         starts=[0], lengths=[True], origin=Parsing([3]), modification=2, kind="sub"), "lengths"),
     "Trajectory.float": (lambda: Trajectory(symbols=[0.5, 1.7], seed=0, model_id="-"), "symbols"),
-    # a word, its blocks and the positions read of it are 1-d arrays
+    # a word, the trajectory that holds it, its blocks and the positions read of it are 1-d arrays
+    "Trajectory.2d": (lambda: Trajectory(symbols=np.zeros((5, 10), dtype=int), seed=0, model_id="-"),
+                      "symbols"),
     "prefix_log_probs.2d": (lambda: prefix_log_probs(_M1, np.zeros((5, 10), dtype=int)), "symbols"),
     "prefix_log_probs.0d": (lambda: prefix_log_probs(_M1, 1), "symbols"),
     "block_log_probs.2d": (lambda: block_log_probs(_M1, np.zeros((5, 10), dtype=int), [0], [2]),
