@@ -225,51 +225,32 @@ def _chunks(n: int) -> list:
     return [(a, min(a + _PAIRS_PER_CHUNK, n)) for a in range(0, n, _PAIRS_PER_CHUNK)]
 
 
-def _running_sums_at(values, rows: int, n: int, *points) -> list:
+def _running_sums_at(values, n: int, *points) -> list:
     """R[p] for each array ``p`` of ``points``: R[k] sums the first k of n values, R[0] = 0.
 
-    ``values(a, b)`` gives values a..b-1 as the columns of ``rows`` rows (a
-    1-d array for one row), each row one running sum, in a new array that
-    is summed in place.  They come one chunk at a time, and each chunk's
-    cumsum starts from the running sum before it, so every R[k] is the float
-    that one cumsum over all n values gives.  Each array of points is read
-    in increasing order; one that is not sorted is sorted once.
+    ``values(a, b)`` gives values a..b-1 in a new array that is summed in
+    place.  They come one chunk at a time, and each chunk's cumsum starts
+    from the running sum before it, so every R[k] is the float that one
+    cumsum over all n values gives.  Each array of points is read in
+    increasing order; one that is not sorted is sorted once.
     """
     picks = []
     for p in points:
         order = None if (p[1:] >= p[:-1]).all() else p.argsort(kind="stable")
-        picks.append((p if order is None else p[order], order, np.zeros((rows, p.shape[0]))))
-    carry = np.zeros(rows)
+        picks.append((p if order is None else p[order], order, np.zeros(p.shape[0])))
+    carry = 0.0
     for a, b in _chunks(n):
-        run = values(a, b).reshape(rows, -1)
-        run[:, 0] += carry                              # R[a] + values[a]: the sum commutes
-        np.cumsum(run, axis=1, out=run)                 # run[:, j] = R[a + 1 + j]
+        run = values(a, b)
+        run[0] += carry                                 # R[a] + values[a]: the sum commutes
+        np.cumsum(run, out=run)                         # run[j] = R[a + 1 + j]
         for p, _, out in picks:
             lo, hi = p.searchsorted([a, b], side="right")   # the points in (a, b]
-            out[:, lo:hi] = run.take(p[lo:hi] - (a + 1), axis=1)
-        carry = run[:, -1]
+            out[lo:hi] = run.take(p[lo:hi] - (a + 1))
+        carry = run[-1]
     for _, order, out in picks:
         if order is not None:
-            out[:, order] = out.copy()
+            out[order] = out.copy()
     return [out for _, _, out in picks]
-
-
-def _window_sums(logs, n: int, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Sums of the logs s[i]..e[i]-1 of n, exactly -inf where a window holds a zero factor.
-
-    ``logs(a, b)`` gives logs a..b-1.  The finite parts and the zero factors
-    are cumulated separately, so a zero factor outside a window cannot turn
-    its sum into inf - inf.
-    """
-    def parts(a: int, b: int) -> np.ndarray:
-        chunk = logs(a, b)
-        zero = np.isneginf(chunk)
-        return np.stack((np.where(zero, 0.0, chunk), zero))
-
-    (cs, cz), (ce, ze) = _running_sums_at(parts, 2, n, s, e)
-    out = ce - cs
-    out[ze > cz] = -np.inf
-    return out
 
 
 def _pair_logs(log_t: np.ndarray, x: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
@@ -506,15 +487,21 @@ class MarkovModel(_Model):
         return out
 
     def _block(self, x: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """The running sums read at each block's start and end only: a parsing's need no sort."""
-        pairs, n = partial(_pair_logs, _safe_log(self.transition), x), x.shape[0] - 1
+        """log pi(x_s) + R[e-1] - R[s], left to right, of one running sum R of the pair logs.
+
+        R is read at the block starts and ends only: a parsing's need no sort.
+        A pair of probability 0 adds 0 to R; the blocks that hold one are -inf.
+        """
+        zero, n = self.transition == 0, x.shape[0] - 1
+        log_t = np.log(np.where(zero, 1.0, self.transition))
+        first, last = _running_sums_at(partial(_pair_logs, log_t, x), n, s, e - 1)
         out = _safe_log(self.initial).take(x[s])
-        if (self.transition == 0).any():   # a log transition is -inf
-            out += _window_sums(pairs, n, s, e - 1)
-            return out
-        (first,), (last,) = _running_sums_at(pairs, 1, n, s, e - 1)
         out += last
         out -= first
+        if zero.any():   # the pairs of probability 0, in order: mark the blocks that span one
+            at = [_pair_logs(zero, x, a, b).nonzero()[0] + a for a, b in _chunks(n)]
+            at = np.concatenate([np.empty(0, np.intp)] + at)
+            out[at.searchsorted(s) < at.searchsorted(e - 1)] = -np.inf
         return out
 
     def _sample(self, n: int, rng: np.random.Generator):
@@ -767,17 +754,25 @@ class MixtureModel(_Model):
     def components(self):
         return (self.first, self.second)
 
+    def _weight_check(self, prefix: str) -> ValidationCheck:
+        w_ok = 0.0 < self.weight < 1.0   # NaN fails
+        return _check(prefix + "weight_in_open_unit_interval", 0.0 if w_ok else 1.0, 0.0)
+
     def _checks(self, prefix: str) -> list:
-        w_ok = 0.0 < self.weight < 1.0
         same = self.first.alphabet_size == self.second.alphabet_size
-        return ([_check(prefix + "weight_in_open_unit_interval", 0.0 if w_ok else 1.0, 0.0),
+        return ([self._weight_check(prefix),
                  _check(prefix + "components_share_alphabet", 0.0 if same else 1.0, 0.0)]
                 + self.first._checks(prefix + "first.")
                 + self.second._checks(prefix + "second."))
 
+    def _weight(self) -> float:
+        """The weight; ModelFormatError with its check's row unless it lies in (0, 1)."""
+        _require_valid(ModelValidationReport((self._weight_check(""),)), "cannot mix")
+        return self.weight
+
     def _mix(self, engine: str, *args) -> np.ndarray:
         """log(w P_first + (1 - w) P_second) from the components' log engine."""
-        la, lb = math.log(self.weight), math.log1p(-self.weight)
+        la, lb = math.log(self._weight()), math.log1p(-self.weight)
         return np.logaddexp(la + getattr(self.first, engine)(*args),
                             lb + getattr(self.second, engine)(*args))
 
@@ -792,7 +787,7 @@ class MixtureModel(_Model):
 
     def _mixed(self, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
         """w P_first + (1 - w) P_second of one level of each component."""
-        return self.weight * p1 + (1.0 - self.weight) * p2
+        return self._weight() * p1 + (1.0 - self.weight) * p2
 
     def _levels(self, n_max: int) -> Iterator:
         for (n, p1), (_, p2) in zip(self.first._levels(n_max), self.second._levels(n_max)):
@@ -832,9 +827,8 @@ def validate_model(model: ProcessModel) -> ModelValidationReport:
     return ModelValidationReport(checks=tuple(model._checks("")))
 
 
-def _require_valid(model: ProcessModel, where: str) -> None:
-    """Raise ModelFormatError naming every invariant ``model`` violates."""
-    report = validate_model(model)
+def _require_valid(report: ModelValidationReport, where: str) -> None:
+    """Raise ModelFormatError naming every invariant that ``report`` finds violated."""
     if not report.passed:
         rows = "; ".join(f"{c.name} (residual {c.residual:.3g}, bound {c.bound:.3g})"
                          for c in report.failures)
@@ -991,7 +985,7 @@ def sample_trajectory(model: ProcessModel, n: int, seed: int) -> Trajectory:
     """
     _ruled(n, _K, "n", PreconditionError)
     _ruled(seed, _SEED, "seed", PreconditionError)
-    _require_valid(model, "cannot sample")
+    _require_valid(validate_model(model), "cannot sample")
     symbols, comp = model._sample(n, np.random.default_rng(seed))
     return Trajectory(symbols=symbols, seed=int(seed), model_id=model_id(model), component=comp)
 
@@ -1171,7 +1165,7 @@ def model_from_dict(d: dict, path: str = "$") -> ProcessModel:
 def load_model(path) -> ProcessModel:
     """Read and validate a model JSON file; raises ModelFormatError on problems."""
     model = model_from_dict(_read_json(path, ModelFormatError), f"{path}:$")
-    _require_valid(model, str(path))
+    _require_valid(validate_model(model), str(path))
     return model
 
 

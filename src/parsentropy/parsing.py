@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -67,17 +68,17 @@ class Parsing:
     def c(self) -> int:
         return self.boundaries.shape[0]
 
-    @property
+    @cached_property
     def starts(self) -> np.ndarray:
-        return np.concatenate(([0], self.boundaries[:-1]))
+        return _frozen_array(np.concatenate(([0], self.boundaries[:-1])), None)
 
     @property
     def ends(self) -> np.ndarray:
         return self.boundaries
 
-    @property
+    @cached_property
     def lengths(self) -> np.ndarray:
-        return np.diff(self.boundaries, prepend=0)
+        return _frozen_array(np.diff(self.boundaries, prepend=0), None)
 
     def to_text(self) -> str:
         body = " ".join(str(int(v)) for v in self.boundaries)
@@ -114,9 +115,9 @@ class PerturbedParsing:
         object.__setattr__(self, "starts", _positions(self.starts, "starts"))
         object.__setattr__(self, "lengths", _positions(self.lengths, "lengths"))
 
-    @property
+    @cached_property
     def ends(self) -> np.ndarray:
-        return self.starts + self.lengths
+        return _frozen_array(self.starts + self.lengths, None)
 
     @property
     def N(self) -> int:
@@ -415,12 +416,11 @@ def perturb_superblocks(parsing: Parsing, extend_plan) -> PerturbedParsing:
     immediately neighboring blocks only.
     """
     plan = _as_plan(extend_plan, parsing.c, "extend_plan")
-    origin_starts = parsing.starts
-    starts = origin_starts - plan[:, 0]
+    starts = parsing.starts - plan[:, 0]
     ends = parsing.ends + plan[:, 1]
     if starts.min() < 0 or ends.max() > parsing.N:
         raise OverlapViolationError("an extension leaves the parsed prefix")
-    left_limit = np.concatenate(([0], origin_starts[:-1]))
+    left_limit = np.concatenate(([0], parsing.starts[:-1]))
     right_limit = np.concatenate((parsing.ends[1:], [parsing.N]))
     if np.any(starts < left_limit) or np.any(ends > right_limit):
         i = int(np.argmax((starts < left_limit) | (ends > right_limit)))

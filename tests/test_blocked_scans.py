@@ -14,7 +14,9 @@ Trajectories hold one byte per symbol, and the Markov engines sum their pair
 logs one chunk at a time: on a 20-symbol chain and HMM the narrow symbols
 give the bits of their int64 copy, at the chunk edges every value is the bit
 pattern of one cumsum written here, and at 10^6 symbols the traced bytes stay
-within bounds derived from the arrays each call holds.
+within bounds derived from the arrays each call holds.  Block values of a
+chain with zero transitions are -inf exactly where a per-block ``math.fsum``
+is, and elsewhere within a rounding bound derived from the running sum.
 
 A scan read at positions (``at``) gives the full scan's bits at them on every
 model class, in any order and with duplicates.  The kernel sums a read-out's
@@ -562,13 +564,9 @@ def _one_pass(model, x, starts, ends):
         cuts = pairs - lpi[w[1:]]
     zero = np.isneginf(pairs)
     cs = np.concatenate(([0.0], np.where(zero, 0.0, pairs).cumsum()))
-    if zero.any():
-        cz = np.concatenate(([0], zero.cumsum()))
-        window = cs[ends - 1] - cs[starts]
-        window[cz[ends - 1] > cz[starts]] = -np.inf
-        blocks = lpi[w[starts]] + window
-    else:
-        blocks = lpi[w[starts]] + cs[ends - 1] - cs[starts]
+    blocks = lpi[w[starts]] + cs[ends - 1] - cs[starts]
+    cz = np.concatenate(([0], zero.cumsum()))
+    blocks[cz[ends - 1] > cz[starts]] = -np.inf   # the blocks that hold a pair of probability 0
     return [prefix, suffix, blocks, cuts]
 
 
@@ -584,11 +582,15 @@ def _blocks_across_chunk_edges(n):
     return starts, ends, s, e
 
 
+# Every transition is 1/2 or 0: the pairs (0, 2), (1, 0) and (2, 1) have probability 0.
+ZERO_CHAIN = MarkovModel([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]], [1 / 3] * 3)
+CHUNK_EDGE_LENGTHS = [C - 1, C, C + 1, C + 2, 3 * C + 5]
+
+
 @pytest.mark.parametrize("name", ["m1", "zero"])
-@pytest.mark.parametrize("n", [C - 1, C, C + 1, C + 2, 3 * C + 5])
+@pytest.mark.parametrize("n", CHUNK_EDGE_LENGTHS)
 def test_chunked_markov_sums_match_one_pass(name, n):
-    model = (reference_model("m1") if name == "m1" else
-             MarkovModel([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]], [1 / 3] * 3))
+    model = reference_model("m1") if name == "m1" else ZERO_CHAIN
     # the zero chain reads an i.i.d. word, so some pairs and windows have probability 0
     source = model if name == "m1" else reference_model("iid_uniform")
     x = sample_trajectory(source, n, seed=n).symbols
@@ -601,6 +603,71 @@ def test_chunked_markov_sums_match_one_pass(name, n):
             assert _same_bits(got, ref)
     if name == "zero":
         assert np.isneginf(block_log_probs(model, x, s, e)).any()
+
+
+def _fsum_blocks(model, x, starts, ends):
+    """Each block's log pi(x_s) and pair logs s..e-2 summed exactly by ``math.fsum``, one by one."""
+    with np.errstate(divide="ignore"):
+        lt, lpi = np.log(model.transition), np.log(model.initial)
+    w = x.astype(np.int64)
+    pairs = lt[w[:-1], w[1:]].tolist()
+    return np.array([math.fsum([lpi[w[a]], *pairs[a:b - 1]])
+                     for a, b in zip(starts.tolist(), ends.tolist())])
+
+
+def _running_sum_bound(model, x, starts, ends, got):
+    """How far (log pi(x_s) + R[e-1]) - R[s] may round from the exact block value, R summed left to right.
+
+    R[e-1] is R[s] plus L - 1 more pair logs (L = e - s), added one at a
+    time; each addition rounds by at most u |R[j]| (u = 2^-53) for some
+    j <= e - 1, so by at most u M with M = max |R[j]| over j <= e - 1.
+    Adding log pi(x_s) rounds by at most u (|log pi(x_s)| + M), and the
+    subtraction by u |value|.  The error of R[s] itself cancels: R[e-1]
+    carries it too.  The bound takes L + 1 in place of L for the terms of
+    order u^2.  A pair of probability 0 enters R as 0, as in the engine.
+    """
+    with np.errstate(divide="ignore"):
+        lt, lpi = np.log(model.transition), np.log(model.initial)
+    w = x.astype(np.int64)
+    pairs = lt[w[:-1], w[1:]]
+    top = np.maximum.accumulate(np.abs(np.concatenate(([0.0], np.where(np.isneginf(pairs), 0.0, pairs).cumsum()))))
+    lengths = (ends - starts).astype(float)
+    return 2.0 ** -53 * ((lengths + 1) * (np.abs(lpi[w[starts]]) + top[ends - 1]) + np.abs(got))
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGE_LENGTHS + [10**6])
+def test_zero_transition_blocks_match_exact_sums(n):
+    """Block values of a chain with zero transitions against a per-block ``math.fsum``.
+
+    A word of ZERO_CHAIN gets pairs of probability 0 planted next to every
+    chunk edge and at random places.  Blocks that hold one are -inf, exactly
+    the reference's set; the others lie within ``_running_sum_bound`` of the
+    exact sum.  The blocks are a parsing and blocks across the chunk edges
+    at every n, and at 10^6 a K = 4 parsing and 2000 blocks of up to 2000
+    symbols; each set runs sorted, shuffled and reversed.
+    """
+    rng = np.random.default_rng(n)
+    x = sample_trajectory(ZERO_CHAIN, n, seed=n).symbols.copy()
+    plant = [t for a in range(C, n, C) for t in (a - 2, a - 1, a + 1) if t < n - 1]
+    for t in sorted(plant + rng.integers(0, n - 1, 8).tolist()):
+        x[t + 1] = (x[t] + 2) % 3                      # the pair (x[t], x[t] + 2 mod 3)
+    if n < 10**6:
+        starts, ends, s, e = _blocks_across_chunk_edges(n)
+    else:
+        bounds = parse_fixed(n, 4).boundaries
+        starts, ends = np.concatenate(([0], bounds[:-1])), bounds
+        s = np.sort(rng.integers(0, n, 2000))
+        e = np.minimum(s + rng.integers(1, 2001, 2000), n)
+    shuffled = rng.permutation(len(s))
+    kinds = set()
+    for blocks in ((starts, ends), (s, e), (s[shuffled], e[shuffled]), (s[::-1], e[::-1])):
+        got, ref = block_log_probs(ZERO_CHAIN, x, *blocks), _fsum_blocks(ZERO_CHAIN, x, *blocks)
+        zero = np.isneginf(ref)
+        assert np.array_equal(np.isneginf(got), zero)
+        bound = _running_sum_bound(ZERO_CHAIN, x, *blocks, got)
+        assert (np.abs(got[~zero] - ref[~zero]) <= bound[~zero]).all()
+        kinds |= set(zero.tolist())
+    assert kinds == {False, True}
 
 
 def test_a_million_symbols_hold_a_byte_each_and_scans_hold_one_chunk():

@@ -128,6 +128,27 @@ def test_invalid_model_is_reported_but_not_sampled():
     assert all(name in str(info.value) for name in failed)
 
 
+_MIXTURE_ENGINES = {
+    "prefix": lambda model: prefix_log_probs(model, [0, 1, 1]),
+    "suffix": lambda model: suffix_log_probs(model, [0, 1, 1]),
+    "block": lambda model: block_log_probs(model, [0, 1, 1], [0, 1], [2, 3]),
+    "level_probs": lambda model: list(level_probs(model, 3)),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_MIXTURE_ENGINES))
+@pytest.mark.parametrize("weight", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_mixture_engines_refuse_a_weight_outside_the_open_unit_interval(m1, engine, weight):
+    # the model builds and validate_model reports the row; the engines raise it as sampling does
+    model = MixtureModel(weight, m1, m1)
+    (row,) = validate_model(model).failures
+    assert row.name == "weight_in_open_unit_interval"
+    with pytest.raises(ModelFormatError, match="weight_in_open_unit_interval"):
+        _MIXTURE_ENGINES[engine](model)
+    with pytest.raises(ModelFormatError, match="weight_in_open_unit_interval"):
+        sample_trajectory(model, 10, seed=1)
+
+
 def test_stationary_distribution_power_iteration(m1):
     pi = stationary_distribution(m1.transition)
     # eigen-decomposition oracle for the same fixed point

@@ -57,6 +57,20 @@ def test_parse_fixed_with_remainder():
     assert p.lengths.tolist() == [3, 3, 2]
 
 
+def test_derived_block_arrays_are_built_once_on_first_use_and_read_only():
+    p = parse_fixed(8, 3)
+    assert not {"starts", "lengths"} & vars(p).keys()
+    q = perturb_superblocks(p, [[0, 1], [1, 1], [1, 0]])
+    assert "ends" not in vars(q)
+    for owner, name, values in ((p, "starts", [0, 3, 6]), (p, "lengths", [3, 3, 2]),
+                                (q, "ends", [4, 7, 8])):
+        arr = getattr(owner, name)
+        assert arr is getattr(owner, name) and arr.tolist() == values
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
 def test_parse_fixed_exact_multiple():
     p = parse_fixed(12, 4)
     assert p.c == 3 and set(p.lengths.tolist()) == {4}
